@@ -1,8 +1,5 @@
-"""Select the compiled word kernel when available, else the pure fallback."""
+"""The word kernel: free reduction over signed letter indices."""
 
-try:
-    from freefactor._reduce import IMPLEMENTATION, concat, reduce_word
-except ImportError:  # pragma: no cover - depends on build environment
-    from freefactor._reduce_py import IMPLEMENTATION, concat, reduce_word
+from freefactor._reduce_py import IMPLEMENTATION, concat, reduce_word
 
 __all__ = ["IMPLEMENTATION", "concat", "reduce_word"]

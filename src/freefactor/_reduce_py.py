@@ -1,7 +1,6 @@
 """Pure-Python word kernel: free reduction over signed letter indices.
 
-Letters are nonzero ints; -x is the inverse of x.  The compiled twin in
-``_reduce.pyx`` implements the same two functions.
+Letters are nonzero ints; -x is the inverse of x.
 """
 
 from typing import Iterable, List, Sequence

@@ -52,12 +52,16 @@ def vertex_from_str(s: str) -> FareyVertex:
     return farey_vertex(int(p), int(q))
 
 
+def abelianize2(w: Word) -> Tuple[int, int]:
+    """Image in Z^2 of a word over a rank-2 basis (exponent sums of x_1, x_2)."""
+    assert w.alphabet.rank == 2
+    ls = w.letters
+    return ls.count(1) - ls.count(-1), ls.count(2) - ls.count(-2)
+
+
 def farey_vertex_of(factor_word_in_basis: Word) -> FareyVertex:
     """Abelianize a rank-1 factor generator written in a rank-2 basis."""
-    assert factor_word_in_basis.alphabet.rank == 2
-    p = sum(1 if x == 1 else -1 for x in factor_word_in_basis.letters if abs(x) == 1)
-    q = sum(1 if x == 2 else -1 for x in factor_word_in_basis.letters if abs(x) == 2)
-    return farey_vertex(p, q)
+    return farey_vertex(*abelianize2(factor_word_in_basis))
 
 
 def adjacent(u: FareyVertex, v: FareyVertex) -> bool:
@@ -181,13 +185,8 @@ class Matrix2Z:
 def matrix_of_out(f: GroupMap) -> Matrix2Z:
     """Abelianization matrix of a rank-2 automorphism (columns = images)."""
     assert f.domain.rank == 2 and f.codomain.rank == 2
-    cols = []
-    for w in f.images:
-        e1 = sum(1 if x == 1 else -1 for x in w.letters if abs(x) == 1)
-        e2 = sum(1 if x == 2 else -1 for x in w.letters if abs(x) == 2)
-        cols.append((e1, e2))
-    m = Matrix2Z(cols[0][0], cols[1][0], cols[0][1], cols[1][1])
-    return m
+    (a, c), (b, d) = (abelianize2(w) for w in f.images)
+    return Matrix2Z(a, b, c, d)
 
 
 def act(m: Matrix2Z, v: FareyVertex) -> FareyVertex:

@@ -73,39 +73,28 @@ class MarkedGraph:
     # -- spanning tree / basis loops ---------------------------------------
 
     def _tree(self):
-        """BFS tree: parent[v] = (u, edge_index, direction), discovery order."""
-        adj: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in range(self.num_vertices)}
+        """BFS tree: parent[v] = (u, (edge_index, direction))."""
+        adj: List[List[Tuple[Tuple[int, int], int]]] = [[] for _ in range(self.num_vertices)]
         for idx, (u, v, _w) in enumerate(self.edges):
-            adj[u].append((v, idx, 1))
-            adj[v].append((u, idx, -1))
-        parent: Dict[int, Tuple[int, int, int]] = {}
-        order = [self.base]
-        seen = {self.base}
-        qi = 0
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
-            for t, idx, d in sorted(adj[v], key=lambda x: (x[1], x[2])):
-                if t not in seen:
-                    seen.add(t)
-                    parent[t] = (v, idx, d)
-                    order.append(t)
+            adj[u].append(((idx, 1), v))
+            adj[v].append(((idx, -1), u))
+        order, parent = stallings.bfs_tree(self.base, lambda v: sorted(adj[v]))
         assert len(order) == self.num_vertices, "marked graph must be connected"
-        return parent, order
+        return parent
 
     def _tree_path_edges(self, v: int, parent) -> List[int]:
         """Signed edge indices (1-based) of the tree path base -> v."""
         out: List[int] = []
         while v != self.base:
-            u, idx, d = parent[v]
+            u, (idx, d) = parent[v]
             out.append(d * (idx + 1))
             v = u
         return list(reversed(out))
 
     def basis_loops(self) -> List[List[int]]:
         """Edge-paths (signed 1-based edge indices) of the non-tree basis loops."""
-        parent, _ = self._tree()
-        tree_edges = {idx for (_u, idx, _d) in parent.values()}
+        parent = self._tree()
+        tree_edges = {idx for _u, (idx, _d) in parent.values()}
         loops = []
         for idx, (u, v, _w) in enumerate(self.edges):
             if idx in tree_edges:
@@ -200,7 +189,7 @@ def _natural_edges(adj: List[Dict[int, int]]):
     arcs = []
     used = set()
     for b in branch:
-        for s in sorted(adj[b], key=lambda s: (abs(s), s < 0)):
+        for s in sorted(adj[b], key=stallings._letter_order):
             if (b, s) in used:
                 continue
             arc = []
@@ -220,10 +209,6 @@ def _natural_edges(adj: List[Dict[int, int]]):
     return arcs
 
 
-def subgroup_cover_core(T: MarkedGraph, A: FreeFactorClass) -> SubgroupGraph:
-    return stallings.subgroup_cover_core(T, A.graph)
-
-
 @lru_cache(maxsize=4096)
 def project_tree(A: FreeFactorClass, T: MarkedGraph) -> ProjectionSet:
     """π_A(T) via the A-cover core of T, per natural-edge 1-edge collapses."""
@@ -237,21 +222,18 @@ def project_tree(A: FreeFactorClass, T: MarkedGraph) -> ProjectionSet:
     for p in basis_paths:
         expr = stallings.membership_rewrite(cover, p)
         assert expr is not None
-        coords.append(_abelianize2(expr))
+        coords.append(farey.abelianize2(expr))
     (m00, m10), (m01, m11) = coords
     det = m00 * m11 - m01 * m10
     assert det in (1, -1), "basis change must be unimodular"
     # unbased core plus connecting stalk from the cover's base
-    adj = [dict(d) for d in cover.adj]
-    survivors = stallings._surviving_vertices(adj)
-    assert survivors, "cover of a nontrivial factor has a core"
-    core_adj, core_index = stallings._restrict(adj, survivors)
-    in_core = set(survivors)
+    core_adj, core_index = stallings._trim([dict(d) for d in cover.adj])
+    assert core_adj, "cover of a nontrivial factor has a core"
     # stalk: walk from base until the core is reached
     stalk: List[int] = []
     v = cover.base
     prev = 0
-    while v not in in_core:
+    while v not in core_index:
         options = [s for s in cover.adj[v] if s != -prev]
         assert len(options) == 1, "stalk must be a simple path"
         s = options[0]
@@ -315,7 +297,7 @@ def project_tree(A: FreeFactorClass, T: MarkedGraph) -> ProjectionSet:
             gen_word = _component_loop(ea, verts, edges, core, parent, stalk_word)
             expr_t = stallings.membership_rewrite(cover, gen_word)
             assert expr_t is not None, "vertex group must lie in the cover subgroup"
-            pt, qt = _abelianize2(expr_t)
+            pt, qt = farey.abelianize2(expr_t)
             # back to A's basis: apply the inverse of the unimodular matrix
             p = det * (m11 * pt - m01 * qt)
             q = det * (-m10 * pt + m00 * qt)
@@ -329,37 +311,15 @@ def project_tree(A: FreeFactorClass, T: MarkedGraph) -> ProjectionSet:
     return ProjectionSet(A, tuple(gens_in_A), frozenset(vertices))
 
 
-def _abelianize2(w: Word) -> Tuple[int, int]:
-    assert w.alphabet.rank == 2
-    p = sum(1 if x == 1 else -1 for x in w.letters if abs(x) == 1)
-    q = sum(1 if x == 2 else -1 for x in w.letters if abs(x) == 2)
-    return p, q
-
-
 def _component_loop(ea, verts, edges, core: SubgroupGraph, parent, stalk_word: Word) -> Word:
     """A generator of the cyclic π₁ of a complement component, as an edge word
     conjugated back to the original cover base."""
     k0 = min(verts)
-    tree: Dict[int, Tuple[int, int]] = {}
-    seen = {k0}
     adj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in verts}
     for u, s, v in edges:
         adj[u].append((s, v))
         adj[v].append((-s, u))
-    qi = 0
-    order = [k0]
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for s, t in sorted(adj[v]):
-            if t not in seen:
-                seen.add(t)
-                tree[t] = (v, s)
-                order.append(t)
-    tree_set = set()
-    for t, (v, s) in tree.items():
-        tree_set.add((v, s, t))
-        tree_set.add((t, -s, v))
+    _, tree = stallings.bfs_tree(k0, lambda v: sorted(adj[v]))
 
     def path_to(v):
         out = []
@@ -369,11 +329,11 @@ def _component_loop(ea, verts, edges, core: SubgroupGraph, parent, stalk_word: W
             v = u
         return list(reversed(out))
 
-    extra = None
-    for u, s, v in edges:
-        if (u, s, v) not in tree_set:
-            extra = (u, s, v)
-            break
+    # the one edge of the rank-1 component that is not a tree edge
+    extra = next(
+        ((u, s, v) for u, s, v in edges if tree.get(v) != (u, s) and tree.get(u) != (v, -s)),
+        None,
+    )
     assert extra is not None
     u, s, v = extra
     loop = path_to(u) + [s] + [-x for x in reversed(path_to(v))]

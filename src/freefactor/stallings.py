@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from freefactor.errors import TrivialSubgroup
 from freefactor.words import Alphabet, Word, identity, reduce_raw, std_alphabet
@@ -59,8 +59,33 @@ def fold(nv: int, raw_edges: Sequence[Tuple[int, int, int]], base: int):
     return out, index[_find(parent, base)]
 
 
-def _trim(adj: List[Dict[int, int]], keep: Optional[int]):
-    """Iteratively delete valence-1 vertices (except ``keep``); renumber."""
+def _letter_order(s: int) -> Tuple[int, bool]:
+    """Sort key putting each letter before its inverse: a, a^-1, b, b^-1, ..."""
+    return abs(s), s < 0
+
+
+def bfs_tree(root: int, neighbours: Callable[[int], Iterable[Tuple[Hashable, int]]]):
+    """Breadth-first spanning tree from ``root``.
+
+    ``neighbours(v)`` yields ``(label, t)`` pairs in tie-break order.  Returns
+    the discovery order and ``parent[t] = (v, label)`` for every non-root t.
+    """
+    order = [root]
+    parent: Dict[int, Tuple[int, Hashable]] = {}
+    for v in order:  # grows while it is scanned: a FIFO queue
+        for label, t in neighbours(v):
+            if t != root and t not in parent:
+                parent[t] = (v, label)
+                order.append(t)
+    return order, parent
+
+
+def _trim(adj: List[Dict[int, int]], keep: Optional[int] = None):
+    """Iteratively delete valence-1 vertices (except ``keep``) in place.
+
+    Returns the core's adjacency renumbered 0..m-1 and the old -> new index
+    of the surviving vertices.
+    """
     alive = [True] * len(adj)
     degree = [len(d) for d in adj]
     queue = deque(v for v in range(len(adj)) if degree[v] <= 1 and v != keep)
@@ -81,8 +106,7 @@ def _trim(adj: List[Dict[int, int]], keep: Optional[int]):
         if alive[v]:
             index[v] = len(index)
     out = [{s: index[t] for s, t in adj[v].items()} for v in range(len(adj)) if alive[v]]
-    new_keep = index.get(keep) if keep is not None else None
-    return out, new_keep
+    return out, index
 
 
 @dataclass(frozen=True)
@@ -100,7 +124,6 @@ class SubgroupGraph:
     @property
     def num_edges(self) -> int:
         n = sum(len(d) for d in self.adj)
-        loops = sum(1 for v, d in enumerate(self.adj) for s, t in d.items() if t == v)
         # each non-loop edge contributes two directed entries; a loop also two
         assert n % 2 == 0
         return n // 2
@@ -123,20 +146,11 @@ class SubgroupGraph:
         return self.trace(w) == self.base
 
     def spanning_tree(self):
-        """BFS tree from base: (order, parent_edge[v] = (u, s), tree edge set)."""
-        parent_edge: Dict[int, Tuple[int, int]] = {}
-        order = [self.base]
-        seen = {self.base}
-        qi = 0
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
-            for s in sorted(self.adj[v], key=lambda s: (abs(s), s < 0)):
-                t = self.adj[v][s]
-                if t not in seen:
-                    seen.add(t)
-                    parent_edge[t] = (v, s)
-                    order.append(t)
+        """BFS tree from base: (order, parent_edge) with parent_edge[v] = (u, s)."""
+        adj = self.adj
+        order, parent_edge = bfs_tree(
+            self.base, lambda v: ((s, adj[v][s]) for s in sorted(adj[v], key=_letter_order))
+        )
         assert len(order) == self.num_vertices, "graph must be connected"
         return order, parent_edge
 
@@ -154,16 +168,14 @@ class SubgroupGraph:
     def basis_edges(self):
         """Non-tree directed edges (u, s, v) with a deterministic orientation."""
         order, parent_edge = self.spanning_tree()
-        tree = set()
-        for v, (u, s) in parent_edge.items():
-            tree.add((u, s, v))
-            tree.add((v, -s, u))
         out = []
         seen = set()
         for v in order:
-            for s in sorted(self.adj[v], key=lambda s: (abs(s), s < 0)):
+            for s in sorted(self.adj[v], key=_letter_order):
                 t = self.adj[v][s]
-                if (v, s, t) in tree or (v, s, t) in seen or (t, -s, v) in seen:
+                if parent_edge.get(t) == (v, s) or parent_edge.get(v) == (t, -s):
+                    continue  # tree edge
+                if (v, s, t) in seen or (t, -s, v) in seen:
                     continue
                 seen.add((v, s, t))
                 # orient the recorded edge by its positive letter
@@ -203,8 +215,8 @@ def from_generators(alphabet: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
             raw.append((prev, s, nxt))
             prev = nxt
     adj, base = fold(nv, raw, 0)
-    adj, base = _trim(adj, base)
-    return SubgroupGraph(alphabet, tuple(adj), base)
+    adj, index = _trim(adj, base)
+    return SubgroupGraph(alphabet, tuple(adj), index[base])
 
 
 def is_full_rose(g: SubgroupGraph) -> bool:
@@ -219,24 +231,20 @@ def is_full_rose(g: SubgroupGraph) -> bool:
 def membership_rewrite(H: SubgroupGraph, w: Word) -> Optional[Word]:
     """Expression of w in H's spanning-tree basis, or None when w is not in H."""
     assert w.alphabet == H.alphabet
-    edges, parent_edge = H.basis_edges()
+    edges, _ = H.basis_edges()
     index = {}
     for k, (u, s, v) in enumerate(edges):
         index[(u, s, v)] = k + 1
         index[(v, -s, u)] = -(k + 1)
-    tree = set()
-    for v, (u, s) in parent_edge.items():
-        tree.add((u, s, v))
-        tree.add((v, -s, u))
     out: List[int] = []
     v = H.base
     for s in w.letters:
         t = H.adj[v].get(s)
         if t is None:
             return None
-        e = (v, s, t)
-        if e not in tree:
-            out.append(index[e])
+        k = index.get((v, s, t))  # None on tree edges
+        if k is not None:
+            out.append(k)
         v = t
     if v != H.base:
         return None
@@ -256,8 +264,7 @@ def expand_basis_word(H: SubgroupGraph, expr: Word) -> Word:
 # --- canonical conjugacy-class cores ---------------------------------------
 
 def _unbased_core(H: SubgroupGraph) -> List[Dict[int, int]]:
-    adj = [dict(d) for d in H.adj]
-    adj, _ = _trim(adj, None)
+    adj, _ = _trim([dict(d) for d in H.adj])
     return adj
 
 
@@ -270,7 +277,7 @@ def _bfs_code(adj: List[Dict[int, int]], start: int) -> Tuple:
         v = order[qi]
         qi += 1
         row = []
-        for s in sorted(adj[v], key=lambda s: (abs(s), s < 0)):
+        for s in sorted(adj[v], key=_letter_order):
             t = adj[v][s]
             if t not in number:
                 number[t] = len(order)
@@ -345,15 +352,14 @@ def pullback_components(A: SubgroupGraph, B: SubgroupGraph) -> List[PullbackComp
         verts = [i for i in range(len(adj)) if comp[i] == c]
         local = {i: k for k, i in enumerate(verts)}
         sub_adj = [{s: local[t] for s, t in adj[i].items()} for i in verts]
-        survivors = _surviving_vertices(sub_adj)
-        if not survivors:
+        core_adj, core_index = _trim(sub_adj)
+        if not core_adj:
             continue
-        core_adj, core_index = _restrict(sub_adj, survivors)
         rank = sum(len(d) for d in core_adj) // 2 - len(core_adj) + 1
         if rank < 1:
             continue
         # deterministic base inside the core
-        base_local = min(survivors, key=lambda k: state_list[verts[k]])
+        base_local = min(core_index, key=lambda k: state_list[verts[k]])
         u0, v0 = state_list[verts[base_local]]
         graph = SubgroupGraph(alphabet, tuple(core_adj), core_index[base_local])
         pA = A.path_word(u0, parent_A)
@@ -369,54 +375,3 @@ def pullback_components(A: SubgroupGraph, B: SubgroupGraph) -> List[PullbackComp
             gens_in_A.append(expr)
         out.append(PullbackComponent(sub, tuple(gens_in_A), g, rank))
     return out
-
-
-def _surviving_vertices(adj: List[Dict[int, int]]) -> List[int]:
-    alive = [True] * len(adj)
-    degree = [len(d) for d in adj]
-    work = [dict(d) for d in adj]
-    queue = deque(v for v in range(len(adj)) if degree[v] <= 1)
-    while queue:
-        v = queue.popleft()
-        if not alive[v] or degree[v] > 1:
-            continue
-        alive[v] = False
-        for s, t in list(work[v].items()):
-            if alive[t]:
-                del work[t][-s]
-                degree[t] -= 1
-                if degree[t] <= 1:
-                    queue.append(t)
-        work[v] = {}
-    return [v for v in range(len(adj)) if alive[v]]
-
-
-def _restrict(adj: List[Dict[int, int]], survivors: List[int]):
-    index = {v: i for i, v in enumerate(survivors)}
-    out = [
-        {s: index[t] for s, t in adj[v].items() if t in index}
-        for v in survivors
-    ]
-    return out, index
-
-
-def join(alphabet: Alphabet, *graphs_or_words) -> SubgroupGraph:
-    """Subgroup generated by the union of subgroup graphs' bases and words."""
-    gens: List[Word] = []
-    for item in graphs_or_words:
-        if isinstance(item, SubgroupGraph):
-            gens.extend(item.basis())
-        else:
-            gens.append(item)
-    return from_generators(alphabet, gens)
-
-
-def subgroup_cover_core(T, A: SubgroupGraph) -> SubgroupGraph:
-    """Core of the A-cover of a marked graph T, over T's edge alphabet.
-
-    A's basis words are rewritten as edge-paths of T via its marking, then
-    folded over the edge alphabet of T.  ``T`` is any object with
-    ``edge_alphabet`` and ``to_edge_paths(words)`` (see projections.MarkedGraph).
-    """
-    paths = T.to_edge_paths(A.basis())
-    return from_generators(T.edge_alphabet, paths)

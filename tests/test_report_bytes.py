@@ -1,0 +1,105 @@
+"""Pin the bytes the CLI prints.
+
+Each invocation runs in a fresh interpreter under several ``PYTHONHASHSEED``
+values.  Its stdout and exit code must not depend on the hash seed, and the
+stdout's sha256 must equal the digest recorded here.  A refactor that keeps
+reports byte-identical leaves this file alone; a change that alters a report
+on purpose re-records the digest (``python tests/test_report_bytes.py``
+prints the current ones) and says why.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HASH_SEEDS = ("0", "1", "2")
+PENTAGON = ["--vertices", "a,b,c,d,e", "--edges", "a-b,b-c,c-d,d-e,e-a"]
+
+# name -> (CLI arguments, expected exit code, sha256 of stdout)
+CASES = {
+    "support-graph-pentagon": (
+        ["support-graph", *PENTAGON],
+        0,
+        "0724fde84cbf3bd038df9decada3f8ec47e4fe8d2282b82e639daff6c7e6f64a",
+    ),
+    "fold": (
+        ["fold", "--letters", "a,b,c", "a b a^-1 c, b b c^-1, c a c"],
+        0,
+        "e49e720281bf78c2103df78b94ea8c9206ff4587db50bc83ff3d147f9b89c6ee",
+    ),
+    "intersect": (
+        ["intersect", "--letters", "a,b,c", "a b, c a c^-1, b b", "a, b c b^-1, b b b"],
+        0,
+        "2d3795fbed6a91f55ae753bb0a29b88e0e797e298f1cc7e68f6cc4adf281b406",
+    ),
+    "project": (
+        ["project", "--letters", "a,b,c", "--factor", "a,b", "--marking", "a a b, a b, c"],
+        0,
+        "eaa406143c31df98a5a4757646e755921da5816f4e6a4032f5fe2832c641a50e",
+    ),
+    "meet": (
+        ["meet", "--letters", "a,b,c", "a,b", "a, b c"],
+        0,
+        "a008b475fcc19025c8ea132b77da9176e0fea1d5d7eef104992039453706180e",
+    ),
+    "run-behrstock-scan": (
+        ["run", "--mode", "behrstock-scan", "--samples", "3", "--seed", "1"],
+        0,
+        "ca19cbee6ed8bc220de86e481d0e19b26543586f1611b181b1ec0994207f64bb",
+    ),
+    "run-order-audit": (
+        ["run", "--mode", "order-audit", "--fixture", "overlap-chain-f3", "--samples", "3", "--seed", "1"],
+        0,
+        "57167baec5bd0537541f915bd71a10bcbebf5eabc0a913e3886ae143a90ca519",
+    ),
+    "run-farey-crosscheck": (
+        ["run", "--mode", "farey-crosscheck", "--samples", "3", "--seed", "1"],
+        0,
+        "2b8af9481c0e206e46348957f5ac92e3c37d7d2832bf6fb1cdb15d0ab67c32d7",
+    ),
+    "run-qie-sandwich": (
+        ["run", "--mode", "qie-sandwich", "--samples", "3", "--seed", "1"],
+        0,
+        "0d1667d9229211dec6a8c6925c6aa2c8a0ec59e1efe9c5b33442881db6aa7d63",
+    ),
+}
+
+
+def _run(args, hash_seed):
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "freefactor.cli", *args],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout
+
+
+def _run_all_seeds(args):
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(lambda seed: _run(args, seed), HASH_SEEDS))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_pinned(name):
+    args, exit_code, digest = CASES[name]
+    results = _run_all_seeds(args)
+    assert len(set(results)) == 1, f"{name}: output depends on PYTHONHASHSEED"
+    code, out = results[0]
+    assert code == exit_code, out.decode(errors="replace")
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+if __name__ == "__main__":
+    for name in sorted(CASES):
+        args, _, _ = CASES[name]
+        code, out = _run(args, HASH_SEEDS[0])
+        print(f"{name}: exit {code} sha256 {hashlib.sha256(out).hexdigest()}")
