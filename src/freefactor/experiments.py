@@ -28,12 +28,10 @@ from freefactor.words import (
     Alphabet,
     GroupMap,
     compose_map,
-    group_map,
     identity_map,
     invert_automorphism,
-    letter,
     map_power,
-    verify_automorphism,
+    transvection,
 )
 
 MODES = (
@@ -71,25 +69,18 @@ class ExperimentConfig:
 
 def nielsen_generators(alphabet: Alphabet) -> List[GroupMap]:
     """Right transvections x_i -> x_i x_j^s: a fixed generating set used for
-    sampling; every map is short, so certificates stay cheap."""
-    out = []
+    sampling; each is built linked to its inverse, so no certificate is
+    searched for."""
     n = alphabet.rank
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for s in (1, -1):
-                images = [letter(alphabet, k) for k in range(n)]
-                images[i] = images[i] * letter(alphabet, j, s)
-                out.append(verify_automorphism(group_map(alphabet, alphabet, images)))
-    return out
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return [transvection(alphabet, i, j, s) for i, j in pairs for s in (1, -1)]
 
 def random_automorphism(rng: random.Random, alphabet: Alphabet, max_len: int) -> GroupMap:
     gens = nielsen_generators(alphabet)
     f = identity_map(alphabet)
     for _ in range(rng.randint(0, max_len)):
         f = compose_map(rng.choice(gens), f)
-    return verify_automorphism(f)
+    return f
 
 
 def random_tree(rng: random.Random, alphabet: Alphabet, max_len: int) -> pj.MarkedGraph:
@@ -393,7 +384,7 @@ def _run_interval_check(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> D
         try:
             ra = pj.interval_of(path, A, M, L)
             rb = pj.interval_of(path, B2, M, L)
-        except (FreefactorError, AssertionError) as exc:
+        except FreefactorError as exc:
             rec["status"] = "threshold-unmet"
             rec["detail"] = str(exc)
             records.append(rec)

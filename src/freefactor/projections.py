@@ -14,21 +14,23 @@ from freefactor.errors import (
     InvalidMarking,
     NotInOmega,
     NotOverlapping,
+    NotSurjective,
     ThresholdViolated,
     UndefinedProjection,
 )
 from freefactor.factors import FreeFactorClass
-from freefactor.stallings import SubgroupGraph, from_generators, is_full_rose
+from freefactor.stallings import SubgroupGraph, from_generators
 from freefactor.words import (
     Alphabet,
     GroupMap,
     Word,
+    compose_map,
     group_map,
-    identity,
-    invert_automorphism,
+    identity_map,
     letter,
     reduce_raw,
     std_alphabet,
+    verify_automorphism,
 )
 
 PROJECTION_DIAMETER_BOUND = 4
@@ -36,27 +38,40 @@ PROJECTION_DIAMETER_BOUND = 4
 
 @dataclass(frozen=True)
 class MarkedGraph:
-    """Finite graph with reduced-word edge labels identifying π₁ with F_n."""
+    """Finite graph with reduced-word edge labels identifying π₁ with F_n.
+
+    ``marking_hint`` maps basis loop t_i to ``marking_words()[i]`` and carries
+    its inverse, which proves that the labels generate F_n.  ``rose`` and
+    ``transform_marked`` build it linked; without one, a Nielsen search finds it.
+    """
 
     alphabet: Alphabet                       # ambient F_n
     num_vertices: int
     edges: Tuple[Tuple[int, int, Word], ...]  # (u, v, label)
     base: int
-    # optional compositional form of the marking; its inverse cache avoids a
-    # fresh Nielsen reduction when the labels are long
     marking_hint: Optional[GroupMap] = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        n = self.alphabet.rank
-        assert self.betti == n, "first Betti number must equal the ambient rank"
+        if self.betti != self.alphabet.rank:
+            raise InvalidMarking("first Betti number must equal the ambient rank")
         deg = [0] * self.num_vertices
         for u, v, w in self.edges:
-            assert w.alphabet == self.alphabet
+            if w.alphabet != self.alphabet:
+                raise InvalidMarking("edge labels must be words over the ambient alphabet")
             deg[u] += 1
             deg[v] += 1
-        assert all(d >= 2 for d in deg), "no valence-1 vertices"
-        if not is_full_rose(from_generators(self.alphabet, self.marking_words())):
-            raise InvalidMarking("edge labels do not generate the ambient group")
+        if not all(d >= 2 for d in deg):
+            raise InvalidMarking("every vertex must have valence at least 2")
+        words = tuple(self.marking_words())
+        hint = self.marking_hint
+        if hint is None:
+            try:
+                hint = verify_automorphism(group_map(self.alphabet, self.alphabet, words))
+            except NotSurjective as exc:
+                raise InvalidMarking("edge labels do not generate the ambient group") from exc
+            object.__setattr__(self, "marking_hint", hint)
+        elif hint.inverse_hint is None or hint.images != words:
+            raise InvalidMarking("marking hint is not a certified map onto the marking words")
 
     @property
     def num_edges(self) -> int:
@@ -133,35 +148,21 @@ class MarkedGraph:
         return out
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=0)
 def _marking_inverse(T: MarkedGraph) -> GroupMap:
-    words = T.marking_words()
-    marking = T.marking_hint
-    if marking is not None and tuple(marking.images) == tuple(words):
-        pass  # reuse the compositional form and its cached inverse
-    else:
-        marking = group_map(T.alphabet, T.alphabet, words)
-    try:
-        return invert_automorphism(marking)
-    except Exception as exc:  # pragma: no cover - guarded by __post_init__
-        raise InvalidMarking(str(exc))
+    return T.marking_hint.inverse_hint
 
 
 def rose(alphabet: Alphabet) -> MarkedGraph:
     edges = tuple((0, 0, letter(alphabet, i)) for i in range(alphabet.rank))
-    from freefactor.words import identity_map
-
     return MarkedGraph(alphabet, 1, edges, 0, identity_map(alphabet))
 
 
 def transform_marked(f: GroupMap, T: MarkedGraph) -> MarkedGraph:
     """Relabel every edge word w by f(w)."""
     assert f.kind == "verified-automorphism"
-    from freefactor.words import compose_map
-
     edges = tuple((u, v, f(w)) for u, v, w in T.edges)
-    hint = compose_map(f, T.marking_hint) if T.marking_hint is not None else None
-    return MarkedGraph(f.codomain, T.num_vertices, edges, T.base, hint)
+    return MarkedGraph(f.codomain, T.num_vertices, edges, T.base, compose_map(f, T.marking_hint))
 
 
 # --- the projection ---------------------------------------------------------
@@ -465,7 +466,9 @@ def interval_of(path: TreePath, A: FreeFactorClass, M: int, L: int) -> IntervalR
         raise ThresholdViolated(f"d_A(T_0, T_N) = {d0N} < K = {K}")
     a = max(k for k in range(N + 1) if farey.diameter(sets[0] | sets[k]) <= thresh)
     later = [k for k in range(a, N + 1) if farey.diameter(sets[k] | sets[N]) <= thresh]
-    assert later, "interval endpoint must exist under the Ω precondition"
+    if not later:
+        raise ThresholdViolated("interval endpoint must exist under the Ω precondition")
     b = min(later)
-    assert 0 <= a < b <= N, "interval must be nondegenerate"
+    if not 0 <= a < b <= N:
+        raise ThresholdViolated("interval must be nondegenerate")
     return IntervalRecord(A.key, a, b, M, L, d0N)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from freefactor._kernel import concat, reduce_word
-from freefactor.errors import NotSurjective, UnknownLetter
+from freefactor.errors import NielsenSearchFailed, NotSurjective, UnknownLetter
 
 
 @dataclass(frozen=True)
@@ -180,21 +180,24 @@ def conjugacy_witness(u: Word, v: Word) -> Optional[Word]:
 class GroupMap:
     """Endomorphism of a free group given by generator images.
 
-    ``kind`` is "endomorphism" until a successful inversion certifies
-    "verified-automorphism".
+    It is a certified automorphism exactly when ``inverse_hint`` holds its
+    inverse: the library builds its own maps linked to their inverses, and
+    ``invert_automorphism`` certifies maps that come from outside.
     """
 
     domain: Alphabet
     codomain: Alphabet
     images: Tuple[Word, ...]
-    kind: str = field(default="endomorphism", compare=False)
-    # cached inverse, populated when the map is built from invertible pieces
     inverse_hint: Optional["GroupMap"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         assert len(self.images) == self.domain.rank
         for w in self.images:
             assert w.alphabet == self.codomain
+
+    @property
+    def kind(self) -> str:
+        return "endomorphism" if self.inverse_hint is None else "verified-automorphism"
 
     def __call__(self, w: Word) -> Word:
         assert w.alphabet == self.domain, "alphabet mismatch"
@@ -221,11 +224,8 @@ def _link_inverses(f: GroupMap, g: GroupMap) -> None:
 
 
 def identity_map(alphabet: Alphabet) -> GroupMap:
-    f = GroupMap(
-        alphabet, alphabet, tuple(letter(alphabet, i) for i in range(alphabet.rank)),
-        kind="verified-automorphism",
-    )
-    object.__setattr__(f, "inverse_hint", f)
+    f = GroupMap(alphabet, alphabet, tuple(letter(alphabet, i) for i in range(alphabet.rank)))
+    _link_inverses(f, f)
     return f
 
 
@@ -235,14 +235,8 @@ def group_map(domain: Alphabet, codomain: Alphabet, images: Sequence[Word]) -> G
 
 def conjugation_by(w: Word) -> GroupMap:
     a = w.alphabet
-    f = GroupMap(
-        a, a, tuple(letter(a, i).conjugate_by(w) for i in range(a.rank)),
-        kind="verified-automorphism",
-    )
-    g = GroupMap(
-        a, a, tuple(letter(a, i).conjugate_by(w.inverse()) for i in range(a.rank)),
-        kind="verified-automorphism",
-    )
+    f = GroupMap(a, a, tuple(letter(a, i).conjugate_by(w) for i in range(a.rank)))
+    g = GroupMap(a, a, tuple(letter(a, i).conjugate_by(w.inverse()) for i in range(a.rank)))
     _link_inverses(f, g)
     return f
 
@@ -250,18 +244,10 @@ def conjugation_by(w: Word) -> GroupMap:
 def compose_map(f: GroupMap, g: GroupMap) -> GroupMap:
     """(f o g)(x) = f(g(x))."""
     assert g.codomain == f.domain, "alphabet mismatch"
-    kind = (
-        "verified-automorphism"
-        if f.kind == g.kind == "verified-automorphism"
-        else "endomorphism"
-    )
-    h = GroupMap(g.domain, f.codomain, tuple(f(w) for w in g.images), kind=kind)
+    h = GroupMap(g.domain, f.codomain, tuple(f(w) for w in g.images))
     fi, gi = f.inverse_hint, g.inverse_hint
     if fi is not None and gi is not None:
-        hi = GroupMap(
-            f.codomain, g.domain, tuple(gi(w) for w in fi.images), kind=kind
-        )
-        _link_inverses(h, hi)
+        _link_inverses(h, GroupMap(f.codomain, g.domain, tuple(gi(w) for w in fi.images)))
     return h
 
 
@@ -269,11 +255,6 @@ def map_power(f: GroupMap, n: int) -> GroupMap:
     assert f.domain == f.codomain
     if n < 0:
         return map_power(invert_automorphism(f), -n)
-    if n > 1 and f.inverse_hint is None:
-        try:
-            invert_automorphism(f)  # seed the inverse cache while f is small
-        except NotSurjective:
-            pass
     result = identity_map(f.domain)
     base = f
     while n:
@@ -298,6 +279,13 @@ def _elementary(alphabet: Alphabet, i: int, j: int, s: int, side: str) -> GroupM
     return GroupMap(alphabet, alphabet, tuple(images))
 
 
+def transvection(alphabet: Alphabet, i: int, j: int, s: int, side: str = "right") -> GroupMap:
+    """x_i -> x_i x_j^s (right) or x_j^s x_i (left), linked to its inverse."""
+    f = _elementary(alphabet, i, j, s, side)
+    _link_inverses(f, _elementary(alphabet, i, j, -s, side))
+    return f
+
+
 def _inversion(alphabet: Alphabet, i: int) -> GroupMap:
     images = [letter(alphabet, k) for k in range(alphabet.rank)]
     images[i] = images[i].inverse()
@@ -315,16 +303,16 @@ def _signed_perm_inverse(alphabet: Alphabet, tup) -> GroupMap:
 def invert_automorphism(f: GroupMap) -> GroupMap:
     """Inverse of f, certifying f as an automorphism.
 
-    Surjectivity is certified first by folding the wedge of image words
+    A map that carries its inverse returns it at once.  Otherwise
+    surjectivity is certified first by folding the wedge of image words
     (Hopficity: a surjective endomorphism of F_n is an automorphism); the
     inverse is then found by Nielsen-reducing the image tuple while recording
     each elementary move.  Equal-length moves are explored breadth-first so
-    length plateaus cannot stall the descent.
+    length plateaus cannot stall the descent; the search raises
+    NielsenSearchFailed past its budget.
     """
     assert f.domain == f.codomain, "inversion requires an endomorphism"
     if f.inverse_hint is not None:
-        object.__setattr__(f, "kind", "verified-automorphism")
-        object.__setattr__(f.inverse_hint, "kind", "verified-automorphism")
         return f.inverse_hint
     from freefactor import stallings  # deferred: stallings depends on words
 
@@ -391,29 +379,29 @@ def invert_automorphism(f: GroupMap) -> GroupMap:
             continue
         if not plateau:
             # exhausted plateau with no descent: contradicts the fold certificate
-            raise AssertionError("Nielsen descent stalled on a certified automorphism")
-        assert explored < _NIELSEN_BUDGET, "Nielsen reduction budget exceeded"
+            raise NielsenSearchFailed("Nielsen descent stalled on a certified automorphism")
+        if explored >= _NIELSEN_BUDGET:
+            raise NielsenSearchFailed("Nielsen reduction budget exceeded")
         seen.update(plateau)
         frontier = plateau
 
-    # f o rho_1 o ... o rho_k = sigma  =>  f^-1 = rho_1 o ... o rho_k o sigma^-1
+    # f o rho_1 o ... o rho_k = sigma  =>  f^-1 = rho_1 o ... o rho_k o sigma^-1;
+    # the moves stay unlinked: sigma^-1 carries no inverse, so any composed
+    # inverses would be dropped
     inv = identity_map(alphabet)
-    for key in moves:
-        i, j, s, side = key
+    for i, j, s, side in moves:
         rho = _inversion(alphabet, i) if side == "inv" else _elementary(alphabet, i, j, s, side)
         inv = compose_map(inv, rho)
     inv = compose_map(inv, _signed_perm_inverse(alphabet, done))
     assert compose_map(f, inv).is_identity() and compose_map(inv, f).is_identity()
-    object.__setattr__(f, "kind", "verified-automorphism")
-    out = GroupMap(alphabet, alphabet, inv.images, kind="verified-automorphism")
-    _link_inverses(f, out)
-    return out
+    _link_inverses(f, inv)
+    return inv
 
 
 def verify_automorphism(f: GroupMap) -> GroupMap:
-    """Return f with kind verified, raising NotSurjective when it is not one."""
-    if f.kind != "verified-automorphism":
-        invert_automorphism(f)
+    """Return f once it carries its inverse, running the Nielsen search only
+    when it does not; raises NotSurjective when f is not an automorphism."""
+    invert_automorphism(f)
     return f
 
 

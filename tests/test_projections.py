@@ -72,6 +72,14 @@ class TestMarkedGraph:
         with pytest.raises(InvalidMarking):
             pj.MarkedGraph(A3, 1, edges, 0)
 
+    def test_marking_hint_must_certify_labels(self):
+        from freefactor.errors import InvalidMarking
+
+        with pytest.raises(InvalidMarking):  # images differ from the labels
+            pj.MarkedGraph(A3, 1, ROSE.edges, 0, auto("a b", "b", "c"))
+        with pytest.raises(InvalidMarking):  # right images, but no inverse
+            pj.MarkedGraph(A3, 1, ROSE.edges, 0, group_map(A3, A3, [w("a"), w("b"), w("c")]))
+
     def test_theta_graph(self):
         # two vertices, three parallel edges: betti 2 over F_2
         A2 = abc_alphabet(2)

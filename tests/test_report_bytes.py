@@ -68,6 +68,22 @@ CASES = {
         0,
         "0d1667d9229211dec6a8c6925c6aa2c8a0ec59e1efe9c5b33442881db6aa7d63",
     ),
+    "run-theorem9-check": (
+        ["run", "--mode", "theorem9-check", "--samples", "2", "--seed", "1"],
+        1,
+        "f04c7308f6eca03e808d8037f30f845a5d6577fbd8944386d9a4526577d7877c",
+    ),
+    "verify-system-pentagon": (
+        ["verify-system", "pentagon-f5"],
+        0,
+        "969e0457828b79bcc2cdc0a0a32e5c9c6b8a84ba6887f9cf51827cee4eb4b3ac",
+    ),
+    "dist": (
+        ["dist", "--letters", "a,b,c", "--factor", "a,b", "--marking", "a a b, a b, c",
+         "--marking2", "b, a c, c"],
+        0,
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    ),
 }
 
 

@@ -52,6 +52,28 @@ class TestGraphRoundTrip:
         back = se.graph_from_json(obj)
         assert str(back.edges[0][2]) == "a"
 
+    def test_valence_one_vertex_refused_under_optimize(self, run_optimized):
+        # rank 2, Betti 2, but vertex 1 hangs off a single edge
+        obj = {
+            "alphabet": ["a", "b"],
+            "vertices": 2,
+            "base": 0,
+            "edges": [
+                {"from": 0, "to": 0, "label": "a"},
+                {"from": 0, "to": 0, "label": "b"},
+                {"from": 0, "to": 1, "label": "a"},
+            ],
+        }
+        out = run_optimized(
+            "from freefactor import serialize as se\n"
+            "from freefactor.errors import SchemaError\n"
+            "try:\n"
+            f"    se.graph_from_json({obj!r})\n"
+            "except SchemaError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert "valence" in out
+
     def test_missing_key(self):
         with pytest.raises(SchemaError) as e:
             se.graph_from_json({"alphabet": ["a"]})

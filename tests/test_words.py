@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freefactor.errors import NotSurjective, UnknownLetter
+from freefactor import experiments as ex, words
+from freefactor.errors import NielsenSearchFailed, NotSurjective, UnknownLetter
+from freefactor.stallings import from_generators, is_full_rose
 from freefactor.words import (
     abc_alphabet,
     compose_map,
@@ -15,7 +17,10 @@ from freefactor.words import (
     invert_automorphism,
     is_inner,
     letter,
+    map_power,
     reduce_raw,
+    std_alphabet,
+    transvection,
     word_from_str,
     word_to_str,
 )
@@ -125,6 +130,86 @@ class TestInvert:
             finv = invert_automorphism(f)
             assert compose_map(f, finv).is_identity()
             assert compose_map(finv, f).is_identity()
+
+
+# descends to a length plateau, where the search checks its budget
+PLATEAU_IMAGES = ("b a^-1 b^-1", "c b^-1", "c a^-1 a^-1")
+
+
+class TestNielsenBudget:
+    def test_budget_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(words, "_NIELSEN_BUDGET", 1)
+        f = group_map(A3, A3, [word_from_str(A3, s) for s in PLATEAU_IMAGES])
+        with pytest.raises(NielsenSearchFailed):
+            invert_automorphism(f)
+
+    def test_budget_survives_optimize(self, run_optimized):
+        out = run_optimized(
+            "from freefactor import words as W\n"
+            "from freefactor.errors import NielsenSearchFailed\n"
+            "W._NIELSEN_BUDGET = 1\n"
+            "A = W.abc_alphabet(3)\n"
+            f"f = W.group_map(A, A, [W.word_from_str(A, s) for s in {PLATEAU_IMAGES!r}])\n"
+            "try:\n"
+            "    W.invert_automorphism(f)\n"
+            "except NielsenSearchFailed:\n"
+            "    print('refused')\n"
+        )
+        assert out == "refused\n"
+
+
+def _linked_product(rng, alphabet):
+    """A seeded product of transvections, conjugations and powers; every
+    factor is built already linked to its inverse."""
+    n = alphabet.rank
+    f = identity_map(alphabet)
+    for _ in range(rng.randrange(1, 5)):
+        i, j = rng.sample(range(n), 2)
+        t = transvection(alphabet, i, j, rng.choice((1, -1)), rng.choice(("right", "left")))
+        piece = rng.choice((
+            t,
+            conjugation_by(rand_word(rng, alphabet, rng.randrange(0, 4))),
+            map_power(t, rng.choice((-2, 2, 3))),
+        ))
+        f = compose_map(piece, f)
+    return f
+
+
+class TestInversesByConstruction:
+    """The linked inverse must match the Nielsen search it replaces."""
+
+    def test_linked_inverse_matches_search(self):
+        rng = random.Random(17)
+        for rank in range(2, 6):
+            alphabet = std_alphabet(rank)
+            for _ in range(8):
+                f = _linked_product(rng, alphabet)
+                assert f.inverse_hint is not None
+                searched = invert_automorphism(group_map(alphabet, alphabet, f.images))
+                assert f.inverse_hint.images == searched.images
+                assert compose_map(f, f.inverse_hint).is_identity()
+                assert compose_map(f.inverse_hint, f).is_identity()
+
+    def test_library_maps_skip_the_search(self, monkeypatch):
+        def no_search(f):
+            assert f.inverse_hint is not None, "Nielsen search started"
+            return f.inverse_hint
+
+        monkeypatch.setattr(words, "invert_automorphism", no_search)
+        rng = random.Random(23)
+        alphabet = std_alphabet(4)
+        f = ex.random_automorphism(rng, alphabet, 6)
+        assert compose_map(map_power(f, 3), map_power(f, -3)).is_identity()
+        ex.random_tree(rng, alphabet, 6)
+
+    def test_tree_labels_generate(self):
+        # MarkedGraph trusts its certified marking instead of folding the labels
+        rng = random.Random(19)
+        for rank in range(2, 6):
+            alphabet = std_alphabet(rank)
+            for _ in range(5):
+                T = ex.random_tree(rng, alphabet, 8)
+                assert is_full_rose(from_generators(T.alphabet, T.marking_words()))
 
 
 class TestIsInner:
