@@ -19,7 +19,7 @@ from freefactor import (
     stallings,
     systems as sy,
 )
-from freefactor.errors import FreefactorError
+from freefactor.errors import FreefactorError, UndefinedProjection
 from freefactor.words import Alphabet, group_map, verify_automorphism, word_from_str, word_to_str
 
 
@@ -41,7 +41,29 @@ def _words(alphabet: Alphabet, text: str):
     return [word_from_str(alphabet, t.strip()) for t in text.split(",") if t.strip()]
 
 
-@click.group()
+def _projection_factor(alphabet: Alphabet, text: str) -> fc.FreeFactorClass:
+    """The rank-2 free factor spanned by comma-separated words: Farey
+    projections are defined for nothing else."""
+    A = fc.free_factor_class(alphabet, _words(alphabet, text))
+    if A.rank != 2:
+        raise UndefinedProjection(f"<{text}> has rank {A.rank}, not 2")
+    if not fc.is_free_factor(A.graph):
+        raise UndefinedProjection(f"<{text}> is not a free factor")
+    return A
+
+
+class _Main(click.Group):
+    """A library error ends the command with one line on stderr and exit code 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except FreefactorError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Free-factor projections, foldings, and generator-system experiments."""
 
@@ -186,8 +208,7 @@ def _marked_graph(letters: str, marking: str) -> pj.MarkedGraph:
 @click.option("--marking", default="", help="automorphism images defining the tree")
 def project(letters, factor, marking):
     """Projection of a marked graph to a rank-2 factor's Farey graph."""
-    alphabet = _alphabet(letters)
-    A = fc.free_factor_class(alphabet, _words(alphabet, factor))
+    A = _projection_factor(_alphabet(letters), factor)
     ps = pj.project_tree(A, _marked_graph(letters, marking))
     click.echo(" ".join(sorted(str(v) for v in ps.vertices)))
 
@@ -199,8 +220,7 @@ def project(letters, factor, marking):
 @click.option("--marking2", default="", help="second tree (default: rose)")
 def dist(letters, factor, marking, marking2):
     """Projection distance d_A between two marked graphs."""
-    alphabet = _alphabet(letters)
-    A = fc.free_factor_class(alphabet, _words(alphabet, factor))
+    A = _projection_factor(_alphabet(letters), factor)
     T1 = _marked_graph(letters, marking)
     T2 = _marked_graph(letters, marking2)
     click.echo(str(pj.projection_distance(A, T1, T2)))

@@ -21,6 +21,14 @@ class InvalidMarking(FreefactorError):
     pass
 
 
+class RankTooSmall(FreefactorError):
+    """A factor's rank is below what the operation needs."""
+
+
+class InvalidTransport(FreefactorError):
+    """``transport`` needs a verified automorphism of the factor's ambient group."""
+
+
 class AmbientTooLarge(FreefactorError):
     """Whitehead search bound exceeded (ambient rank > 6)."""
 

@@ -3,13 +3,13 @@ Whitehead free-factor testing, and transport under automorphisms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
 from freefactor import stallings
-from freefactor.errors import AmbientTooLarge
+from freefactor.errors import AmbientTooLarge, InvalidTransport, RankTooSmall
 from freefactor.stallings import SubgroupGraph, from_generators, pullback_components
-from freefactor.words import Alphabet, GroupMap, Word, group_map, identity, letter, reduce_raw
+from freefactor.words import Alphabet, GroupMap, Word, group_map, identity, reduce_raw
 
 MAX_WHITEHEAD_RANK = 6
 DOUBLE_COSET_SEARCH_LENGTH = 3
@@ -40,7 +40,8 @@ class FreeFactorClass:
 
 def free_factor_class(alphabet: Alphabet, gens: Sequence[Word], verified: bool = False) -> FreeFactorClass:
     g = from_generators(alphabet, list(gens))
-    assert g.rank >= 1, "factor classes have rank >= 1"
+    if g.rank < 1:
+        raise RankTooSmall("factor classes have rank >= 1")
     return FreeFactorClass(alphabet, g, stallings.canonical_core(g), verified)
 
 
@@ -52,6 +53,12 @@ class MeetClass:
     gens_in_A: Tuple[Word, ...]   # words over A's spanning-tree basis alphabet
     coset_tag: Word
     rank: int
+
+
+def _require_rank2(*classes: FreeFactorClass) -> None:
+    for c in classes:
+        if c.rank < 2:
+            raise RankTooSmall(f"a factor of rank {c.rank}; this needs rank >= 2")
 
 
 def _meet_candidates(A: FreeFactorClass, B: FreeFactorClass) -> List[MeetClass]:
@@ -70,7 +77,7 @@ def meet_projection(A: FreeFactorClass, B: FreeFactorClass) -> Set[MeetClass]:
     Properness is tested by rank (1 <= r < min of the two ranks) together with
     canonical-key inequality against A and B.
     """
-    assert A.rank >= 2
+    _require_rank2(A)
     keep = set()
     seen_keys = set()
     for mc in _meet_candidates(A, B):
@@ -87,7 +94,7 @@ def meet_projection(A: FreeFactorClass, B: FreeFactorClass) -> Set[MeetClass]:
 
 def overlap_check(A: FreeFactorClass, B: FreeFactorClass):
     """First (x, H) certificate with rank(H) = rank A + rank B - rank x, or None."""
-    assert A.rank >= 2 and B.rank >= 2
+    _require_rank2(A, B)
     for mc in sorted(_meet_candidates(A, B), key=lambda m: (m.rank, m.in_ambient.key)):
         if not (1 <= mc.rank < min(A.rank, B.rank)):
             continue
@@ -123,7 +130,7 @@ def disjoint_check(A: FreeFactorClass, B: FreeFactorClass) -> bool:
     coset representatives g for a certificate: rank additivity of the join
     plus the join being a free factor.
     """
-    assert A.rank >= 2 and B.rank >= 2
+    _require_rank2(A, B)
     if pullback_components(A.graph, B.graph):
         return False
     for g in _short_words(A.ambient, DOUBLE_COSET_SEARCH_LENGTH):
@@ -137,67 +144,84 @@ def disjoint_check(A: FreeFactorClass, B: FreeFactorClass) -> bool:
     return False
 
 
-def _whitehead_moves(alphabet: Alphabet):
-    """All type-(ii) Whitehead automorphisms (Y, v): v in Y, -v not in Y."""
+def _bit(s: int) -> int:
+    """Position of a signed letter in a Whitehead set mask: a, a^-1, b, b^-1, ..."""
+    return 2 * abs(s) - 2 + (s < 0)
+
+
+def _whitehead_cuts(alphabet: Alphabet, core: Sequence[Dict[int, int]]):
+    """Yield (v, Y, change) for every type-(ii) Whitehead move (Y, v).
+
+    ``Y`` is a mask over the signed letters (see ``_bit``) holding v and not
+    -v; moves come v = a, a^-1, b, ... and then by the mask of the other
+    letters.  ``change`` is what the move does to the edge count of the
+    cyclic core ``core``: the vertices p whose letters L(p) = {-s : s in
+    adj[p]} meet both Y and its complement, minus the edges labelled |v|
+    (Gersten 1984; Roig, Ventura and Weil 2007).
+    """
     n = alphabet.rank
-    signed = [s for i in range(1, n + 1) for s in (i, -i)]
-    for v in signed:
-        others = [s for s in signed if s != v and s != -v]
-        for mask in range(1 << len(others)):
-            Y = {v}
-            for k, s in enumerate(others):
-                if mask >> k & 1:
-                    Y.add(s)
-            images = []
-            for x in range(1, n + 1):
-                if x == abs(v):
-                    images.append(Word(alphabet, (abs(v),)))
-                    continue
-                pre = (-v,) if -x in Y else ()
-                post = (v,) if x in Y else ()
-                images.append(reduce_raw(alphabet, pre + (x,) + post))
-            yield group_map(alphabet, alphabet, images)
+    groups: Dict[int, int] = {}
+    labelled = [0] * (n + 1)
+    for d in core:
+        m = 0
+        for s in d:
+            m |= 1 << _bit(-s)
+            if s > 0:
+                labelled[s] += 1
+        groups[m] = groups.get(m, 0) + 1
+    rows = list(groups.items())
+    for v in (s for i in range(1, n + 1) for s in (i, -i)):
+        p = 2 * abs(v) - 2
+        low = (1 << p) - 1
+        own = 1 << _bit(v)
+        edges_v = labelled[abs(v)]
+        for others in range(1 << (2 * n - 2)):
+            Y = own | (others & low) | (others >> p) << (p + 2)
+            cut = sum(c for m, c in rows if m & Y and m & ~Y)
+            yield v, Y, cut - edges_v
 
 
-def _core_size(alphabet: Alphabet, gens: Sequence[Word]) -> Tuple[int, SubgroupGraph]:
-    g = from_generators(alphabet, list(gens))
-    return g.num_edges, g
-
-
-def _is_subrose(g: SubgroupGraph) -> bool:
-    if g.num_vertices != 1:
-        return False
-    letters = set()
-    for s in g.adj[0]:
-        letters.add(abs(s))
-    return g.num_edges == len(letters)
+def _whitehead_map(alphabet: Alphabet, v: int, Y: int) -> GroupMap:
+    """x -> v^-1 x when -x in Y and x -> x v when x in Y; v itself is fixed."""
+    images = []
+    for x in range(1, alphabet.rank + 1):
+        pre = (-v,) if x != abs(v) and Y >> _bit(-x) & 1 else ()
+        post = (v,) if x != abs(v) and Y >> _bit(x) & 1 else ()
+        images.append(reduce_raw(alphabet, pre + (x,) + post))
+    return group_map(alphabet, alphabet, images)
 
 
 def is_free_factor(H: SubgroupGraph) -> bool:
-    """Greedy Whitehead descent on the core edge count; free factor iff the
-    local minimum is a subrose (single vertex, loops on distinct generators)."""
+    """Greedy Whitehead descent on the cyclic core's edge count.
+
+    Each step applies the first move whose cut count shrinks the core, so
+    only accepted moves are folded.  A folded one-vertex core is a subrose,
+    so H is a free factor iff the descent reaches one vertex.
+    """
     alphabet = H.alphabet
     if alphabet.rank > MAX_WHITEHEAD_RANK:
         raise AmbientTooLarge(f"ambient rank {alphabet.rank} exceeds {MAX_WHITEHEAD_RANK}")
-    gens = H.basis()
-    size, graph = _core_size(alphabet, gens)
-    improved = True
-    while improved:
-        improved = False
-        for move in _whitehead_moves(alphabet):
-            cand = [move(w) for w in gens]
-            cand_size, cand_graph = _core_size(alphabet, cand)
-            if cand_size < size:
-                gens, size, graph = cand, cand_size, cand_graph
-                improved = True
-                break
-    return _is_subrose(graph)
+    core = stallings._unbased_core(H)
+    gens = None  # H's basis, built only once a move is applied
+    while len(core) > 1:
+        move = next((m for m in _whitehead_cuts(alphabet, core) if m[2] < 0), None)
+        if move is None:
+            return False
+        v, Y, change = move
+        f = _whitehead_map(alphabet, v, Y)
+        gens = [f(w) for w in (H.basis() if gens is None else gens)]
+        expected = sum(map(len, core)) + 2 * change  # directed edges
+        core = stallings._unbased_core(from_generators(alphabet, gens))
+        assert sum(map(len, core)) == expected, "the cut count must match the fold"
+    return True
 
 
 def transport(f: GroupMap, A: FreeFactorClass) -> FreeFactorClass:
     """Image class f(A); canonical key recomputed."""
-    assert f.kind == "verified-automorphism", "transport requires a verified automorphism"
-    assert f.domain == A.ambient
+    if f.inverse_hint is None:
+        raise InvalidTransport("transport requires a verified automorphism")
+    if f.domain != A.ambient:
+        raise InvalidTransport("the automorphism and the factor have different alphabets")
     return free_factor_class(f.codomain, [f(w) for w in A.basis()], verified=A.verified_free_factor)
 
 

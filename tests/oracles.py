@@ -147,3 +147,91 @@ def raag_min_forms(adjacency, word):
 def raag_canonical(adjacency, word, vertex_order):
     rank = {v: i for i, v in enumerate(sorted(vertex_order))}
     return min(raag_min_forms(adjacency, word), key=lambda w: tuple((rank[g], e) for g, e in w))
+
+
+# --- Whitehead descent by trial folds ---------------------------------------
+
+def naive_core(gens, keep_base=True):
+    """Folded core of <gens> as (vertices, edges), edges (u, x, v) with x > 0.
+
+    Words are tuples of signed letters.  Every generator is a petal at the
+    base 0; two edges leaving one vertex with one label are merged until none
+    are left, then valence-<=1 vertices are deleted (the base only when
+    ``keep_base`` is false).
+    """
+    edges = set()
+    fresh = 1
+    for g in gens:
+        g = naive_reduce(g)
+        prev = 0
+        for i, s in enumerate(g):
+            nxt = 0 if i == len(g) - 1 else fresh
+            fresh += nxt != 0
+            edges.add((prev, s, nxt) if s > 0 else (nxt, -s, prev))
+            prev = nxt
+    vertices = {0} | {u for u, _, _ in edges} | {v for _, _, v in edges}
+    while True:
+        out = {}
+        clash = None
+        for u, x, v in sorted(edges):
+            for key, end in (((u, x), v), ((v, -x), u)):
+                if key in out and out[key] != end:
+                    clash = (out[key], end)
+                    break
+                out[key] = end
+            if clash:
+                break
+        if clash is None:
+            break
+        keep, gone = min(clash), max(clash)
+        edges = {(keep if u == gone else u, x, keep if v == gone else v) for u, x, v in edges}
+        vertices.discard(gone)
+    while True:
+        degree = {w: 0 for w in vertices}
+        for u, _, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        leaves = {w for w, d in degree.items() if d <= 1 and (w != 0 or not keep_base)}
+        if not leaves:
+            return vertices, edges
+        vertices -= leaves
+        edges = {e for e in edges if e[0] not in leaves and e[2] not in leaves}
+
+
+def whitehead_moves(n):
+    """Every type-(ii) Whitehead move (v, Y) of F_n: v in Y, -v not in Y."""
+    signed = [s for i in range(1, n + 1) for s in (i, -i)]
+    for v in signed:
+        others = [s for s in signed if s != v and s != -v]
+        for mask in range(1 << len(others)):
+            yield v, frozenset({v} | {s for k, s in enumerate(others) if mask >> k & 1})
+
+
+def whitehead_image(v, Y, word):
+    """Image of a word under (Y, v): x -> v^-1 x if -x in Y, x -> x v if x in Y."""
+    out = []
+    for s in word:
+        x = abs(s)
+        img = (x,) if x == abs(v) else ((-v,) if -x in Y else ()) + (x,) + ((v,) if x in Y else ())
+        out.extend(img if s > 0 else tuple(-y for y in reversed(img)))
+    return naive_reduce(out)
+
+
+def trial_fold_is_free_factor(n, gens):
+    """Greedy descent on the based core's edge count, folding every move.
+
+    Free factor iff the local minimum has one vertex: a folded one-vertex
+    graph is a subrose.
+    """
+    vertices, edges = naive_core(gens)
+    improved = True
+    while improved:
+        improved = False
+        for v, Y in whitehead_moves(n):
+            cand = [whitehead_image(v, Y, g) for g in gens]
+            cand_vertices, cand_edges = naive_core(cand)
+            if len(cand_edges) < len(edges):
+                gens, vertices, edges = cand, cand_vertices, cand_edges
+                improved = True
+                break
+    return len(vertices) == 1

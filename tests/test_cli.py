@@ -76,6 +76,47 @@ class TestProjectionCommands:
         assert r.output.strip() == "2"
 
 
+class TestRefusals:
+    """Bad input ends a command with one line on stderr and exit code 2."""
+
+    def refused(self, *args):
+        r = run(*args)
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert len(r.stderr.splitlines()) == 1
+        return r.stderr
+
+    def test_meet_rank_one(self):
+        assert "rank 1" in self.refused("meet", "--letters", "a,b,c", "a", "b")
+
+    def test_project_non_factor(self):
+        err = self.refused("project", "--letters", "a,b,c", "--factor", "a a, b")
+        assert "not a free factor" in err
+
+    def test_dist_non_factor(self):
+        err = self.refused(
+            "dist", "--letters", "a,b,c", "--factor", "a b a^-1 b^-1, c", "--marking2", "a b, b, c"
+        )
+        assert "not a free factor" in err
+
+    def test_project_rank_three(self):
+        assert "rank 3" in self.refused("project", "--letters", "a,b,c", "--factor", "a, b, c")
+
+    def test_project_conjugated_factor(self):
+        r = run("project", "--letters", "a,b,c", "--factor", "c a c^-1, c b c^-1")
+        assert r.exit_code == 0
+        assert set(r.output.split()) == {"0/1", "1/0"}
+
+    def test_meet_refusal_survives_optimize(self, run_optimized):
+        out = run_optimized(
+            "from click.testing import CliRunner\n"
+            "from freefactor.cli import main\n"
+            "r = CliRunner().invoke(main, ['meet', '--letters', 'a,b,c', 'a', 'b'])\n"
+            "print(r.exit_code, len(r.stderr.splitlines()), repr(r.stdout))\n"
+        )
+        assert out == "2 1 ''\n"
+
+
 class TestSystemCommands:
     def test_verify_fixture(self):
         r = run("verify-system", "overlap-chain-f3")

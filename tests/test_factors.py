@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freefactor import factors as fa, stallings
-from freefactor.errors import AmbientTooLarge
+from freefactor.errors import AmbientTooLarge, InvalidTransport, RankTooSmall
 from freefactor.words import (
     abc_alphabet,
     group_map,
+    reduce_raw,
     verify_automorphism,
     word_from_str,
 )
+from oracles import naive_core, trial_fold_is_free_factor, whitehead_image, whitehead_moves
 
 A3 = abc_alphabet(3)
 A4 = abc_alphabet(4)
@@ -164,6 +168,54 @@ class TestTransport:
         assert after == transported
 
 
+class TestPreconditions:
+    A = fa.free_factor_class(A3, [w3("a"), w3("b")])
+    C = fa.free_factor_class(A3, [w3("c")])
+
+    def test_trivial_class(self):
+        with pytest.raises(RankTooSmall):
+            fa.free_factor_class(A3, [w3("a a^-1")])
+
+    @pytest.mark.parametrize("check", [fa.overlap_check, fa.disjoint_check])
+    def test_pair_checks_need_rank_two(self, check):
+        with pytest.raises(RankTooSmall):
+            check(self.A, self.C)
+        with pytest.raises(RankTooSmall):
+            check(self.C, self.A)
+
+    def test_meet_needs_rank_two(self):
+        with pytest.raises(RankTooSmall):
+            fa.meet_projection(self.C, self.A)
+
+    def test_transport_needs_verified_automorphism(self):
+        with pytest.raises(InvalidTransport):
+            fa.transport(group_map(A3, A3, [w3("a c"), w3("b"), w3("c")]), self.A)
+        f = verify_automorphism(group_map(A4, A4, [w4("a d"), w4("b"), w4("c"), w4("d")]))
+        with pytest.raises(InvalidTransport):
+            fa.transport(f, self.A)
+
+    def test_preconditions_survive_optimize(self, run_optimized):
+        out = run_optimized(
+            "from freefactor import factors as fa\n"
+            "from freefactor.errors import FreefactorError\n"
+            "from freefactor.words import abc_alphabet, group_map, word_from_str\n"
+            "A3 = abc_alphabet(3)\n"
+            "w = lambda s: word_from_str(A3, s)\n"
+            "A = fa.free_factor_class(A3, [w('a'), w('b')])\n"
+            "C = fa.free_factor_class(A3, [w('c')])\n"
+            "f = group_map(A3, A3, [w('a c'), w('b'), w('c')])\n"
+            "calls = [lambda: fa.free_factor_class(A3, []), lambda: fa.meet_projection(C, A),\n"
+            "         lambda: fa.overlap_check(A, C), lambda: fa.disjoint_check(C, A),\n"
+            "         lambda: fa.transport(f, A)]\n"
+            "for call in calls:\n"
+            "    try:\n"
+            "        call()\n"
+            "    except FreefactorError as exc:\n"
+            "        print(type(exc).__name__)\n"
+        )
+        assert out.split() == ["RankTooSmall"] * 4 + ["InvalidTransport"]
+
+
 class TestRandomized:
     def test_meet_classes_are_proper(self):
         rng = random.Random(53)
@@ -173,10 +225,56 @@ class TestRandomized:
             A = fa.free_factor_class(A3, [w3("a"), w3("b")])
             try:
                 B = fa.free_factor_class(A3, [w3(g1), w3("c")])
-            except AssertionError:
+            except RankTooSmall:
                 continue
             if B.rank < 2:
                 continue
             for mc in fa.meet_projection(A, B):
                 assert 1 <= mc.rank < 2 or mc.rank < min(A.rank, B.rank)
                 assert mc.in_ambient.key not in (A.key, B.key)
+
+
+@st.composite
+def subgroups(draw):
+    """(n, generators) on ranks 2-5, words as tuples of signed letters."""
+    n = draw(st.integers(2, 5))
+    letter = st.integers(1, n).flatmap(lambda x: st.sampled_from((x, -x)))
+    word = st.lists(letter, min_size=1, max_size=6).map(tuple)
+    return n, draw(st.lists(word, min_size=1, max_size=3))
+
+
+def library_graph(n, gens):
+    A = abc_alphabet(n)
+    return stallings.from_generators(A, [reduce_raw(A, g) for g in gens])
+
+
+class TestWhiteheadOracle:
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(subgroups())
+    def test_cut_count_is_the_edge_change(self, sub):
+        n, gens = sub
+        H = library_graph(n, gens)
+        core = stallings._unbased_core(H)
+        before = len(naive_core(gens, keep_base=False)[1])
+        assert before == sum(len(d) for d in core) // 2
+        cuts = list(fa._whitehead_cuts(H.alphabet, core))
+        moves = list(whitehead_moves(n))
+        assert len(cuts) == len(moves)
+        signed = [s for i in range(1, n + 1) for s in (i, -i)]
+        for (v, Y, change), (v_ref, Y_ref) in zip(cuts, moves):
+            assert v == v_ref
+            assert {s for s in signed if Y >> fa._bit(s) & 1} == Y_ref
+            images = [whitehead_image(v, Y_ref, g) for g in gens]
+            assert change == len(naive_core(images, keep_base=False)[1]) - before
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(subgroups())
+    def test_agrees_with_trial_fold_descent(self, sub):
+        n, gens = sub
+        assert fa.is_free_factor(library_graph(n, gens)) == trial_fold_is_free_factor(n, gens)
+
+    def test_descent_from_a_long_primitive(self):
+        A4 = abc_alphabet(4)
+        f = verify_automorphism(group_map(A4, A4, [w4("a b c"), w4("b c"), w4("c d"), w4("d")]))
+        H = stallings.from_generators(A4, [f(w4("a b a^-1 d")), f(w4("c c d"))])
+        assert fa.is_free_factor(H) == trial_fold_is_free_factor(4, [w.letters for w in H.basis()])

@@ -78,6 +78,11 @@ CASES = {
         0,
         "969e0457828b79bcc2cdc0a0a32e5c9c6b8a84ba6887f9cf51827cee4eb4b3ac",
     ),
+    "verify-system-pentagon-support-f6": (
+        ["verify-system", "pentagon-support-f6"],
+        0,
+        "c09cbafd53e4b9141c56ebbe80038e2db18efb483088d9673d29a69adb25d1c2",
+    ),
     "dist": (
         ["dist", "--letters", "a,b,c", "--factor", "a,b", "--marking", "a a b, a b, c",
          "--marking2", "b, a c, c"],
