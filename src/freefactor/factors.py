@@ -22,7 +22,6 @@ class FreeFactorClass:
     ambient: Alphabet
     graph: SubgroupGraph
     key: str
-    verified_free_factor: bool = False
 
     @property
     def rank(self) -> int:
@@ -38,11 +37,11 @@ class FreeFactorClass:
         return hash((self.ambient, self.key))
 
 
-def free_factor_class(alphabet: Alphabet, gens: Sequence[Word], verified: bool = False) -> FreeFactorClass:
+def free_factor_class(alphabet: Alphabet, gens: Sequence[Word]) -> FreeFactorClass:
     g = from_generators(alphabet, list(gens))
     if g.rank < 1:
         raise RankTooSmall("factor classes have rank >= 1")
-    return FreeFactorClass(alphabet, g, stallings.canonical_core(g), verified)
+    return FreeFactorClass(alphabet, g, stallings.canonical_core(g))
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,7 @@ def transport(f: GroupMap, A: FreeFactorClass) -> FreeFactorClass:
         raise InvalidTransport("transport requires a verified automorphism")
     if f.domain != A.ambient:
         raise InvalidTransport("the automorphism and the factor have different alphabets")
-    return free_factor_class(f.codomain, [f(w) for w in A.basis()], verified=A.verified_free_factor)
+    return free_factor_class(f.codomain, [f(w) for w in A.basis()])
 
 
 def classify_pair(A: FreeFactorClass, B: FreeFactorClass):

@@ -19,7 +19,7 @@ from freefactor.errors import (
     UndefinedProjection,
 )
 from freefactor.factors import FreeFactorClass
-from freefactor.stallings import SubgroupGraph, from_generators
+from freefactor.stallings import from_generators
 from freefactor.words import (
     Alphabet,
     GroupMap,
@@ -172,7 +172,6 @@ class ProjectionSet:
     """π_A(T): vertex-group classes of 1-edge collapses of the A-cover core."""
 
     factor: FreeFactorClass
-    gens_in_A: Tuple[Word, ...]   # abelianized class representatives in A's basis
     vertices: FrozenSet[farey.FareyVertex]
 
     def __post_init__(self):
@@ -210,47 +209,55 @@ def _natural_edges(adj: List[Dict[int, int]]):
     return arcs
 
 
+def _cycle_h1(coord, tree, u: int, s: int, v: int) -> Tuple[int, int]:
+    """H₁ class of the cycle that the non-tree edge u -s-> v closes: the
+    ``bfs_tree`` path to u, the edge, and the tree path from v back."""
+    p, q = coord.get((u, s), (0, 0))
+    for x, sign in ((u, 1), (v, -1)):
+        while x in tree:
+            x, t = tree[x]
+            dp, dq = coord.get((x, t), (0, 0))
+            p, q = p + sign * dp, q + sign * dq
+    return p, q
+
+
 @lru_cache(maxsize=4096)
 def project_tree(A: FreeFactorClass, T: MarkedGraph) -> ProjectionSet:
-    """π_A(T) via the A-cover core of T, per natural-edge 1-edge collapses."""
-    assert A.rank == 2, "Farey projections are for rank-2 factors"
-    assert A.ambient == T.alphabet
+    """π_A(T) via the A-cover core of T, per natural-edge 1-edge collapses.
+
+    A vertex group is kept only as its class in H₁(A) = Z², which adds up
+    along edges and ignores conjugation: a directed cover edge counts 0 on
+    the spanning tree and ±e_k on the k-th basis edge.
+    """
+    if A.rank != 2:
+        raise UndefinedProjection(f"Farey projections are for rank-2 factors, not rank {A.rank}")
+    if A.ambient != T.alphabet:
+        raise UndefinedProjection("the factor and the marked graph have different alphabets")
     basis_paths = T.to_edge_paths(A.graph.basis())
     cover = from_generators(T.edge_alphabet, basis_paths)
-    # change of basis: columns = abelianized coordinates of A's basis images
-    # in the cover's spanning-tree basis; unimodular since both are bases
-    coords = []
-    for p in basis_paths:
-        expr = stallings.membership_rewrite(cover, p)
-        assert expr is not None
-        coords.append(farey.abelianize2(expr))
-    (m00, m10), (m01, m11) = coords
+    basis_edges, _ = cover.basis_edges()
+    assert len(basis_edges) == 2, "the cover of a rank-2 factor has rank 2"
+    coord: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for (u, s, v), (dp, dq) in zip(basis_edges, ((1, 0), (0, 1))):
+        coord[(u, s)] = (dp, dq)
+        coord[(v, -s)] = (-dp, -dq)
+    # change of basis: columns = H₁ classes of A's basis paths in the cover's
+    # spanning-tree basis; unimodular since both are bases
+    columns = []
+    for path in basis_paths:
+        v, p, q = cover.base, 0, 0
+        for s in path.letters:
+            dp, dq = coord.get((v, s), (0, 0))
+            p, q, v = p + dp, q + dq, cover.adj[v][s]
+        columns.append((p, q))
+    (m00, m10), (m01, m11) = columns
     det = m00 * m11 - m01 * m10
     assert det in (1, -1), "basis change must be unimodular"
-    # unbased core plus connecting stalk from the cover's base
+    # unbased core; the basis edges lie on cycles, so they survive the trim
     core_adj, core_index = stallings._trim([dict(d) for d in cover.adj])
-    assert core_adj, "cover of a nontrivial factor has a core"
-    # stalk: walk from base until the core is reached
-    stalk: List[int] = []
-    v = cover.base
-    prev = 0
-    while v not in core_index:
-        options = [s for s in cover.adj[v] if s != -prev]
-        assert len(options) == 1, "stalk must be a simple path"
-        s = options[0]
-        stalk.append(s)
-        prev = s
-        v = cover.adj[v][s]
-    b0 = core_index[v]
-    ea = T.edge_alphabet
-    stalk_word = Word(ea, tuple(stalk))
+    coord = {(core_index[u], s): c for (u, s), c in coord.items()}
 
-    core = SubgroupGraph(ea, tuple(core_adj), b0)
-    _, parent = core.spanning_tree()
-
-    gens_in_A: List[Word] = []
-    seen_vertices = set()
-    vertices: List[farey.FareyVertex] = []
+    vertices = set()
     for arc in _natural_edges(core_adj):
         removed_edges = set()
         interior = set()
@@ -266,81 +273,25 @@ def project_tree(A: FreeFactorClass, T: MarkedGraph) -> ProjectionSet:
             for v in remaining
         }
         # components of the complement of the open arc
-        comp: Dict[int, int] = {}
-        for v in remaining:
-            if v in comp:
-                continue
-            cid = max(comp.values(), default=-1) + 1
-            stack = [v]
-            comp[v] = cid
-            while stack:
-                x = stack.pop()
-                for t in rem_adj[x].values():
-                    if t not in comp:
-                        comp[t] = cid
-                        stack.append(t)
-        ncomp = max(comp.values()) + 1
-        for cid in range(ncomp):
-            verts = [v for v in remaining if comp[v] == cid]
-            edges = []
-            seen_e = set()
-            for v in verts:
-                for s, t in rem_adj[v].items():
-                    if (v, s) in seen_e or (t, -s) in seen_e:
-                        continue
-                    seen_e.add((v, s))
-                    edges.append((v, s, t))
-            rank = len(edges) - len(verts) + 1
+        for verts in stallings._components(remaining, lambda v: rem_adj[v].values()):
+            rank = sum(len(rem_adj[v]) for v in verts) // 2 - len(verts) + 1
             if rank < 1:
                 continue
             assert rank == 1, "rank-2 cover components have cyclic vertex groups"
-            # fundamental loop: spanning tree of the component + one extra edge
-            gen_word = _component_loop(ea, verts, edges, core, parent, stalk_word)
-            expr_t = stallings.membership_rewrite(cover, gen_word)
-            assert expr_t is not None, "vertex group must lie in the cover subgroup"
-            pt, qt = farey.abelianize2(expr_t)
+            # the one cycle: the component's BFS tree plus its first non-tree edge
+            _, tree = stallings.bfs_tree(verts[0], lambda v: sorted(rem_adj[v].items()))
+            u, s, v = next(
+                (u, s, v)
+                for u in verts
+                for s, v in rem_adj[u].items()
+                if tree.get(v) != (u, s) and tree.get(u) != (v, -s)
+            )
+            pt, qt = _cycle_h1(coord, tree, u, s, v)
             # back to A's basis: apply the inverse of the unimodular matrix
             p = det * (m11 * pt - m01 * qt)
             q = det * (-m10 * pt + m00 * qt)
-            v_f = farey.farey_vertex(p, q)
-            if v_f not in seen_vertices:
-                seen_vertices.add(v_f)
-                vertices.append(v_f)
-                ba = A.graph.basis_alphabet
-                raw = [1] * p + [-1] * (-p) + [2] * q + [-2] * (-q)
-                gens_in_A.append(Word(ba, tuple(raw)))
-    return ProjectionSet(A, tuple(gens_in_A), frozenset(vertices))
-
-
-def _component_loop(ea, verts, edges, core: SubgroupGraph, parent, stalk_word: Word) -> Word:
-    """A generator of the cyclic π₁ of a complement component, as an edge word
-    conjugated back to the original cover base."""
-    k0 = min(verts)
-    adj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in verts}
-    for u, s, v in edges:
-        adj[u].append((s, v))
-        adj[v].append((-s, u))
-    _, tree = stallings.bfs_tree(k0, lambda v: sorted(adj[v]))
-
-    def path_to(v):
-        out = []
-        while v != k0:
-            u, s = tree[v]
-            out.append(s)
-            v = u
-        return list(reversed(out))
-
-    # the one edge of the rank-1 component that is not a tree edge
-    extra = next(
-        ((u, s, v) for u, s, v in edges if tree.get(v) != (u, s) and tree.get(u) != (v, -s)),
-        None,
-    )
-    assert extra is not None
-    u, s, v = extra
-    loop = path_to(u) + [s] + [-x for x in reversed(path_to(v))]
-    # conjugate: base --stalk--> b0 --tree--> k0 --loop--> k0 --back--
-    pre = stalk_word * core.path_word(k0, parent)
-    return pre * reduce_raw(ea, loop) * pre.inverse()
+            vertices.add(farey.farey_vertex(p, q))
+    return ProjectionSet(A, frozenset(vertices))
 
 
 # --- distances --------------------------------------------------------------

@@ -154,7 +154,7 @@ def system_from_json(obj: Any, verify: bool = False, path: str = "system") -> sy
         gens = _expect(_expect_key(fobj, "gens", fp), list, f"{fp}.gens")
         words = [_parse_word(ambient, g, f"{fp}.gens[{i}]") for i, g in enumerate(gens)]
         names.append(name)
-        factors.append(free_factor_class(ambient, words, verified=True))
+        factors.append(free_factor_class(ambient, words))
     if sorted(names) != sorted(gamma.vertices):
         raise SchemaError(f"{path}.factors: names do not match gamma's vertices")
 

@@ -80,6 +80,28 @@ def bfs_tree(root: int, neighbours: Callable[[int], Iterable[Tuple[Hashable, int
     return order, parent
 
 
+def _components(vertices: Sequence[Hashable], neighbours: Callable[[Hashable], Iterable[Hashable]]):
+    """Connected components in the order of their first vertex, each listing
+    its members in the order of ``vertices``."""
+    comp: Dict[Hashable, int] = {}
+    count = 0
+    for v in vertices:
+        if v in comp:
+            continue
+        comp[v] = count
+        stack = [v]
+        while stack:
+            for t in neighbours(stack.pop()):
+                if t not in comp:
+                    comp[t] = count
+                    stack.append(t)
+        count += 1
+    out: List[List[Hashable]] = [[] for _ in range(count)]
+    for v in vertices:
+        out[comp[v]].append(v)
+    return out
+
+
 def _trim(adj: List[Dict[int, int]], keep: Optional[int] = None):
     """Iteratively delete valence-1 vertices (except ``keep``) in place.
 
@@ -330,26 +352,11 @@ def pullback_components(A: SubgroupGraph, B: SubgroupGraph) -> List[PullbackComp
             tv = B.adj[v].get(s)
             if tv is not None:
                 adj[i][s] = states[(tu, tv)]
-    # connected components (undirected; adj is already symmetric)
-    comp = [-1] * len(adj)
-    ncomp = 0
-    for i in range(len(adj)):
-        if comp[i] != -1:
-            continue
-        stack = [i]
-        comp[i] = ncomp
-        while stack:
-            x = stack.pop()
-            for t in adj[x].values():
-                if comp[t] == -1:
-                    comp[t] = ncomp
-                    stack.append(t)
-        ncomp += 1
     out = []
     _, parent_A = A.spanning_tree()
     _, parent_B = B.spanning_tree()
-    for c in range(ncomp):
-        verts = [i for i in range(len(adj)) if comp[i] == c]
+    # connected components (undirected; adj is already symmetric)
+    for verts in _components(range(len(adj)), lambda i: adj[i].values()):
         local = {i: k for k, i in enumerate(verts)}
         sub_adj = [{s: local[t] for s, t in adj[i].items()} for i in verts]
         core_adj, core_index = _trim(sub_adj)

@@ -5,9 +5,9 @@ into outer automorphisms of a free group."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from freefactor import factors as fa, farey
+from freefactor import factors as fa, farey, stallings
 from freefactor.errors import (
     CommutationViolation,
     NotAdmissible,
@@ -21,10 +21,10 @@ from freefactor.words import (
     GroupMap,
     Word,
     compose_map,
-    conjugacy_witness,
     group_map,
     identity_map,
     invert_automorphism,
+    is_inner,
     letter,
     map_power,
     std_alphabet,
@@ -56,32 +56,18 @@ class GraphOfGroups:
         return self.ambient.rank
 
     def factor(self, i: int) -> FreeFactorClass:
-        return free_factor_class(self.ambient, list(self.factor_words[i]), verified=True)
+        return free_factor_class(self.ambient, list(self.factor_words[i]))
 
 
-def _complement_components(gamma: SimplicialGraph) -> List[List[str]]:
+def _complement_components(gamma: SimplicialGraph) -> Tuple[List[List[str]], Dict[str, Set[str]]]:
+    """Components of the complement graph, sorted, and its adjacency."""
     comp_adj = {v: set() for v in gamma.vertices}
     for u in gamma.vertices:
         for v in gamma.vertices:
             if u < v and not gamma.adjacent(u, v):
                 comp_adj[u].add(v)
                 comp_adj[v].add(u)
-    seen = set()
-    out = []
-    for v in sorted(gamma.vertices):
-        if v in seen:
-            continue
-        stack, comp = [v], []
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for t in sorted(comp_adj[x]):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        out.append(sorted(comp))
-    return out, comp_adj
+    return stallings._components(sorted(gamma.vertices), comp_adj.__getitem__), comp_adj
 
 
 def complexity(gamma: SimplicialGraph) -> int:
@@ -244,24 +230,9 @@ def verify_admissible(
 
 # --- generator systems ------------------------------------------------------
 
-_INNER_SCAN_MARGIN = 2
-
-
 def restricts_inner_trivially(f: GroupMap, A: FreeFactorClass) -> bool:
     """True when f agrees on A with conjugation by a single element."""
-    basis = A.basis()
-    b1 = basis[0]
-    w0 = conjugacy_witness(b1, f(b1))
-    if w0 is None:
-        return False
-    if len(basis) == 1:
-        return True
-    bound = max(len(f(b).letters) for b in basis) + _INNER_SCAN_MARGIN
-    for t in range(-bound, bound + 1):
-        u = w0 * (b1 ** t)
-        if all(f(b) == b.conjugate_by(u) for b in basis[1:]):
-            return True
-    return False
+    return is_inner(f, A.basis()) is not None
 
 
 @dataclass(frozen=True)
@@ -333,8 +304,6 @@ def build_generators(
 
 def certify_support(collection: AdmissibleCollection, maps: Sequence[GroupMap]) -> None:
     """Check every support certificate, raising on the first failure."""
-    from freefactor.words import is_inner
-
     factors = collection.factors
     gamma = collection.gamma
     for i, name_i in enumerate(collection.names):

@@ -405,24 +405,24 @@ def verify_automorphism(f: GroupMap) -> GroupMap:
     return f
 
 
-def is_inner(f: GroupMap) -> Optional[Word]:
-    """Witness w with f = conjugation-by-w, or None.
+def is_inner(f: GroupMap, basis: Optional[Sequence[Word]] = None) -> Optional[Word]:
+    """Witness w with f(b) = w b w^-1 for every b in ``basis`` (by default the
+    generators), or None.
 
-    Solves the first generator by a conjugacy search, then resolves the coset
-    ambiguity w in w0<x1> by a bounded exponent scan.
+    Solves the first basis word by a conjugacy search, then resolves the coset
+    ambiguity w in w0<b1> by a bounded exponent scan.
     """
     assert f.domain == f.codomain
-    a = f.domain
-    x1 = letter(a, 0)
-    w0 = conjugacy_witness(x1, f(x1))
-    if w0 is None:
-        return None
-    if a.rank == 1:
-        return identity(a) if f(x1) == x1 else None
-    x2 = letter(a, 1)
-    bound = len(f(x2)) + 1  # |t| <= |f(x2)| + |x2|
+    if basis is None:
+        basis = [letter(f.domain, i) for i in range(f.domain.rank)]
+    images = [f(b) for b in basis]
+    b1 = basis[0]
+    w0 = conjugacy_witness(b1, images[0])
+    if w0 is None or len(basis) == 1:
+        return w0
+    bound = max(map(len, images)) + 2
     for t in range(-bound, bound + 1):
-        w = w0 * (x1 ** t)
-        if all(f(letter(a, i)) == letter(a, i).conjugate_by(w) for i in range(a.rank)):
+        w = w0 * (b1 ** t)
+        if all(img == b.conjugate_by(w) for b, img in zip(basis[1:], images[1:])):
             return w
     return None

@@ -235,3 +235,104 @@ def trial_fold_is_free_factor(n, gens):
                 improved = True
                 break
     return len(vertices) == 1
+
+
+# --- projections to rank-2 factors by loop words ----------------------------
+
+def loop_word_projection(paths):
+    """π_A(T) as sign-normalized pairs (p, q), from loop words in the A-cover.
+
+    ``paths`` are A's two basis elements as edge paths of T (tuples of signed
+    edge letters).  For every natural edge of the cover's unbased core, each
+    rank-1 component of the core minus that open edge gives a loop.  The
+    loop is conjugated back to the cover's base along the BFS tree, rewritten
+    in the cover's spanning-tree basis, abelianized, and carried to A's basis
+    by the inverse of the matrix whose columns are the rewritten ``paths``.
+    """
+    vertices, edges = naive_core(paths)  # the based cover, base 0
+    adj = {v: {} for v in vertices}
+    for u, x, v in edges:
+        adj[u][x] = v
+        adj[v][-x] = u
+    parent = {0: None}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for x in sorted(adj[u]):
+            if adj[u][x] not in parent:
+                parent[adj[u][x]] = (u, x)
+                queue.append(adj[u][x])
+
+    def from_base(v):
+        out = []
+        while parent[v] is not None:
+            v, x = parent[v]
+            out.append(x)
+        return tuple(reversed(out))
+
+    basis = [e for e in sorted(edges) if parent[e[2]] != e[:2] and parent[e[0]] != (e[2], -e[1])]
+    assert len(basis) == 2
+
+    def h1(word):  # rewrite a closed word at the base, then abelianize
+        count = [0, 0]
+        v = 0
+        for x in word:
+            t = adj[v][x]
+            for k, e in enumerate(basis):
+                if e == (v, x, t) or e == (t, -x, v):
+                    count[k] += 1 if x > 0 else -1
+            v = t
+        assert v == 0
+        return tuple(count)
+
+    (m00, m10), (m01, m11) = (h1(naive_reduce(p)) for p in paths)
+    det = m00 * m11 - m01 * m10
+    assert det in (1, -1)
+
+    core_vertices, core_edges = naive_core(paths, keep_base=False)
+    assert core_edges <= edges
+    degree = {v: 0 for v in core_vertices}
+    for u, _, v in core_edges:
+        degree[u] += 1
+        degree[v] += 1
+    out = set()
+    arcs = set()
+    for b in sorted(w for w in core_vertices if degree[w] != 2):
+        for start in sorted(core_edges):
+            for u, x, v in (start, (start[2], -start[1], start[0])):
+                if u != b:
+                    continue
+                arc, interior = {start}, set()
+                while degree[v] == 2:
+                    interior.add(v)
+                    step = next(e for e in core_edges if v in (e[0], e[2]) and e not in arc)
+                    arc.add(step)
+                    v = step[2] if step[0] == v else step[0]
+                arcs.add((frozenset(arc), frozenset(interior)))
+    for arc, interior in arcs:
+        rest = core_edges - arc
+        seen = set()
+        for r in sorted(core_vertices - interior):
+            if r in seen:
+                continue
+            comp, tree, stack = {r}, {r: ()}, [r]
+            while stack:  # DFS tree of the component, paths from r
+                u = stack.pop()
+                for a, x, c in rest:
+                    for s, t, y in ((a, c, x), (c, a, -x)):
+                        if s == u and t not in comp:
+                            comp.add(t)
+                            tree[t] = tree[u] + (y,)
+                            stack.append(t)
+            seen |= comp
+            comp_edges = [e for e in rest if e[0] in comp]
+            if len(comp_edges) - len(comp) + 1 != 1:
+                continue
+            u, x, v = next(e for e in comp_edges if tree.get(e[2]) != tree[e[0]] + (e[1],)
+                           and tree.get(e[0]) != tree[e[2]] + (-e[1],))
+            loop = tree[u] + (x,) + tuple(-y for y in reversed(tree[v]))
+            c = from_base(r)
+            pt, qt = h1(naive_reduce(c + loop + tuple(-y for y in reversed(c))))
+            p, q = det * (m11 * pt - m01 * qt), det * (-m10 * pt + m00 * qt)
+            out.add((p, q) if (p or q) > 0 else (-p, -q))
+    return frozenset(out)

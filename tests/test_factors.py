@@ -30,7 +30,7 @@ def w4(s):
 def chain_factors():
     # five rank-2 factors of F_3 sharing the single class [<a>]
     return [
-        fa.free_factor_class(A3, [w3("a"), word_from_str(A3, f"{'b ' * i}c")], verified=True)
+        fa.free_factor_class(A3, [w3("a"), word_from_str(A3, f"{'b ' * i}c")])
         for i in range(5)
     ]
 

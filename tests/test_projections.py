@@ -2,15 +2,24 @@ import random
 
 import pytest
 
-from freefactor import factors as fa, farey, projections as pj
-from freefactor.errors import NotInOmega, NotOverlapping, ThresholdViolated
+from freefactor import (
+    experiments as ex,
+    factors as fa,
+    farey,
+    projections as pj,
+    serialize as se,
+    stallings,
+)
+from freefactor.errors import NotInOmega, NotOverlapping, ThresholdViolated, UndefinedProjection
 from freefactor.words import (
+    Word,
     abc_alphabet,
     group_map,
     map_power,
     verify_automorphism,
     word_from_str,
 )
+from oracles import loop_word_projection
 
 A3 = abc_alphabet(3)
 
@@ -24,8 +33,8 @@ def auto(*images):
 
 
 ROSE = pj.rose(A3)
-FACTOR_AB = fa.free_factor_class(A3, [w("a"), w("b")], verified=True)
-FACTOR_BC = fa.free_factor_class(A3, [w("b"), w("c")], verified=True)
+FACTOR_AB = fa.free_factor_class(A3, [w("a"), w("b")])
+FACTOR_BC = fa.free_factor_class(A3, [w("b"), w("c")])
 HYP = auto("a a b", "a b", "c")  # hyperbolic on <a, b>, fixes c
 
 
@@ -106,11 +115,95 @@ class TestProjectTree:
             P = pj.project_tree(FACTOR_AB, T)
             assert farey.diameter(P.vertices) <= pj.PROJECTION_DIAMETER_BOUND
 
+    def test_reads_h1_without_membership_rewrites(self, monkeypatch):
+        # one spanning-tree basis of the cover; no loop word is rewritten
+        T = pj.transform_marked(HYP, ROSE)
+        seen = []
+        basis_edges = stallings.SubgroupGraph.basis_edges
+        monkeypatch.setattr(stallings.SubgroupGraph, "basis_edges",
+                            lambda H: seen.append(H.alphabet) or basis_edges(H))
+        monkeypatch.setattr(stallings, "membership_rewrite", None)
+        pj.project_tree.__wrapped__(FACTOR_AB, T)
+        assert seen.count(T.edge_alphabet) == 1
+
     def test_invariant_under_inner(self):
         inner = auto("c a c^-1", "c b c^-1", "c")
         T = pj.transform_marked(HYP, ROSE)
         T2 = pj.transform_marked(inner, T)
         assert pj.project_tree(FACTOR_AB, T).vertices == pj.project_tree(FACTOR_AB, T2).vertices
+
+
+def subdivide(T, rng):
+    """T with some edges split through a new valence-2 vertex, at a random base."""
+    edges, nv = [], T.num_vertices
+    for u, v, label in T.edges:
+        if len(label) >= 2 and rng.random() < 0.6:
+            k = rng.randrange(1, len(label))
+            ls = label.letters
+            edges += [(u, nv, Word(T.alphabet, ls[:k])), (nv, v, Word(T.alphabet, ls[k:]))]
+            nv += 1
+        else:
+            edges.append((u, v, label))
+    return pj.MarkedGraph(T.alphabet, nv, tuple(edges), rng.randrange(nv))
+
+
+def assert_matches_oracle(A, T):
+    paths = [p.letters for p in T.to_edge_paths(A.basis())]
+    got = {(v.p, v.q) for v in pj.project_tree(A, T).vertices}
+    assert got == loop_word_projection(paths), (A.key, T)
+
+
+class TestLoopWordOracle:
+    """The H₁ projection agrees with conjugated loop words rewritten in the cover."""
+
+    def test_rose_transforms(self):
+        system = se.load_fixture("pentagon-f5")
+        R5 = pj.rose(system.collection.factors[0].ambient)
+        for f in system.maps:
+            for k in range(-6, 7):
+                T = pj.transform_marked(map_power(f, k), R5)
+                for A in system.collection.factors:
+                    assert_matches_oracle(A, T)
+        rng = random.Random(71)
+        for _ in range(40):
+            T = ex.random_tree(rng, A3, 10)
+            for A in (FACTOR_AB, FACTOR_BC, fa.transport(rand_auto(rng, 4), FACTOR_AB)):
+                assert_matches_oracle(A, T)
+
+    def test_subdivided_graphs(self):
+        rng = random.Random(73)
+        for _ in range(120):
+            T = subdivide(subdivide(ex.random_tree(rng, A3, 8), rng), rng)
+            for A in (FACTOR_AB, FACTOR_BC, fa.transport(rand_auto(rng, 4), FACTOR_BC)):
+                assert_matches_oracle(A, T)
+
+
+class TestPreconditions:
+    def test_rank3_factor_refused(self):
+        A = fa.free_factor_class(A3, [w("a"), w("b"), w("c")])
+        with pytest.raises(UndefinedProjection):
+            pj.project_tree(A, ROSE)
+
+    def test_alphabet_mismatch_refused(self):
+        with pytest.raises(UndefinedProjection):
+            pj.project_tree(FACTOR_AB, pj.rose(abc_alphabet(4)))
+
+    def test_refusals_survive_optimize(self, run_optimized):
+        out = run_optimized(
+            "from freefactor import factors as fa, projections as pj\n"
+            "from freefactor.errors import UndefinedProjection\n"
+            "from freefactor.words import abc_alphabet, word_from_str\n"
+            "A3 = abc_alphabet(3)\n"
+            "w = lambda s: word_from_str(A3, s)\n"
+            "A = fa.free_factor_class(A3, [w('a'), w('b'), w('c')])\n"
+            "B = fa.free_factor_class(A3, [w('a'), w('b')])\n"
+            "for X, T in ((A, pj.rose(A3)), (B, pj.rose(abc_alphabet(4)))):\n"
+            "    try:\n"
+            "        pj.project_tree(X, T)\n"
+            "    except UndefinedProjection as exc:\n"
+            "        print(type(exc).__name__)\n"
+        )
+        assert out.split() == ["UndefinedProjection"] * 2
 
 
 class TestDistances:

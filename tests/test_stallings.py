@@ -154,3 +154,10 @@ class TestPullback:
             # expanding the A-basis expressions recovers subgroup elements of A
             for expr in c.gens_in_A:
                 assert A.contains(st.expand_basis_word(A, expr))
+
+
+class TestComponents:
+    def test_ordered_by_first_vertex_members_in_given_order(self):
+        nbrs = {0: [3], 3: [0], 1: [4], 4: [1, 2], 2: [4], 5: []}
+        got = st._components([5, 4, 3, 2, 1, 0], nbrs.__getitem__)
+        assert got == [[5], [4, 2, 1], [3, 0]]

@@ -23,7 +23,7 @@ SEED = group_map(A2, A2, [word_from_str(A2, "x0 x0 x1"), word_from_str(A2, "x0 x
 
 def pentagon_factors():
     return [
-        fc.free_factor_class(F5, [letter(F5, i), letter(F5, (i + 1) % 5)], verified=True)
+        fc.free_factor_class(F5, [letter(F5, i), letter(F5, (i + 1) % 5)])
         for i in range(5)
     ]
 

@@ -225,6 +225,27 @@ class TestIsInner:
     def test_identity_inner(self):
         assert is_inner(identity_map(A3)).is_identity()
 
+    def test_witness_is_the_conjugator(self):
+        # for rank >= 2 the witness is unique, so the scan must reach u itself
+        rng = random.Random(29)
+        for rank in range(2, 6):
+            alphabet = std_alphabet(rank)
+            for _ in range(40):
+                u = rand_word(rng, alphabet, rng.randrange(0, 12))
+                assert is_inner(conjugation_by(u)) == u
+
+    def test_witness_on_rank2_factor_bases(self):
+        from freefactor.factors import free_factor_class
+
+        rng = random.Random(31)
+        for rank in range(3, 6):
+            alphabet = std_alphabet(rank)
+            for _ in range(30):
+                f = ex.random_automorphism(rng, alphabet, 8)
+                basis = free_factor_class(alphabet, f.images[:2]).basis()
+                u = rand_word(rng, alphabet, rng.randrange(0, 12))
+                assert is_inner(conjugation_by(u), basis) == u
+
     def test_inverse_agreement(self):
         rng = random.Random(13)
         for _ in range(25):
