@@ -89,7 +89,3 @@ class NotHyperbolicSeed(FreefactorError):
 
 class SchemaError(FreefactorError):
     """Fixture/serialization schema violation; message names the offending path."""
-
-
-class NielsenSearchFailed(FreefactorError):
-    """The Nielsen search behind an inversion exceeded its budget or stalled."""

@@ -69,8 +69,7 @@ class ExperimentConfig:
 
 def nielsen_generators(alphabet: Alphabet) -> List[GroupMap]:
     """Right transvections x_i -> x_i x_j^s: a fixed generating set used for
-    sampling; each is built linked to its inverse, so no certificate is
-    searched for."""
+    sampling; each carries its inverse, so none is folded to certify it."""
     n = alphabet.rank
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     return [transvection(alphabet, i, j, s) for i, j in pairs for s in (1, -1)]

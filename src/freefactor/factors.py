@@ -4,7 +4,7 @@ Whitehead free-factor testing, and transport under automorphisms."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from freefactor import stallings
 from freefactor.errors import AmbientTooLarge, InvalidTransport, RankTooSmall
@@ -105,8 +105,9 @@ def overlap_check(A: FreeFactorClass, B: FreeFactorClass):
     return None
 
 
-def _short_words(alphabet: Alphabet, max_len: int) -> List[Word]:
-    out = [identity(alphabet)]
+def _short_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
+    """Reduced words of length <= max_len, shortest first, made as needed."""
+    yield identity(alphabet)
     frontier = [()]
     for _ in range(max_len):
         nxt = []
@@ -117,9 +118,8 @@ def _short_words(alphabet: Alphabet, max_len: int) -> List[Word]:
                         continue
                     u = t + (sg,)
                     nxt.append(u)
-                    out.append(Word(alphabet, u))
+                    yield Word(alphabet, u)
         frontier = nxt
-    return out
 
 
 def disjoint_check(A: FreeFactorClass, B: FreeFactorClass) -> bool:
@@ -217,7 +217,7 @@ def is_free_factor(H: SubgroupGraph) -> bool:
 
 def transport(f: GroupMap, A: FreeFactorClass) -> FreeFactorClass:
     """Image class f(A); canonical key recomputed."""
-    if f.inverse_hint is None:
+    if f.inverse_images is None:
         raise InvalidTransport("transport requires a verified automorphism")
     if f.domain != A.ambient:
         raise InvalidTransport("the automorphism and the factor have different alphabets")

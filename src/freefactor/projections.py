@@ -42,7 +42,8 @@ class MarkedGraph:
 
     ``marking_hint`` maps basis loop t_i to ``marking_words()[i]`` and carries
     its inverse, which proves that the labels generate F_n.  ``rose`` and
-    ``transform_marked`` build it linked; without one, a Nielsen search finds it.
+    ``transform_marked`` build it with its inverse; without one, a weighted
+    fold of the marking words finds it.
     """
 
     alphabet: Alphabet                       # ambient F_n
@@ -70,7 +71,7 @@ class MarkedGraph:
             except NotSurjective as exc:
                 raise InvalidMarking("edge labels do not generate the ambient group") from exc
             object.__setattr__(self, "marking_hint", hint)
-        elif hint.inverse_hint is None or hint.images != words:
+        elif hint.inverse_images is None or hint.images != words:
             raise InvalidMarking("marking hint is not a certified map onto the marking words")
 
     @property
@@ -125,7 +126,7 @@ class MarkedGraph:
         raw: List[int] = []
         for s in edge_word:
             ls = self.edges[abs(s) - 1][2].letters
-            raw.extend(ls if s > 0 else tuple(-y for y in reversed(ls)))
+            raw.extend(ls if s > 0 else [-y for y in reversed(ls)])
         return reduce_raw(self.alphabet, raw)
 
     def marking_words(self) -> List[Word]:

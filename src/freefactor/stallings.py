@@ -241,23 +241,23 @@ def from_generators(alphabet: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
     return SubgroupGraph(alphabet, tuple(adj), index[base])
 
 
-def is_full_rose(g: SubgroupGraph) -> bool:
-    n = g.alphabet.rank
-    return (
-        g.num_vertices == 1
-        and all(g.adj[0].get(s) == 0 for i in range(1, n + 1) for s in (i, -i))
-        and g.num_edges == n
-    )
-
-
-def membership_rewrite(H: SubgroupGraph, w: Word) -> Optional[Word]:
-    """Expression of w in H's spanning-tree basis, or None when w is not in H."""
-    assert w.alphabet == H.alphabet
-    edges, _ = H.basis_edges()
+def _basis_index(H: SubgroupGraph) -> Dict[Tuple[int, int, int], int]:
+    """Signed basis letter of every directed non-tree edge of H."""
     index = {}
-    for k, (u, s, v) in enumerate(edges):
+    for k, (u, s, v) in enumerate(H.basis_edges()[0]):
         index[(u, s, v)] = k + 1
         index[(v, -s, u)] = -(k + 1)
+    return index
+
+
+def membership_rewrite(H: SubgroupGraph, w: Word, index=None) -> Optional[Word]:
+    """Expression of w in H's spanning-tree basis, or None when w is not in H.
+
+    ``index`` is H's ``_basis_index``, for callers that rewrite many words.
+    """
+    assert w.alphabet == H.alphabet
+    if index is None:
+        index = _basis_index(H)
     out: List[int] = []
     v = H.base
     for s in w.letters:
@@ -355,6 +355,7 @@ def pullback_components(A: SubgroupGraph, B: SubgroupGraph) -> List[PullbackComp
     out = []
     _, parent_A = A.spanning_tree()
     _, parent_B = B.spanning_tree()
+    index_A = None  # A's basis edges, built at the first component
     # connected components (undirected; adj is already symmetric)
     for verts in _components(range(len(adj)), lambda i: adj[i].values()):
         local = {i: k for k, i in enumerate(verts)}
@@ -373,11 +374,13 @@ def pullback_components(A: SubgroupGraph, B: SubgroupGraph) -> List[PullbackComp
         pB = B.path_word(v0, parent_B)
         g = pA * pB.inverse()
         loops = graph.basis()
-        gens_ambient = tuple(loop.conjugate_by(pA) for loop in loops)
-        sub = from_generators(alphabet, list(gens_ambient))
+        gens_ambient = [loop.conjugate_by(pA) for loop in loops]
+        sub = from_generators(alphabet, gens_ambient)
+        if index_A is None:
+            index_A = _basis_index(A)
         gens_in_A = []
         for w in gens_ambient:
-            expr = membership_rewrite(A, w)
+            expr = membership_rewrite(A, w, index_A)
             assert expr is not None, "pullback generator must lie in A"
             gens_in_A.append(expr)
         out.append(PullbackComponent(sub, tuple(gens_in_A), g, rank))

@@ -8,10 +8,10 @@ reduces eagerly, so a ``Word`` is always freely reduced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from freefactor._kernel import concat, reduce_word
-from freefactor.errors import NielsenSearchFailed, NotSurjective, UnknownLetter
+from freefactor.errors import NotSurjective, UnknownLetter
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class Word:
         return Word(self.alphabet, tuple(concat(self.letters, other.letters)))
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, tuple(-x for x in reversed(self.letters)))
+        return Word(self.alphabet, tuple([-x for x in reversed(self.letters)]))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -180,15 +180,15 @@ def conjugacy_witness(u: Word, v: Word) -> Optional[Word]:
 class GroupMap:
     """Endomorphism of a free group given by generator images.
 
-    It is a certified automorphism exactly when ``inverse_hint`` holds its
-    inverse: the library builds its own maps linked to their inverses, and
+    It is a certified automorphism exactly when ``inverse_images`` holds the
+    images of its inverse: the library builds its own maps with them, and
     ``invert_automorphism`` certifies maps that come from outside.
     """
 
     domain: Alphabet
     codomain: Alphabet
     images: Tuple[Word, ...]
-    inverse_hint: Optional["GroupMap"] = field(default=None, compare=False, repr=False)
+    inverse_images: Optional[Tuple[Word, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         assert len(self.images) == self.domain.rank
@@ -196,15 +196,22 @@ class GroupMap:
             assert w.alphabet == self.codomain
 
     @property
+    def inverse_hint(self) -> Optional["GroupMap"]:
+        """The inverse automorphism, or None when f is not certified."""
+        if self.inverse_images is None:
+            return None
+        return GroupMap(self.codomain, self.domain, self.inverse_images, self.images)
+
+    @property
     def kind(self) -> str:
-        return "endomorphism" if self.inverse_hint is None else "verified-automorphism"
+        return "endomorphism" if self.inverse_images is None else "verified-automorphism"
 
     def __call__(self, w: Word) -> Word:
         assert w.alphabet == self.domain, "alphabet mismatch"
         raw: List[int] = []
         for x in w.letters:
             img = self.images[abs(x) - 1].letters
-            raw.extend(img if x > 0 else tuple(-y for y in reversed(img)))
+            raw.extend(img if x > 0 else [-y for y in reversed(img)])
         # images are reduced, so one linear pass reduces the whole product
         return Word(self.codomain, tuple(reduce_word(raw)))
 
@@ -218,15 +225,9 @@ class GroupMap:
         return f"GroupMap({ims})"
 
 
-def _link_inverses(f: GroupMap, g: GroupMap) -> None:
-    object.__setattr__(f, "inverse_hint", g)
-    object.__setattr__(g, "inverse_hint", f)
-
-
 def identity_map(alphabet: Alphabet) -> GroupMap:
-    f = GroupMap(alphabet, alphabet, tuple(letter(alphabet, i) for i in range(alphabet.rank)))
-    _link_inverses(f, f)
-    return f
+    images = tuple([letter(alphabet, i) for i in range(alphabet.rank)])
+    return GroupMap(alphabet, alphabet, images, images)
 
 
 def group_map(domain: Alphabet, codomain: Alphabet, images: Sequence[Word]) -> GroupMap:
@@ -235,20 +236,22 @@ def group_map(domain: Alphabet, codomain: Alphabet, images: Sequence[Word]) -> G
 
 def conjugation_by(w: Word) -> GroupMap:
     a = w.alphabet
-    f = GroupMap(a, a, tuple(letter(a, i).conjugate_by(w) for i in range(a.rank)))
-    g = GroupMap(a, a, tuple(letter(a, i).conjugate_by(w.inverse()) for i in range(a.rank)))
-    _link_inverses(f, g)
-    return f
+    wi = w.inverse()
+    return GroupMap(
+        a, a,
+        tuple([letter(a, i).conjugate_by(w) for i in range(a.rank)]),
+        tuple([letter(a, i).conjugate_by(wi) for i in range(a.rank)]),
+    )
 
 
 def compose_map(f: GroupMap, g: GroupMap) -> GroupMap:
     """(f o g)(x) = f(g(x))."""
     assert g.codomain == f.domain, "alphabet mismatch"
-    h = GroupMap(g.domain, f.codomain, tuple(f(w) for w in g.images))
-    fi, gi = f.inverse_hint, g.inverse_hint
-    if fi is not None and gi is not None:
-        _link_inverses(h, GroupMap(f.codomain, g.domain, tuple(gi(w) for w in fi.images)))
-    return h
+    inverse = None
+    if f.inverse_images is not None and g.inverse_images is not None:
+        gi = g.inverse_hint
+        inverse = tuple([gi(w) for w in f.inverse_images])
+    return GroupMap(g.domain, f.codomain, tuple([f(w) for w in g.images]), inverse)
 
 
 def map_power(f: GroupMap, n: int) -> GroupMap:
@@ -266,141 +269,129 @@ def map_power(f: GroupMap, n: int) -> GroupMap:
     return result
 
 
-# --- inversion via recorded Nielsen reduction ------------------------------
-
-_NIELSEN_BUDGET = 200_000
-
-
-def _elementary(alphabet: Alphabet, i: int, j: int, s: int, side: str) -> GroupMap:
-    # x_i -> x_i x_j^s (right) or x_j^s x_i (left); all other letters fixed
+def _transvection_images(alphabet: Alphabet, i: int, j: int, s: int, side: str) -> Tuple[Word, ...]:
     images = [letter(alphabet, k) for k in range(alphabet.rank)]
     xi, xj = images[i], letter(alphabet, j, s)
     images[i] = xi * xj if side == "right" else xj * xi
-    return GroupMap(alphabet, alphabet, tuple(images))
+    return tuple(images)
 
 
 def transvection(alphabet: Alphabet, i: int, j: int, s: int, side: str = "right") -> GroupMap:
-    """x_i -> x_i x_j^s (right) or x_j^s x_i (left), linked to its inverse."""
-    f = _elementary(alphabet, i, j, s, side)
-    _link_inverses(f, _elementary(alphabet, i, j, -s, side))
-    return f
+    """x_i -> x_i x_j^s (right) or x_j^s x_i (left), carrying its inverse."""
+    return GroupMap(
+        alphabet, alphabet,
+        _transvection_images(alphabet, i, j, s, side),
+        _transvection_images(alphabet, i, j, -s, side),
+    )
 
 
-def _inversion(alphabet: Alphabet, i: int) -> GroupMap:
-    images = [letter(alphabet, k) for k in range(alphabet.rank)]
-    images[i] = images[i].inverse()
-    return GroupMap(alphabet, alphabet, tuple(images))
+# --- inversion by a weighted fold -------------------------------------------
+
+def _inverse_letters(w: Sequence[int]) -> List[int]:
+    return [-x for x in reversed(w)]
 
 
-def _signed_perm_inverse(alphabet: Alphabet, tup) -> GroupMap:
-    # tup[i] = single signed letter: x_i -> that letter; invert the permutation
-    images = [None] * alphabet.rank
-    for i, (x,) in enumerate(tup):
-        images[abs(x) - 1] = letter(alphabet, i, 1 if x > 0 else -1)
-    return GroupMap(alphabet, alphabet, tuple(images))
+def _fold_inverse(f: GroupMap) -> Optional[List[List[int]]]:
+    """Letters of f^-1(x_i) for every i, or None when f is not onto.
+
+    Folds the wedge of image loops at base 0 with edges that carry a weight
+    in F(Y) besides their letter, y_i naming the domain's letter i.  The
+    first edge of loop i carries y_i and the others the empty word, so every
+    closed path at the base reads some u in F(X) and some g in F(Y) with
+    f(g) = u.  Merging vertex v into c re-gauges v by a word h: edges into v
+    gain h on the right, edges out of v gain h^-1 on the left, and every
+    path keeps its readings.  The union-find keeps h on the parent link; the
+    base is never re-gauged.  f is onto iff the fold ends as the one-vertex
+    full rose, and then the loop x_i reads f^-1(x_i) (Stallings 1983;
+    Kapovich and Myasnikov 2002).
+    """
+    parent = [0]
+    gauge: List[List[int]] = [[]]
+    stack = []
+    for i, w in enumerate(f.images):
+        ls = w.letters
+        prev = 0
+        for k, s in enumerate(ls):
+            nxt = 0 if k == len(ls) - 1 else len(parent)
+            if nxt:
+                parent.append(nxt)
+                gauge.append([])
+            y = [i + 1] if k == 0 else []
+            stack.append((prev, s, nxt, y))
+            stack.append((nxt, -s, prev, _inverse_letters(y)))
+            prev = nxt
+    adj: List[Dict[int, Tuple[int, List[int]]]] = [{} for _ in parent]
+
+    def root(v):
+        """(r, h): an edge into v with weight w enters r with weight w h."""
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        h: List[int] = []
+        for x in reversed(path):  # nearest the root first
+            h = concat(gauge[x], h)
+            parent[x], gauge[x] = v, h
+        return v, h
+
+    merges = 0
+    while stack:
+        u, s, v, w = stack.pop()
+        u, hu = root(u)
+        v, hv = root(v)
+        w = concat(concat(_inverse_letters(hu), w), hv)
+        cur = adj[u].get(s)
+        if cur is None:
+            adj[u][s] = (v, w)
+            continue
+        c, hc = root(cur[0])
+        wc = concat(cur[1], hc)
+        adj[u][s] = (c, wc)
+        if c == v:
+            # the weights agree unless f has a kernel, and then f is not onto
+            continue
+        if v == 0:
+            c, v, wc, w = v, c, w, wc
+        # v joins c, re-gauged so that the edge u -> v reads wc too
+        parent[v], gauge[v] = c, concat(_inverse_letters(w), wc)
+        merges += 1
+        moved, adj[v] = adj[v], {}
+        for sl, (t, wt) in moved.items():
+            stack.append((v, sl, t, wt))
+    n = f.domain.rank
+    if merges != len(parent) - 1 or len(adj[0]) != 2 * n:
+        return None
+    out = []
+    for i in range(1, n + 1):
+        t, w = adj[0][i]
+        out.append(concat(w, root(t)[1]))
+    return out
 
 
 def invert_automorphism(f: GroupMap) -> GroupMap:
     """Inverse of f, certifying f as an automorphism.
 
-    A map that carries its inverse returns it at once.  Otherwise
-    surjectivity is certified first by folding the wedge of image words
-    (Hopficity: a surjective endomorphism of F_n is an automorphism); the
-    inverse is then found by Nielsen-reducing the image tuple while recording
-    each elementary move.  Equal-length moves are explored breadth-first so
-    length plateaus cannot stall the descent; the search raises
-    NielsenSearchFailed past its budget.
+    A map that carries its inverse returns it at once.  Otherwise one
+    weighted fold of the image words both decides surjectivity (Hopficity:
+    a surjective endomorphism of F_n is an automorphism) and reads off the
+    inverse images; it raises NotSurjective when the images generate a
+    proper subgroup.
     """
     assert f.domain == f.codomain, "inversion requires an endomorphism"
-    if f.inverse_hint is not None:
+    if f.inverse_images is not None:
         return f.inverse_hint
-    from freefactor import stallings  # deferred: stallings depends on words
-
-    alphabet = f.domain
-    n = alphabet.rank
-    graph = stallings.from_generators(alphabet, list(f.images))
-    if not stallings.is_full_rose(graph):
+    letters = _fold_inverse(f)
+    if letters is None:
         raise NotSurjective(f"images of {f!r} generate a proper subgroup")
-
-    start = tuple(w.letters for w in f.images)
-    frontier = {start: ()}  # tuple-of-letter-tuples -> recorded move keys
-    seen = {start}
-    explored = 0
-
-    def moves_of(state):
-        for i in range(n):
-            ui = state[i]
-            for j in range(n):
-                if i == j:
-                    continue
-                uj = state[j]
-                for s in (1, -1):
-                    w = tuple(uj) if s == 1 else tuple(-y for y in reversed(uj))
-                    yield (i, j, s, "right"), tuple(concat(ui, w))
-                    yield (i, j, s, "left"), tuple(concat(w, ui))
-        for i in range(n):
-            yield (i, None, None, "inv"), tuple(-y for y in reversed(state[i]))
-
-    while True:
-        # look for a basis state in the frontier
-        done = None
-        for state in frontier:
-            if all(len(u) == 1 for u in state) and len({abs(u[0]) for u in state}) == n:
-                done = state
-                break
-        if done is not None:
-            moves = frontier[done]
-            break
-        # expand: jump on any strict decrease, else widen the plateau
-        nxt_better = None
-        plateau = {}
-        for state, path in frontier.items():
-            for key, new_u in moves_of(state):
-                i = key[0]
-                if key[3] == "inv":
-                    new_state = state[:i] + (new_u,) + state[i + 1 :]
-                    if new_state not in seen:
-                        plateau[new_state] = path + (key,)
-                else:
-                    if len(new_u) < len(state[i]):
-                        new_state = state[:i] + (new_u,) + state[i + 1 :]
-                        nxt_better = (new_state, path + (key,))
-                        break
-                    if len(new_u) == len(state[i]):
-                        new_state = state[:i] + (new_u,) + state[i + 1 :]
-                        if new_state not in seen:
-                            plateau[new_state] = path + (key,)
-                explored += 1
-            if nxt_better:
-                break
-        if nxt_better:
-            frontier = {nxt_better[0]: nxt_better[1]}
-            seen = {nxt_better[0]}
-            continue
-        if not plateau:
-            # exhausted plateau with no descent: contradicts the fold certificate
-            raise NielsenSearchFailed("Nielsen descent stalled on a certified automorphism")
-        if explored >= _NIELSEN_BUDGET:
-            raise NielsenSearchFailed("Nielsen reduction budget exceeded")
-        seen.update(plateau)
-        frontier = plateau
-
-    # f o rho_1 o ... o rho_k = sigma  =>  f^-1 = rho_1 o ... o rho_k o sigma^-1;
-    # the moves stay unlinked: sigma^-1 carries no inverse, so any composed
-    # inverses would be dropped
-    inv = identity_map(alphabet)
-    for i, j, s, side in moves:
-        rho = _inversion(alphabet, i) if side == "inv" else _elementary(alphabet, i, j, s, side)
-        inv = compose_map(inv, rho)
-    inv = compose_map(inv, _signed_perm_inverse(alphabet, done))
+    object.__setattr__(f, "inverse_images", tuple([Word(f.domain, tuple(ls)) for ls in letters]))
+    inv = f.inverse_hint
     assert compose_map(f, inv).is_identity() and compose_map(inv, f).is_identity()
-    _link_inverses(f, inv)
     return inv
 
 
 def verify_automorphism(f: GroupMap) -> GroupMap:
-    """Return f once it carries its inverse, running the Nielsen search only
-    when it does not; raises NotSurjective when f is not an automorphism."""
+    """Return f once it carries its inverse, folding its images only when it
+    does not; raises NotSurjective when f is not an automorphism."""
     invert_automorphism(f)
     return f
 

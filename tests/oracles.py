@@ -6,6 +6,7 @@ the library must agree with these, not the other way around.
 """
 
 from collections import deque
+from itertools import product
 from math import gcd
 
 
@@ -336,3 +337,119 @@ def loop_word_projection(paths):
             p, q = det * (m11 * pt - m01 * qt), det * (-m10 * pt + m00 * qt)
             out.add((p, q) if (p or q) > 0 else (-p, -q))
     return frozenset(out)
+
+
+# --- automorphism inversion by Nielsen search -------------------------------
+
+def _cat(a, b):
+    """Concatenate two reduced words, cancelling at the seam."""
+    i, j = len(a), 0
+    while i > 0 and j < len(b) and a[i - 1] == -b[j]:
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
+
+
+def _inv(w):
+    return tuple(-x for x in reversed(w))
+
+
+def _compose(f, g):
+    """(f o g)(x_i) = f(g(x_i)) for maps given as tuples of image words."""
+    out = []
+    for w in g:
+        img = ()
+        for s in w:
+            img = _cat(img, f[s - 1] if s > 0 else _inv(f[-s - 1]))
+        out.append(img)
+    return tuple(out)
+
+
+def is_onto(n, images):
+    """Whether the images generate F_n: their folded core is the full rose."""
+    vertices, edges = naive_core(images)
+    return len(vertices) == 1 and len(edges) == n
+
+
+def nielsen_inverse(n, images, budget=200_000):
+    """Images of f^-1 for f: x_i -> images[i], or None when f is not onto.
+
+    Nielsen-reduces the image tuple while recording each elementary move.
+    Equal-length moves are explored breadth-first, so length plateaus cannot
+    stall the descent; raises RuntimeError past ``budget`` moves.
+    """
+    images = tuple(naive_reduce(w) for w in images)
+    if not is_onto(n, images):
+        return None
+
+    def moves_of(state):
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    for s in (1, -1):
+                        w = state[j] if s == 1 else _inv(state[j])
+                        yield (i, j, s, "right"), _cat(state[i], w)
+                        yield (i, j, s, "left"), _cat(w, state[i])
+        for i in range(n):
+            yield (i, None, None, "inv"), _inv(state[i])
+
+    frontier = {images: ()}  # state -> recorded moves
+    seen = {images}
+    explored = 0
+    while True:
+        done = next((state for state in frontier
+                     if all(len(u) == 1 for u in state) and len({abs(u[0]) for u in state}) == n), None)
+        if done is not None:
+            break
+        better = None
+        plateau = {}
+        for state, path in frontier.items():
+            for key, new_u in moves_of(state):
+                i = key[0]
+                new_state = state[:i] + (new_u,) + state[i + 1:]
+                if key[3] != "inv" and len(new_u) < len(state[i]):
+                    better = (new_state, path + (key,))
+                    break
+                if (key[3] == "inv" or len(new_u) == len(state[i])) and new_state not in seen:
+                    plateau[new_state] = path + (key,)
+                explored += key[3] != "inv"
+            if better:
+                break
+        if better:
+            frontier = {better[0]: better[1]}
+            seen = {better[0]}
+            continue
+        if not plateau:
+            raise RuntimeError("Nielsen descent stalled on an automorphism")
+        if explored >= budget:
+            raise RuntimeError("Nielsen reduction budget exceeded")
+        seen.update(plateau)
+        frontier = plateau
+
+    # f o rho_1 o ... o rho_k = sigma, so f^-1 = rho_1 o ... o rho_k o sigma^-1
+    identity = tuple((k + 1,) for k in range(n))
+    inverse = identity
+    for i, j, s, side in frontier[done]:
+        rho = list(identity)
+        if side == "inv":
+            rho[i] = (-(i + 1),)
+        else:
+            rho[i] = (i + 1, s * (j + 1)) if side == "right" else (s * (j + 1), i + 1)
+        inverse = _compose(inverse, tuple(rho))
+    sigma_inverse = [None] * n
+    for i, (x,) in enumerate(done):
+        sigma_inverse[abs(x) - 1] = (i + 1,) if x > 0 else (-(i + 1),)
+    return _compose(inverse, tuple(sigma_inverse))
+
+
+# --- coset representatives --------------------------------------------------
+
+def short_words(n, max_len):
+    """Every reduced word of length <= max_len over n letters, by length,
+    then by the letter order a, a^-1, b, b^-1, ... position by position."""
+    letters = [s for i in range(1, n + 1) for s in (i, -i)]
+    out = [()]
+    for length in range(1, max_len + 1):
+        out.extend(w for w in product(letters, repeat=length)
+                   if all(a != -b for a, b in zip(w, w[1:])))
+    return out

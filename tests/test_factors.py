@@ -10,10 +10,11 @@ from freefactor.words import (
     abc_alphabet,
     group_map,
     reduce_raw,
+    std_alphabet,
     verify_automorphism,
     word_from_str,
 )
-from oracles import naive_core, trial_fold_is_free_factor, whitehead_image, whitehead_moves
+from oracles import naive_core, short_words, trial_fold_is_free_factor, whitehead_image, whitehead_moves
 
 A3 = abc_alphabet(3)
 A4 = abc_alphabet(4)
@@ -278,3 +279,10 @@ class TestWhiteheadOracle:
         f = verify_automorphism(group_map(A4, A4, [w4("a b c"), w4("b c"), w4("c d"), w4("d")]))
         H = stallings.from_generators(A4, [f(w4("a b a^-1 d")), f(w4("c c d"))])
         assert fa.is_free_factor(H) == trial_fold_is_free_factor(4, [w.letters for w in H.basis()])
+
+
+class TestShortWords:
+    def test_lazy_words_keep_the_eager_order(self):
+        words = list(fa._short_words(std_alphabet(5), fa.DOUBLE_COSET_SEARCH_LENGTH))
+        assert len(words) == 911 and words[0].is_identity()
+        assert [w.letters for w in words] == short_words(5, 3)

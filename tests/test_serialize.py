@@ -1,10 +1,13 @@
+import gc
+import itertools
 import json
+import random
 
 import pytest
 
-from freefactor import projections as pj, serialize as se
+from freefactor import experiments as ex, factors as fa, projections as pj, serialize as se, systems as sy
 from freefactor.errors import SchemaError
-from freefactor.words import abc_alphabet, word_from_str
+from freefactor.words import abc_alphabet, compose_map, identity_map, invert_automorphism, word_from_str
 
 
 class TestGraphRoundTrip:
@@ -112,3 +115,51 @@ class TestFixtures:
     def test_unknown_fixture(self):
         with pytest.raises(SchemaError):
             se.load_fixture("does-not-exist")
+
+
+def conjugated_path_subsystem(seed):
+    """JSON of pentagon-f5 conjugated by three random transvections, cut down
+    to its first three factors whose coincidence graph is a path."""
+    base = se.load_fixture("pentagon-f5")
+    coll = base.collection
+    ambient = coll.factors[0].ambient
+    rng = random.Random(seed)
+    f = identity_map(ambient)
+    for _ in range(3):
+        f = compose_map(rng.choice(ex.nielsen_generators(ambient)), f)
+    f_inv = invert_automorphism(f)
+    conj = sy.AdmissibleSystem(
+        sy.AdmissibleCollection(
+            coll.names, tuple(fa.transport(f, A) for A in coll.factors), coll.gamma,
+            coll.classifications,
+        ),
+        tuple(compose_map(compose_map(f, g), f_inv) for g in base.maps),
+        base.power, base.restriction_hyperbolic,
+    )
+    keep = next(t for t in itertools.combinations(coll.names, 3)
+                if sum(coll.gamma.adjacent(a, b) for a, b in itertools.combinations(t, 2)) == 2)
+    obj = se.system_to_json(conj)
+    obj["gamma"]["vertices"] = list(keep)
+    obj["gamma"]["edges"] = [e for e in obj["gamma"]["edges"] if set(e) <= set(keep)]
+    obj["factors"] = [x for x in obj["factors"] if x["name"] in keep]
+    obj["generators"] = [x for x in obj["generators"] if x["name"] in keep]
+    return obj
+
+
+class TestGarbage:
+    def test_verified_load_leaves_no_cycles(self):
+        # maps hold their inverses' images, not a back-pointer, so reference
+        # counting frees everything a verified load builds
+        obj = conjugated_path_subsystem(3)
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            se.system_from_json(obj, verify=True)
+            unreachable = gc.collect()
+            kinds = sorted({type(o).__name__ for o in gc.garbage})
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert unreachable == 0, kinds

@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from freefactor import stallings as st
 from freefactor.errors import TrivialSubgroup
-from freefactor.words import abc_alphabet, identity, reduce_raw, word_from_str, word_to_str
+from freefactor.words import abc_alphabet, identity, reduce_raw, std_alphabet, word_from_str, word_to_str
 from oracles import subgroup_ball
 
 A3 = abc_alphabet(3)
@@ -154,6 +155,26 @@ class TestPullback:
             # expanding the A-basis expressions recovers subgroup elements of A
             for expr in c.gens_in_A:
                 assert A.contains(st.expand_basis_word(A, expr))
+
+    def test_gens_in_A_unchanged_by_the_shared_index(self):
+        # the digest was taken when every generator rebuilt A's basis index
+        rng = random.Random(43)
+        lines = []
+        for rank in (2, 3, 4):
+            alphabet = std_alphabet(rank)
+            for _ in range(30):
+                A, B = (st.from_generators(alphabet, [
+                    reduce_raw(alphabet, [rng.choice((1, -1)) * rng.randrange(1, rank + 1)
+                                          for _ in range(rng.randrange(1, 6))])
+                    for _ in range(rng.randrange(1, 4))]) for _ in range(2))
+                for c in st.pullback_components(A, B):
+                    for expr in c.gens_in_A:
+                        assert st.membership_rewrite(A, st.expand_basis_word(A, expr)) == expr
+                    lines.append(" | ".join(str(e) for e in c.gens_in_A))
+        assert len(lines) == 39
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "620f958ed8fa3c7e690ad58d171b72e958e14fa64f232cfb8d4f49c9653a485d"
+        )
 
 
 class TestComponents:

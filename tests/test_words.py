@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freefactor import experiments as ex, words
-from freefactor.errors import NielsenSearchFailed, NotSurjective, UnknownLetter
-from freefactor.stallings import from_generators, is_full_rose
+from freefactor.errors import NotSurjective, UnknownLetter
 from freefactor.words import (
     abc_alphabet,
     compose_map,
@@ -24,7 +23,7 @@ from freefactor.words import (
     word_from_str,
     word_to_str,
 )
-from oracles import naive_reduce
+from oracles import is_onto, naive_reduce, nielsen_inverse
 
 A3 = abc_alphabet(3)
 
@@ -132,30 +131,64 @@ class TestInvert:
             assert compose_map(finv, f).is_identity()
 
 
-# descends to a length plateau, where the search checks its budget
+# descends to a length plateau, which the Nielsen search widens breadth-first
 PLATEAU_IMAGES = ("b a^-1 b^-1", "c b^-1", "c a^-1 a^-1")
 
 
-class TestNielsenBudget:
-    def test_budget_raises_typed_error(self, monkeypatch):
-        monkeypatch.setattr(words, "_NIELSEN_BUDGET", 1)
-        f = group_map(A3, A3, [word_from_str(A3, s) for s in PLATEAU_IMAGES])
-        with pytest.raises(NielsenSearchFailed):
-            invert_automorphism(f)
+def _letters(f):
+    return tuple(w.letters for w in f.images)
 
-    def test_budget_survives_optimize(self, run_optimized):
+
+class TestFoldInverse:
+    """One weighted fold inverts what the Nielsen search of the oracles does."""
+
+    def test_plateau_map_inverts(self):
+        f = group_map(A3, A3, [word_from_str(A3, s) for s in PLATEAU_IMAGES])
+        finv = invert_automorphism(f)
+        assert _letters(finv) == nielsen_inverse(3, _letters(f))
+        assert compose_map(f, finv).is_identity() and compose_map(finv, f).is_identity()
+
+    def test_transvection_products_match_search(self):
+        rng = random.Random(37)
+        for rank in range(2, 6):
+            alphabet = std_alphabet(rank)
+            for _ in range(15):
+                f = ex.random_automorphism(rng, alphabet, 6)
+                fresh = group_map(alphabet, alphabet, f.images)
+                assert _letters(invert_automorphism(fresh)) == nielsen_inverse(rank, _letters(f))
+                assert fresh.inverse_images == f.inverse_images
+
+    def test_not_surjective_agrees_with_search(self):
+        rng = random.Random(41)
+        onto = 0
+        for rank in range(2, 6):
+            alphabet = std_alphabet(rank)
+            for _ in range(40):
+                images = [rand_word(rng, alphabet, rng.randrange(0, 4)) for _ in range(rank)]
+                f = group_map(alphabet, alphabet, images)
+                expected = nielsen_inverse(rank, _letters(f))
+                if expected is None:
+                    with pytest.raises(NotSurjective):
+                        invert_automorphism(f)
+                else:
+                    assert _letters(invert_automorphism(f)) == expected
+                    onto += 1
+        assert 0 < onto < 160
+
+    def test_not_surjective_survives_optimize(self, run_optimized):
+        # a b twice: the fold meets two weights on one edge, a kernel element
         out = run_optimized(
             "from freefactor import words as W\n"
-            "from freefactor.errors import NielsenSearchFailed\n"
-            "W._NIELSEN_BUDGET = 1\n"
+            "from freefactor.errors import NotSurjective\n"
             "A = W.abc_alphabet(3)\n"
-            f"f = W.group_map(A, A, [W.word_from_str(A, s) for s in {PLATEAU_IMAGES!r}])\n"
-            "try:\n"
-            "    W.invert_automorphism(f)\n"
-            "except NielsenSearchFailed:\n"
-            "    print('refused')\n"
+            f"for images in ({PLATEAU_IMAGES!r}, ('a b', 'a b', 'c'), ('a a', 'b', 'c')):\n"
+            "    f = W.group_map(A, A, [W.word_from_str(A, s) for s in images])\n"
+            "    try:\n"
+            "        print(W.compose_map(f, W.invert_automorphism(f)).is_identity())\n"
+            "    except NotSurjective:\n"
+            "        print('refused')\n"
         )
-        assert out == "refused\n"
+        assert out == "True\nrefused\nrefused\n"
 
 
 def _linked_product(rng, alphabet):
@@ -176,7 +209,7 @@ def _linked_product(rng, alphabet):
 
 
 class TestInversesByConstruction:
-    """The linked inverse must match the Nielsen search it replaces."""
+    """The inverse a map is built with must match the fold it replaces."""
 
     def test_linked_inverse_matches_search(self):
         rng = random.Random(17)
@@ -185,17 +218,17 @@ class TestInversesByConstruction:
             for _ in range(8):
                 f = _linked_product(rng, alphabet)
                 assert f.inverse_hint is not None
-                searched = invert_automorphism(group_map(alphabet, alphabet, f.images))
-                assert f.inverse_hint.images == searched.images
+                folded = invert_automorphism(group_map(alphabet, alphabet, f.images))
+                assert f.inverse_hint.images == folded.images
                 assert compose_map(f, f.inverse_hint).is_identity()
                 assert compose_map(f.inverse_hint, f).is_identity()
 
     def test_library_maps_skip_the_search(self, monkeypatch):
-        def no_search(f):
-            assert f.inverse_hint is not None, "Nielsen search started"
+        def no_fold(f):
+            assert f.inverse_hint is not None, "inversion fold started"
             return f.inverse_hint
 
-        monkeypatch.setattr(words, "invert_automorphism", no_search)
+        monkeypatch.setattr(words, "invert_automorphism", no_fold)
         rng = random.Random(23)
         alphabet = std_alphabet(4)
         f = ex.random_automorphism(rng, alphabet, 6)
@@ -209,7 +242,7 @@ class TestInversesByConstruction:
             alphabet = std_alphabet(rank)
             for _ in range(5):
                 T = ex.random_tree(rng, alphabet, 8)
-                assert is_full_rose(from_generators(T.alphabet, T.marking_words()))
+                assert is_onto(rank, [w.letters for w in T.marking_words()])
 
 
 class TestIsInner:
