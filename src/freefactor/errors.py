@@ -9,6 +9,14 @@ class UnknownLetter(FreefactorError):
     pass
 
 
+class MalformedWord(FreefactorError):
+    """A word token is not ``name`` or ``name^exp`` with an integer exponent."""
+
+
+class InvalidGraph(FreefactorError):
+    """A defining graph repeats a vertex, has a loop, or an edge off its vertices."""
+
+
 class NotSurjective(FreefactorError):
     """Folded image graph is not the full rose; by Hopficity, not an automorphism."""
 
@@ -34,7 +42,7 @@ class AmbientTooLarge(FreefactorError):
 
 
 class TooLong(FreefactorError):
-    """Syllable length exceeds the desk-scale bound."""
+    """Syllable length exceeds the desk-scale bound of ``raag.min_set``."""
 
 
 class TooLarge(FreefactorError):
@@ -42,7 +50,7 @@ class TooLarge(FreefactorError):
 
 
 class OrbitBudgetExceeded(FreefactorError):
-    """Move-(3) orbit enumeration exceeded its explicit budget."""
+    """``raag.min_set`` found more members of Min(g) than its explicit budget."""
 
 
 class NonPrimitiveImage(FreefactorError):

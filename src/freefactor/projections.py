@@ -95,7 +95,8 @@ class MarkedGraph:
             adj[u].append(((idx, 1), v))
             adj[v].append(((idx, -1), u))
         order, parent = stallings.bfs_tree(self.base, lambda v: sorted(adj[v]))
-        assert len(order) == self.num_vertices, "marked graph must be connected"
+        if len(order) != self.num_vertices:
+            raise InvalidMarking("marked graph must be connected")
         return parent
 
     def _tree_path_edges(self, v: int, parent) -> List[int]:

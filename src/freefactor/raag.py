@@ -5,14 +5,21 @@ uses three moves: (1) drop a trivial syllable, (2) merge adjacent syllables of
 the same generator, (3) swap adjacent syllables of commuting generators.  A
 word is syllable-minimal iff no shuffle (move-3 sequence) enables (1) or (2);
 the minimal forms of g constitute Min(g), a single move-(3) orbit.
+
+A minimal word fixes a dependence order on its syllables: two depend on each
+other when they share a generator or their generators do not commute.  Min(g)
+is exactly the set of linear extensions of that order (Green's normal form
+theorem; Hermiller-Meier, J. Algebra 1995), so the normal form, the syllable
+order and Min(g) are all read off one order instead of an orbit enumeration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from freefactor.errors import OrbitBudgetExceeded, TooLarge, TooLong, UnknownLetter
+from freefactor.errors import InvalidGraph, OrbitBudgetExceeded, TooLarge, TooLong, UnknownLetter
+from freefactor.words import parse_power
 
 ORBIT_BUDGET = 10 ** 6
 MAX_SYLLABLES = 12
@@ -27,25 +34,19 @@ class SimplicialGraph:
     edges: FrozenSet[Tuple[str, str]]
 
     def __post_init__(self):
-        assert len(set(self.vertices)) == len(self.vertices)
+        if len(set(self.vertices)) != len(self.vertices):
+            raise InvalidGraph(f"duplicate vertex in {self.vertices}")
         norm = set()
         for a, b in self.edges:
-            assert a != b, "no loops"
-            assert a in self.vertices and b in self.vertices
+            if a == b:
+                raise InvalidGraph(f"loop at {a!r}")
+            if a not in self.vertices or b not in self.vertices:
+                raise InvalidGraph(f"edge {(a, b)} has an endpoint outside {self.vertices}")
             norm.add(tuple(sorted((a, b))))
         object.__setattr__(self, "edges", frozenset(norm))
 
     def adjacent(self, a: str, b: str) -> bool:
         return tuple(sorted((a, b))) in self.edges
-
-    def complement(self) -> "SimplicialGraph":
-        comp = {
-            (a, b)
-            for i, a in enumerate(self.vertices)
-            for b in self.vertices[i + 1 :]
-            if not self.adjacent(a, b)
-        }
-        return SimplicialGraph(self.vertices, frozenset(comp))
 
 
 def simplicial_graph(vertices: Sequence[str], edges: Sequence[Tuple[str, str]]) -> SimplicialGraph:
@@ -95,71 +96,75 @@ def raag_word(graph: SimplicialGraph, pairs: Sequence[Tuple[str, int]]) -> RaagW
 
 
 def raag_word_from_str(graph: SimplicialGraph, s: str) -> RaagWord:
-    pairs = []
-    for tok in s.split():
-        if "^" in tok:
-            name, exp = tok.split("^", 1)
-            pairs.append((name, int(exp)))
+    return raag_word(graph, [parse_power(tok) for tok in s.split()])
+
+
+def _dependence(graph: SimplicialGraph, pairs: Sequence[Tuple[str, int]]):
+    """Reduce (gen, exp) syllables and return them with their dependence order.
+
+    One left-to-right pass: each new syllable scans back past the syllables
+    it commutes with.  If the scan stops at one of its own generator, the two
+    merge (both vanish when the exponents cancel); otherwise the new syllable
+    is appended.  ``deps[j]`` is the bitmask of the earlier syllables that j
+    depends on: those with its generator or a generator it does not commute
+    with.
+    """
+    out: List[Tuple[str, int]] = []
+    for gen, exp in pairs:
+        i = len(out) - 1
+        while i >= 0 and out[i][0] != gen and graph.adjacent(out[i][0], gen):
+            i -= 1
+        if i < 0 or out[i][0] != gen:
+            out.append((gen, exp))
+        elif out[i][1] + exp:
+            out[i] = (gen, out[i][1] + exp)
         else:
-            pairs.append((tok, 1))
-    return raag_word(graph, pairs)
-
-
-def _shuffle_orbit(graph: SimplicialGraph, sylls: Tuple[Syllable, ...], budget: int = ORBIT_BUDGET):
-    """Move-(3) orbit of a syllable sequence (states keyed by sid sequence)."""
-    start = sylls
-    seen: Dict[Tuple[int, ...], Tuple[Syllable, ...]] = {tuple(s.sid for s in start): start}
-    queue = [start]
-    while queue:
-        cur = queue.pop()
-        for i in range(len(cur) - 1):
-            a, b = cur[i], cur[i + 1]
-            if a.gen != b.gen and graph.adjacent(a.gen, b.gen):
-                nxt = cur[:i] + (b, a) + cur[i + 2 :]
-                k = tuple(s.sid for s in nxt)
-                if k not in seen:
-                    if len(seen) >= budget:
-                        raise OrbitBudgetExceeded(f"move-(3) orbit exceeds {budget} words")
-                    seen[k] = nxt
-                    queue.append(nxt)
-    return list(seen.values())
-
-
-def _one_reduction(graph: SimplicialGraph, sylls: Tuple[Syllable, ...]):
-    """A strictly shorter equivalent word found via the shuffle orbit, or None."""
-    for member in _shuffle_orbit(graph, sylls):
-        for i in range(len(member) - 1):
-            a, b = member[i], member[i + 1]
-            if a.gen == b.gen:
-                e = a.exp + b.exp
-                merged = () if e == 0 else (Syllable(a.gen, e, min(a.sid, b.sid)),)
-                return member[:i] + merged + member[i + 2 :]
-    return None
+            del out[i]
+    deps = [
+        sum(1 << i for i, (gi, _) in enumerate(out[:j]) if gi == gj or not graph.adjacent(gi, gj))
+        for j, (gj, _) in enumerate(out)
+    ]
+    return out, deps
 
 
 def normalize(graph: SimplicialGraph, w: RaagWord) -> RaagWord:
-    """Canonical member of Min(g): lexicographically least minimal form."""
-    sylls = w.syllables
-    while True:
-        shorter = _one_reduction(graph, sylls)
-        if shorter is None:
-            break
-        sylls = shorter
-    vorder = {v: i for i, v in enumerate(sorted(graph.vertices))}
-    best = min(
-        _shuffle_orbit(graph, sylls),
-        key=lambda m: tuple((vorder[s.gen], s.exp) for s in m),
-    )
-    relabeled = tuple(Syllable(s.gen, s.exp, i) for i, s in enumerate(best))
-    return RaagWord(graph, relabeled)
+    """Canonical member of Min(g): its least linear extension, comparing
+    syllables by (vertex rank, exponent).  Two minimal syllables never share
+    a generator, so the greedy choice never ties."""
+    sylls, deps = _dependence(graph, w.key())
+    rank = {v: i for i, v in enumerate(sorted(graph.vertices))}
+    placed, order = 0, []
+    while len(order) < len(sylls):
+        k = min(
+            (i for i, d in enumerate(deps) if not placed >> i & 1 and not d & ~placed),
+            key=lambda i: (rank[sylls[i][0]], sylls[i][1]),
+        )
+        placed |= 1 << k
+        order.append(k)
+    return RaagWord(graph, tuple(Syllable(*sylls[k], sid) for sid, k in enumerate(order)))
 
 
 def min_set(graph: SimplicialGraph, g: RaagWord) -> List[RaagWord]:
-    """Complete Min(g) as the move-(3) orbit of the normalized form."""
+    """Complete Min(g): the linear extensions of the dependence order of the
+    normalized form, listed depth first."""
     if len(g) > MAX_SYLLABLES:
         raise TooLong(f"syllable length {len(g)} exceeds {MAX_SYLLABLES}")
     norm = normalize(graph, g)
-    return [RaagWord(graph, m) for m in _shuffle_orbit(graph, norm.syllables)]
+    _, deps = _dependence(graph, norm.key())
+    members: List[RaagWord] = []
+
+    def extend(placed: int, prefix: List[Syllable]):
+        if len(prefix) == len(deps):
+            if len(members) >= ORBIT_BUDGET:
+                raise OrbitBudgetExceeded(f"move-(3) orbit exceeds {ORBIT_BUDGET} words")
+            members.append(RaagWord(graph, tuple(prefix)))
+            return
+        for i, d in enumerate(deps):
+            if not placed >> i & 1 and not d & ~placed:
+                extend(placed | 1 << i, prefix + [norm.syllables[i]])
+
+    extend(0, [])
+    return members
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,8 @@ class SyllableOrder:
 
     ``precedes`` holds (i, j) iff syllable i comes before j in every member of
     Min(g); ``precedes_adjacent`` additionally requires adjacency in some
-    member.  The transitive closure of the latter equals the former.
+    member, so it holds the covering pairs.  The transitive closure of the
+    latter equals the former.
     """
 
     sids: Tuple[int, ...]
@@ -193,28 +199,20 @@ class SyllableOrder:
 
 
 def syllable_order(graph: SimplicialGraph, g: RaagWord) -> SyllableOrder:
-    members = min_set(graph, g)
-    if not members:
-        return SyllableOrder((), frozenset(), frozenset())
-    sids = tuple(s.sid for s in sorted(members[0].syllables, key=lambda s: s.sid))
-    always_before: Dict[Tuple[int, int], bool] = {
-        (i, j): True for i in sids for j in sids if i != j
-    }
-    adjacent_somewhere: Set[Tuple[int, int]] = set()
-    for m in members:
-        pos = {s.sid: k for k, s in enumerate(m.syllables)}
-        for i in sids:
-            for j in sids:
-                if i != j and pos[i] > pos[j]:
-                    always_before[(i, j)] = False
-        for k in range(len(m.syllables) - 1):
-            adjacent_somewhere.add((m.syllables[k].sid, m.syllables[k + 1].sid))
-    precedes = frozenset(p for p, ok in always_before.items() if ok)
-    padj = frozenset(p for p in precedes if p in adjacent_somewhere)
-    order = SyllableOrder(sids, precedes, padj)
-    # strictness: acyclic by construction (a cycle would force both orders)
-    assert not any((j, i) in precedes for i, j in precedes)
-    return order
+    """The transitive closure of the dependence order of the normalized form
+    and its covering pairs; sids are positions in the normalized form."""
+    _, deps = _dependence(graph, normalize(graph, g).key())
+    below: List[int] = []  # below[j]: bitmask of the syllables before j in every member
+    precedes, covers = set(), set()
+    for j, d in enumerate(deps):
+        between = 0  # the syllables below those that j depends on
+        for i in range(j):
+            if d >> i & 1:
+                between |= below[i]
+        below.append(d | between)
+        precedes.update((i, j) for i in range(j) if below[j] >> i & 1)
+        covers.update((i, j) for i in range(j) if (d & ~between) >> i & 1)
+    return SyllableOrder(tuple(range(len(deps))), frozenset(precedes), frozenset(covers))
 
 
 def clique_number(graph: SimplicialGraph) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from freefactor._kernel import concat, reduce_word
-from freefactor.errors import NotSurjective, UnknownLetter
+from freefactor.errors import MalformedWord, NotSurjective, UnknownLetter
 
 
 @dataclass(frozen=True)
@@ -142,14 +142,19 @@ def word_to_str(w: Word) -> str:
     return " ".join(toks)
 
 
+def parse_power(tok: str) -> Tuple[str, int]:
+    """A token ``name`` or ``name^exp`` as (name, exp)."""
+    name, caret, exp = tok.partition("^")
+    try:
+        return name, int(exp) if caret else 1
+    except ValueError:
+        raise MalformedWord(f"bad exponent in {tok!r}") from None
+
+
 def word_from_str(alphabet: Alphabet, s: str) -> Word:
     raw = []
     for tok in s.split():
-        if "^" in tok:
-            name, exp = tok.split("^", 1)
-            e = int(exp)
-        else:
-            name, e = tok, 1
+        name, e = parse_power(tok)
         idx = alphabet.index(name) + 1
         raw.extend([idx if e > 0 else -idx] * abs(e))
     return reduce_raw(alphabet, raw)

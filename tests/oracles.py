@@ -150,6 +150,34 @@ def raag_canonical(adjacency, word, vertex_order):
     return min(raag_min_forms(adjacency, word), key=lambda w: tuple((rank[g], e) for g, e in w))
 
 
+def raag_syllable_order(adjacency, word, vertex_order):
+    """(precedes, precedes_adjacent) on the syllables of g, read off Min(g).
+
+    Syllables of one generator never swap, so "the k-th syllable of v" names
+    the same syllable in every minimal form.  Syllables are numbered by their
+    position in the canonical form, as ``raag.syllable_order`` numbers them.
+    """
+
+    def names(w):
+        seen = {}
+        out = []
+        for g, _ in w:
+            out.append((g, seen.get(g, 0)))
+            seen[g] = seen.get(g, 0) + 1
+        return out
+
+    pos = {x: i for i, x in enumerate(names(raag_canonical(adjacency, word, vertex_order)))}
+    n = len(pos)
+    before = {(i, j) for i in range(n) for j in range(n) if i != j}
+    adjacent = set()
+    for w in raag_min_forms(adjacency, word):
+        seq = [pos[x] for x in names(w)]
+        at = {i: k for k, i in enumerate(seq)}
+        before = {(i, j) for i, j in before if at[i] < at[j]}
+        adjacent |= set(zip(seq, seq[1:]))
+    return before, before & adjacent
+
+
 # --- Whitehead descent by trial folds ---------------------------------------
 
 def naive_core(gens, keep_base=True):

@@ -107,6 +107,33 @@ class TestRefusals:
         assert r.exit_code == 0
         assert set(r.output.split()) == {"0/1", "1/0"}
 
+    def test_normal_form_duplicate_vertex(self):
+        assert "duplicate vertex" in self.refused("normal-form", "--vertices", "a,a", "a")
+
+    def test_normal_form_loop(self):
+        assert "loop" in self.refused("normal-form", "--vertices", "a,b", "--edges", "a-a", "a b")
+
+    def test_syl_order_unknown_endpoint(self):
+        err = self.refused("syl-order", "--vertices", "a,b", "--edges", "a-z", "a b")
+        assert "endpoint" in err
+
+    def test_syl_order_bad_exponent(self):
+        err = self.refused("syl-order", "--vertices", "a,b", "--edges", "a-b", "a^x b")
+        assert "bad exponent" in err
+
+    def test_fold_bad_exponent(self):
+        assert "bad exponent" in self.refused("fold", "--letters", "a,b", "a^x b, b")
+
+    def test_graph_refusal_survives_optimize(self, run_optimized):
+        out = run_optimized(
+            "from click.testing import CliRunner\n"
+            "from freefactor.cli import main\n"
+            "for edges in ('a-a', 'a-z'):\n"
+            "    r = CliRunner().invoke(main, ['normal-form', '--vertices', 'a,b', '--edges', edges, 'a'])\n"
+            "    print(r.exit_code, len(r.stderr.splitlines()), repr(r.stdout))\n"
+        )
+        assert out == "2 1 ''\n2 1 ''\n"
+
     def test_meet_refusal_survives_optimize(self, run_optimized):
         out = run_optimized(
             "from click.testing import CliRunner\n"

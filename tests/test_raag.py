@@ -4,14 +4,34 @@ import random
 import pytest
 
 from freefactor import raag
-from freefactor.errors import TooLarge, TooLong, UnknownLetter
-from oracles import raag_canonical, raag_min_forms
+from freefactor.errors import (
+    InvalidGraph,
+    MalformedWord,
+    OrbitBudgetExceeded,
+    TooLarge,
+    TooLong,
+    UnknownLetter,
+)
+from oracles import raag_canonical, raag_min_forms, raag_syllable_order
 
 PENT = raag.pentagon()
 PENT_ADJ = {frozenset(e) for e in PENT.edges}
 
 TRI = raag.simplicial_graph(["a", "b", "c"], [("a", "b")])
 TRI_ADJ = {frozenset(("a", "b"))}
+
+
+def complete(n):
+    vs = [f"u{i}" for i in range(n)]
+    return raag.simplicial_graph(vs, [(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]])
+
+
+ORACLE_GRAPHS = {
+    "path3": raag.simplicial_graph(["a", "b", "c"], [("a", "b"), ("b", "c")]),
+    "tri3": raag.simplicial_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]),
+    "k4": complete(4),
+    "pentagon": PENT,
+}
 
 
 def rw(graph, s):
@@ -35,6 +55,10 @@ class TestNormalize:
         with pytest.raises(UnknownLetter):
             rw(TRI, "z")
 
+    def test_bad_exponent(self):
+        with pytest.raises(MalformedWord, match="a\\^x"):
+            rw(TRI, "a^x")
+
     def test_idempotent_and_matches_oracle_exhaustive_small(self):
         gens = ["a", "b", "c"]
         for n in range(0, 5):
@@ -54,6 +78,46 @@ class TestNormalize:
             word = [(rng.choice(vs), rng.choice([-2, -1, 1, 2])) for _ in range(n)]
             got = raag.normalize(PENT, raag.raag_word(PENT, word))
             assert got.key() == raag_canonical(PENT_ADJ, word, vs)
+
+
+class TestDependenceOrder:
+    """normalize, min_set and syllable_order against the move-closure oracles."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_matches_oracles(self, name):
+        g = ORACLE_GRAPHS[name]
+        adj = {frozenset(e) for e in g.edges}
+        rng = random.Random(f"dependence-{name}")
+        for _ in range(150):
+            n = rng.randrange(0, 9)
+            word = [(rng.choice(g.vertices), rng.choice([-2, -1, 1, 2])) for _ in range(n)]
+            w = raag.raag_word(g, word)
+            norm = raag.normalize(g, w)
+            assert norm.key() == raag_canonical(adj, word, g.vertices)
+            assert {m.key() for m in raag.min_set(g, w)} == raag_min_forms(adj, word)
+            order = raag.syllable_order(g, w)
+            assert order.sids == tuple(s.sid for s in norm.syllables)
+            precedes, adjacent = raag_syllable_order(adj, word, g.vertices)
+            assert order.precedes == precedes
+            assert order.precedes_adjacent == adjacent
+
+    def test_clique_of_ten_needs_no_enumeration(self):
+        # Min(g) has 10! members here, far beyond ORBIT_BUDGET
+        g = complete(10)
+        w = raag.raag_word(g, [(v, 1) for v in reversed(g.vertices)])
+        assert raag.normalize(g, w).key() == tuple((v, 1) for v in sorted(g.vertices))
+        order = raag.syllable_order(g, w)
+        assert order.sids == tuple(range(10))
+        assert order.precedes == order.precedes_adjacent == frozenset()
+
+    def test_min_set_budget(self, monkeypatch):
+        g = complete(4)
+        w = raag.raag_word(g, [(v, 1) for v in g.vertices])
+        monkeypatch.setattr(raag, "ORBIT_BUDGET", 24)
+        assert len(raag.min_set(g, w)) == 24
+        monkeypatch.setattr(raag, "ORBIT_BUDGET", 23)
+        with pytest.raises(OrbitBudgetExceeded, match="exceeds 23 words"):
+            raag.min_set(g, w)
 
 
 class TestMinSet:
@@ -150,6 +214,16 @@ class TestSyllableOrder:
                     ):
                         best = max(best, r)
             assert best <= s
+
+
+class TestSimplicialGraph:
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [(["a", "a"], []), (["a", "b"], [("a", "a")]), (["a", "b"], [("a", "z")])],
+    )
+    def test_invalid_graph(self, vertices, edges):
+        with pytest.raises(InvalidGraph):
+            raag.simplicial_graph(vertices, edges)
 
 
 class TestCliqueNumber:

@@ -20,6 +20,10 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 HASH_SEEDS = ("0", "1", "2")
 PENTAGON = ["--vertices", "a,b,c,d,e", "--edges", "a-b,b-c,c-d,d-e,e-a"]
+# a triangle a-b-c with a pendant edge c-d
+TRIANGLE4 = ["--vertices", "a,b,c,d", "--edges", "a-b,b-c,a-c,c-d"]
+PENTAGON_WORD = "a^2 c b^-1 d a^-1 e^2 c^-1 b^3 d e^-1 a"
+TRIANGLE4_WORD = "a b c d a^-1 c^2 b d^-1 a"
 
 # name -> (CLI arguments, expected exit code, sha256 of stdout)
 CASES = {
@@ -27,6 +31,26 @@ CASES = {
         ["support-graph", *PENTAGON],
         0,
         "0724fde84cbf3bd038df9decada3f8ec47e4fe8d2282b82e639daff6c7e6f64a",
+    ),
+    "normal-form-pentagon": (
+        ["normal-form", *PENTAGON, PENTAGON_WORD],
+        0,
+        "91dc089ab711a6217b271dadecdb2012734019db951bf8b0daa34bc88d65fe72",
+    ),
+    "syl-order-pentagon": (
+        ["syl-order", *PENTAGON, PENTAGON_WORD],
+        0,
+        "0b1a6ebe7a59e3a6ccf530f51bc405cc33ffec89f2aab9be794d89799ddbb2cf",
+    ),
+    "normal-form-triangle4": (
+        ["normal-form", *TRIANGLE4, TRIANGLE4_WORD],
+        0,
+        "aae1a378a77929b9dd1b2d73b6a7ba08b62a72bee4bec561baf118321918c761",
+    ),
+    "syl-order-triangle4": (
+        ["syl-order", *TRIANGLE4, TRIANGLE4_WORD],
+        0,
+        "a02e16c3109dde9270182e20d4567523a65dccd1afed2947bbe377fd19b78be3",
     ),
     "fold": (
         ["fold", "--letters", "a,b,c", "a b a^-1 c, b b c^-1, c a c"],

@@ -77,6 +77,29 @@ class TestGraphRoundTrip:
         )
         assert "valence" in out
 
+    def test_disconnected_graph_refused_under_optimize(self, run_optimized):
+        # rank 1 and Betti 1, every valence 2, but two components
+        obj = {
+            "alphabet": ["a"],
+            "vertices": 2,
+            "base": 0,
+            "edges": [
+                {"from": 0, "to": 0, "label": "a"},
+                {"from": 1, "to": 1, "label": "a"},
+            ],
+        }
+        with pytest.raises(SchemaError, match="connected"):
+            se.graph_from_json(obj)
+        out = run_optimized(
+            "from freefactor import serialize as se\n"
+            "from freefactor.errors import SchemaError\n"
+            "try:\n"
+            f"    se.graph_from_json({obj!r})\n"
+            "except SchemaError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert "connected" in out
+
     def test_missing_key(self):
         with pytest.raises(SchemaError) as e:
             se.graph_from_json({"alphabet": ["a"]})

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freefactor import experiments as ex, words
-from freefactor.errors import NotSurjective, UnknownLetter
+from freefactor.errors import MalformedWord, NotSurjective, UnknownLetter
 from freefactor.words import (
     abc_alphabet,
     compose_map,
@@ -65,6 +65,11 @@ class TestReduce:
     def test_unknown_letter(self):
         with pytest.raises(UnknownLetter):
             word_from_str(A3, "z")
+
+    def test_bad_exponent(self):
+        for text in ("a^x", "a^", "b a^1.5"):
+            with pytest.raises(MalformedWord):
+                word_from_str(A3, text)
 
     @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=40))
     def test_matches_naive_oracle(self, raw):
