@@ -9,6 +9,14 @@ class UnknownLetter(FreefactorError):
     pass
 
 
+class InvalidAlphabet(FreefactorError):
+    """An alphabet is empty or repeats a letter name."""
+
+
+class UnknownMode(FreefactorError):
+    """An experiment mode that is not one of ``experiments.MODES``."""
+
+
 class MalformedWord(FreefactorError):
     """A word token is not ``name`` or ``name^exp`` with an integer exponent."""
 

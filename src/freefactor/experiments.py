@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil, floor, gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from freefactor import factors as fc, farey, projections as pj, raag, serialize as se
 from freefactor import systems as sy
-from freefactor.errors import FreefactorError
+from freefactor.errors import FreefactorError, UnknownMode
 from freefactor.raag import RaagWord
 from freefactor.words import (
     Alphabet,
@@ -62,17 +63,20 @@ class ExperimentConfig:
     random_pairs: int = 10_000           # farey-crosscheck metric checks
 
     def __post_init__(self):
-        assert self.mode in MODES, f"unknown mode {self.mode!r}"
+        if self.mode not in MODES:
+            raise UnknownMode(f"unknown mode {self.mode!r}; expected one of {', '.join(MODES)}")
 
 
 # --- random trees -----------------------------------------------------------
 
-def nielsen_generators(alphabet: Alphabet) -> List[GroupMap]:
+@lru_cache(maxsize=None)
+def nielsen_generators(alphabet: Alphabet) -> Tuple[GroupMap, ...]:
     """Right transvections x_i -> x_i x_j^s: a fixed generating set used for
-    sampling; each carries its inverse, so none is folded to certify it."""
+    sampling, built once per alphabet; each carries its inverse, so none is
+    folded to certify it."""
     n = alphabet.rank
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    return [transvection(alphabet, i, j, s) for i, j in pairs for s in (1, -1)]
+    return tuple(transvection(alphabet, i, j, s) for i, j in pairs for s in (1, -1))
 
 def random_automorphism(rng: random.Random, alphabet: Alphabet, max_len: int) -> GroupMap:
     gens = nielsen_generators(alphabet)
@@ -110,18 +114,30 @@ def _overlapping_pairs(system: sy.AdmissibleSystem) -> List[Tuple[int, int]]:
     ]
 
 
+def _behrstock_minima(
+    system: sy.AdmissibleSystem, rng: random.Random, samples: int, max_len: int
+) -> Iterator[List[int]]:
+    """Per random tree T, min{d_A(B, T), d_B(A, T)} for each overlapping pair
+    in ``_overlapping_pairs`` order.  The factor shadows π_A(B) and π_B(A) do
+    not depend on T, so they are projected once, before the first tree."""
+    coll = system.collection
+    shadows = [
+        (A, pj.ProjectionSet(A, pj.factor_projection_vertices(A, B)),
+         B, pj.ProjectionSet(B, pj.factor_projection_vertices(B, A)))
+        for A, B in ((coll.factors[i], coll.factors[j]) for i, j in _overlapping_pairs(system))
+    ]
+    for _ in range(samples):
+        T = random_tree(rng, coll.factors[0].ambient, max_len)
+        yield [
+            min(pj.projection_distance(A, b_in_A, T), pj.projection_distance(B, a_in_B, T))
+            for A, b_in_A, B, a_in_B in shadows
+        ]
+
+
 def measure_m_emp(system: sy.AdmissibleSystem, seed: int, samples: int) -> int:
     """Max of the Behrstock minimum over random trees and overlapping pairs."""
-    rng = random.Random(seed)
-    coll = system.collection
-    ambient = coll.factors[0].ambient
-    pairs = _overlapping_pairs(system)
-    best = 0
-    for _ in range(samples):
-        T = random_tree(rng, ambient, NIELSEN_TREE_LENGTH)
-        for i, j in pairs:
-            best = max(best, pj.behrstock_min(coll.factors[i], coll.factors[j], T))
-    return best
+    minima = _behrstock_minima(system, random.Random(seed), samples, NIELSEN_TREE_LENGTH)
+    return max((m for mins in minima for m in mins), default=0)
 
 
 def measure_l_path(system: sy.AdmissibleSystem, steps: int = 4) -> int:
@@ -169,25 +185,15 @@ def escalate_power(K: int, requested: Optional[int]) -> int:
 # --- modes ------------------------------------------------------------------
 
 def _run_behrstock_scan(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict:
-    rng = random.Random(cfg.seed)
-    coll = system.collection
-    ambient = coll.factors[0].ambient
-    pairs = _overlapping_pairs(system)
-    records = []
-    per_pair = {f"{coll.names[i]}|{coll.names[j]}": 0 for i, j in pairs}
-    for k in range(cfg.samples):
-        T = random_tree(rng, ambient, cfg.nielsen_len)
-        worst = 0
-        for i, j in pairs:
-            m = pj.behrstock_min(coll.factors[i], coll.factors[j], T)
-            key = f"{coll.names[i]}|{coll.names[j]}"
-            per_pair[key] = max(per_pair[key], m)
-            worst = max(worst, m)
-        records.append({"sample": k, "max_min": worst})
-    m_emp = max(per_pair.values(), default=0)
+    names = system.collection.names
+    rows = list(_behrstock_minima(system, random.Random(cfg.seed), cfg.samples, cfg.nielsen_len))
+    per_pair = {
+        f"{names[i]}|{names[j]}": max((row[p] for row in rows), default=0)
+        for p, (i, j) in enumerate(_overlapping_pairs(system))
+    }
     return {
-        "records": records,
-        "aggregates": {"M_emp": m_emp, "per_pair": per_pair},
+        "records": [{"sample": k, "max_min": max(row, default=0)} for k, row in enumerate(rows)],
+        "aggregates": {"M_emp": max(per_pair.values(), default=0), "per_pair": per_pair},
         "violations": [],
     }
 

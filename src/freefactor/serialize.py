@@ -4,11 +4,12 @@ round-tripping and path-accurate schema errors."""
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from importlib import resources
 from typing import Any, Dict, List, Sequence
 
 from freefactor import projections as pj, systems as sy
-from freefactor.errors import SchemaError
+from freefactor.errors import InvalidAlphabet, SchemaError
 from freefactor.factors import free_factor_class
 from freefactor.raag import SimplicialGraph, simplicial_graph
 from freefactor.words import (
@@ -38,6 +39,14 @@ def _expect_key(obj: Dict, key: str, path: str):
     return obj[key]
 
 
+def _parse_alphabet(names: Any, path: str) -> Alphabet:
+    _expect(names, list, path)
+    try:
+        return Alphabet(tuple(_expect(n, str, f"{path}[{i}]") for i, n in enumerate(names)))
+    except InvalidAlphabet as exc:
+        raise SchemaError(f"{path}: {exc}")
+
+
 def _parse_word(alphabet: Alphabet, s: Any, path: str) -> Word:
     _expect(s, str, path)
     try:
@@ -61,8 +70,7 @@ def graph_to_json(T: pj.MarkedGraph) -> Dict:
 
 def graph_from_json(obj: Any, path: str = "graph") -> pj.MarkedGraph:
     _expect(obj, dict, path)
-    names = _expect(_expect_key(obj, "alphabet", path), list, f"{path}.alphabet")
-    alphabet = Alphabet(tuple(_expect(n, str, f"{path}.alphabet[{i}]") for i, n in enumerate(names)))
+    alphabet = _parse_alphabet(_expect_key(obj, "alphabet", path), f"{path}.alphabet")
     nv = _expect(_expect_key(obj, "vertices", path), int, f"{path}.vertices")
     base = _expect(_expect_key(obj, "base", path), int, f"{path}.base")
     if not (0 <= base < nv):
@@ -136,11 +144,8 @@ def system_from_json(obj: Any, verify: bool = False, path: str = "system") -> sy
     all support certificates are recomputed rather than trusted."""
     _expect(obj, dict, path)
     gamma = gamma_from_json(_expect_key(obj, "gamma", path), f"{path}.gamma")
-    names_raw = _expect(
-        _expect_key(obj, "ambient_alphabet", path), list, f"{path}.ambient_alphabet"
-    )
-    ambient = Alphabet(
-        tuple(_expect(n, str, f"{path}.ambient_alphabet[{i}]") for i, n in enumerate(names_raw))
+    ambient = _parse_alphabet(
+        _expect_key(obj, "ambient_alphabet", path), f"{path}.ambient_alphabet"
     )
     raw_factors = _expect(_expect_key(obj, "factors", path), list, f"{path}.factors")
     names: List[str] = []
@@ -201,7 +206,11 @@ def fixture_path(name: str):
     return resources.files("freefactor") / "fixtures" / f"{name}.json"
 
 
+@lru_cache(maxsize=None)
 def load_fixture(name: str, verify: bool = False) -> sy.AdmissibleSystem:
+    """A shipped system, parsed and certified once per process: systems are
+    frozen and their maps carry their inverses, so callers can share it.  An
+    unknown name raises SchemaError, which is never cached."""
     p = fixture_path(name)
     try:
         text = p.read_text()

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from freefactor._kernel import concat, reduce_word
-from freefactor.errors import MalformedWord, NotSurjective, UnknownLetter
+from freefactor.errors import InvalidAlphabet, MalformedWord, NotSurjective, UnknownLetter
 
 
 @dataclass(frozen=True)
@@ -21,8 +21,11 @@ class Alphabet:
     names: Tuple[str, ...]
 
     def __post_init__(self):
-        assert len(self.names) >= 1, "rank must be >= 1"
-        assert len(set(self.names)) == len(self.names), "letter names must be distinct"
+        if not self.names:
+            raise InvalidAlphabet("rank must be >= 1")
+        if len(set(self.names)) != len(self.names):
+            repeated = next(n for i, n in enumerate(self.names) if n in self.names[:i])
+            raise InvalidAlphabet(f"letter name {repeated!r} repeats in {self.names}")
 
     @property
     def rank(self) -> int:
@@ -62,9 +65,10 @@ class Word:
     letters: Tuple[int, ...]
 
     def __post_init__(self):
+        rank = self.alphabet.rank
         for x in self.letters:
-            if x == 0 or abs(x) > self.alphabet.rank:
-                raise UnknownLetter(f"letter index {x} invalid for rank {self.alphabet.rank}")
+            if x == 0 or abs(x) > rank:
+                raise UnknownLetter(f"letter index {x} invalid for rank {rank}")
         # reduced-form invariant
         for a, b in zip(self.letters, self.letters[1:]):
             assert a != -b, f"word not freely reduced: {self.letters}"
@@ -127,9 +131,10 @@ def letter(alphabet: Alphabet, i: int, sign: int = 1) -> Word:
 def reduce_raw(alphabet: Alphabet, raw: Iterable[int]) -> Word:
     """Freely reduce a raw signed-index sequence into a Word."""
     seq = list(raw)
+    rank = alphabet.rank
     for x in seq:
-        if x == 0 or abs(x) > alphabet.rank:
-            raise UnknownLetter(f"letter index {x} invalid for rank {alphabet.rank}")
+        if x == 0 or abs(x) > rank:
+            raise UnknownLetter(f"letter index {x} invalid for rank {rank}")
     return Word(alphabet, tuple(reduce_word(seq)))
 
 

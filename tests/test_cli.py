@@ -124,6 +124,22 @@ class TestRefusals:
     def test_fold_bad_exponent(self):
         assert "bad exponent" in self.refused("fold", "--letters", "a,b", "a^x b, b")
 
+    def test_fold_repeated_letter(self):
+        assert "letter name 'a' repeats" in self.refused("fold", "--letters", "a,a", "a")
+
+    def test_meet_repeated_letter(self):
+        err = self.refused("meet", "--letters", "a,b,a", "a,b", "a")
+        assert "letter name 'a' repeats" in err
+
+    def test_alphabet_refusal_survives_optimize(self, run_optimized):
+        out = run_optimized(
+            "from click.testing import CliRunner\n"
+            "from freefactor.cli import main\n"
+            "r = CliRunner().invoke(main, ['fold', '--letters', 'a,a', 'a'])\n"
+            "print(r.exit_code, repr(r.stderr), repr(r.stdout))\n"
+        )
+        assert out == "2 \"error: letter name 'a' repeats in ('a', 'a')\\n\" ''\n"
+
     def test_graph_refusal_survives_optimize(self, run_optimized):
         out = run_optimized(
             "from click.testing import CliRunner\n"

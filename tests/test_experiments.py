@@ -1,7 +1,12 @@
+import random
+
 import pytest
 
-from freefactor import experiments as ex, serialize as se
-from freefactor.words import abc_alphabet, std_alphabet
+from freefactor import experiments as ex, factors as fc, projections as pj, serialize as se
+from freefactor.errors import UnknownMode
+from freefactor.words import abc_alphabet, std_alphabet, transvection
+
+FIXTURES = ("overlap-chain-f3", "pentagon-f5", "pentagon-support-f6")
 
 
 class TestRandomSampling:
@@ -10,6 +15,18 @@ class TestRandomSampling:
         gens = ex.nielsen_generators(abc_alphabet(3))
         assert len(gens) == 12
         assert all(g.kind == "verified-automorphism" for g in gens)
+
+    def test_nielsen_generators_built_once_in_order(self):
+        alphabet = std_alphabet(4)
+        gens = ex.nielsen_generators(alphabet)
+        fresh = [
+            transvection(alphabet, i, j, s)
+            for i in range(4) for j in range(4) if i != j for s in (1, -1)
+        ]
+        assert isinstance(gens, tuple)
+        assert list(gens) == fresh
+        assert [g.inverse_images for g in gens] == [f.inverse_images for f in fresh]
+        assert ex.nielsen_generators(std_alphabet(4)) is gens
 
     def test_random_tree_reproducible(self):
         import random
@@ -29,6 +46,41 @@ class TestRandomSampling:
             w = ex.random_raag_word(rng, g)
             assert w.key() == raag.normalize(g, w).key()
             assert len(w) <= 6
+
+
+class TestBehrstockMinima:
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_matches_behrstock_min(self, fixture):
+        system = se.load_fixture(fixture)
+        coll = system.collection
+        pairs = ex._overlapping_pairs(system)
+        rows = list(ex._behrstock_minima(system, random.Random(4), 6, ex.NIELSEN_TREE_LENGTH))
+        assert len(rows) == 6
+        # the loop draws from its rng only through random_tree
+        rng = random.Random(4)
+        for mins in rows:
+            T = ex.random_tree(rng, coll.factors[0].ambient, ex.NIELSEN_TREE_LENGTH)
+            assert mins == [
+                pj.behrstock_min(coll.factors[i], coll.factors[j], T) for i, j in pairs
+            ]
+
+    def test_factor_shadows_projected_once(self, monkeypatch):
+        calls = []
+        meet = fc.meet_projection
+
+        def counting(A, B):
+            calls.append((A, B))
+            return meet(A, B)
+
+        monkeypatch.setattr(fc, "meet_projection", counting)
+        system = se.load_fixture("pentagon-f5")
+        samples, pairs = 7, len(ex._overlapping_pairs(system))
+        r = ex.run_experiment(
+            ex.ExperimentConfig(mode="behrstock-scan", fixture="pentagon-f5", samples=samples, seed=5)
+        )
+        assert len(r["records"]) == samples
+        assert pairs == 5
+        assert len(calls) == 2 * pairs
 
 
 class TestDerivedConstants:
@@ -115,6 +167,10 @@ class TestDeterminism:
         a = se.canonical_dumps(ex.run_experiment(cfg))
         b = se.canonical_dumps(ex.run_experiment(cfg))
         assert a == b
+
+    def test_unknown_mode_is_typed(self):
+        with pytest.raises(UnknownMode, match="unknown mode 'scan'"):
+            ex.ExperimentConfig(mode="scan")
 
     def test_seed_changes_report(self):
         r1 = ex.run_experiment(

@@ -77,6 +77,23 @@ CASES = {
         0,
         "ca19cbee6ed8bc220de86e481d0e19b26543586f1611b181b1ec0994207f64bb",
     ),
+    "run-behrstock-scan-pentagon-support-f6": (
+        ["run", "--mode", "behrstock-scan", "--fixture", "pentagon-support-f6", "--samples", "3",
+         "--seed", "2"],
+        0,
+        "4496af1f0661d741666a657ac6d8ea8c7c68efe94f9474892ce26490668eaee8",
+    ),
+    "run-behrstock-scan-overlap-chain-f3": (
+        ["run", "--mode", "behrstock-scan", "--fixture", "overlap-chain-f3", "--samples", "3",
+         "--seed", "2"],
+        0,
+        "93a6aabb309e371f6e113a05f3626002ac095a6be32264e06d08a2e2ee792f66",
+    ),
+    "run-order-audit-pentagon": (
+        ["run", "--mode", "order-audit", "--fixture", "pentagon-f5", "--samples", "3", "--seed", "1"],
+        0,
+        "320f209ef18d1d2a5afd5e64e0f140834a1114c9f838c32b1b64fc758363967a",
+    ),
     "run-order-audit": (
         ["run", "--mode", "order-audit", "--fixture", "overlap-chain-f3", "--samples", "3", "--seed", "1"],
         0,

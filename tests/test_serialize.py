@@ -136,8 +136,31 @@ class TestFixtures:
         assert "generators[0]" in str(e.value)
 
     def test_unknown_fixture(self):
-        with pytest.raises(SchemaError):
-            se.load_fixture("does-not-exist")
+        # the memo caches no error: the second call raises again
+        for _ in range(2):
+            with pytest.raises(SchemaError, match="no shipped fixture named 'does-not-exist'"):
+                se.load_fixture("does-not-exist")
+
+    def test_load_memoized(self):
+        assert se.load_fixture("overlap-chain-f3") is se.load_fixture("overlap-chain-f3")
+        verified = se.load_fixture("overlap-chain-f3", verify=True)
+        assert verified is se.load_fixture("overlap-chain-f3", verify=True)
+        assert verified is not se.load_fixture("overlap-chain-f3")
+
+    def test_repeated_ambient_letter(self, run_optimized):
+        obj = json.loads(se.fixture_path("overlap-chain-f3").read_text())
+        obj["ambient_alphabet"][2] = obj["ambient_alphabet"][0]
+        with pytest.raises(SchemaError, match=r"system\.ambient_alphabet: letter name"):
+            se.system_from_json(obj)
+        out = run_optimized(
+            "from freefactor import serialize as se\n"
+            "from freefactor.errors import SchemaError\n"
+            "try:\n"
+            f"    se.system_from_json({obj!r})\n"
+            "except SchemaError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert out.startswith("system.ambient_alphabet: letter name")
 
 
 def conjugated_path_subsystem(seed):

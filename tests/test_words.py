@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freefactor import experiments as ex, words
-from freefactor.errors import MalformedWord, NotSurjective, UnknownLetter
+from freefactor.errors import InvalidAlphabet, MalformedWord, NotSurjective, UnknownLetter
 from freefactor.words import (
+    Alphabet,
     abc_alphabet,
     compose_map,
     conjugacy_witness,
@@ -65,6 +66,21 @@ class TestReduce:
     def test_unknown_letter(self):
         with pytest.raises(UnknownLetter):
             word_from_str(A3, "z")
+
+    def test_letter_index_out_of_range(self):
+        for raw in ([1, 4], [0], [-4, 2]):
+            bad = next(x for x in raw if x == 0 or abs(x) > 3)
+            message = f"letter index {bad} invalid for rank 3"
+            with pytest.raises(UnknownLetter, match=message):
+                reduce_raw(A3, raw)
+            with pytest.raises(UnknownLetter, match=message):
+                words.Word(A3, tuple(raw))
+
+    def test_invalid_alphabet(self):
+        with pytest.raises(InvalidAlphabet, match="rank must be >= 1"):
+            Alphabet(())
+        with pytest.raises(InvalidAlphabet, match="letter name 'b' repeats"):
+            Alphabet(("a", "b", "c", "b"))
 
     def test_bad_exponent(self):
         for text in ("a^x", "a^", "b a^1.5"):
