@@ -85,11 +85,10 @@ def normal_form(vertices, edges, word):
 def syl_order(vertices, edges, word):
     """The strict partial order on syllables of a normalized word."""
     g = _gamma(vertices, edges)
-    w = raag.normalize(g, raag.raag_word_from_str(g, word))
-    order = raag.syllable_order(g, w)
+    order = raag.syllable_order(g, raag.raag_word_from_str(g, word))
 
     def show(sid):
-        s = next(x for x in w.syllables if x.sid == sid)
+        s = order.word.syllables[sid]
         return s.gen if s.exp == 1 else f"{s.gen}^{s.exp}"
 
     for i, j in sorted(order.precedes):

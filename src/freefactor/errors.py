@@ -21,6 +21,14 @@ class MalformedWord(FreefactorError):
     """A word token is not ``name`` or ``name^exp`` with an integer exponent."""
 
 
+class AlphabetMismatch(FreefactorError):
+    """Words or subgroup graphs over different alphabets were combined."""
+
+
+class MalformedVertex(FreefactorError):
+    """A Farey vertex is not written ``p/q`` with integers p and q."""
+
+
 class InvalidGraph(FreefactorError):
     """A defining graph repeats a vertex, has a loop, or an edge off its vertices."""
 

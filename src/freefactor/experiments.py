@@ -56,9 +56,7 @@ class ExperimentConfig:
     fixture: str = "pentagon-f5"
     samples: int = 100
     seed: int = 1
-    nielsen_len: int = NIELSEN_TREE_LENGTH
     power: Optional[int] = None          # None = auto-escalate
-    budget_exp: int = DEFAULT_BUDGET_EXP
     box: int = 40                        # farey-crosscheck exhaustive box
     random_pairs: int = 10_000           # farey-crosscheck metric checks
 
@@ -186,7 +184,7 @@ def escalate_power(K: int, requested: Optional[int]) -> int:
 
 def _run_behrstock_scan(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict:
     names = system.collection.names
-    rows = list(_behrstock_minima(system, random.Random(cfg.seed), cfg.samples, cfg.nielsen_len))
+    rows = list(_behrstock_minima(system, random.Random(cfg.seed), cfg.samples, NIELSEN_TREE_LENGTH))
     per_pair = {
         f"{names[i]}|{names[j]}": max((row[p] for row in rows), default=0)
         for p, (i, j) in enumerate(_overlapping_pairs(system))
@@ -214,7 +212,7 @@ def _run_order_audit(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict
         if rng.random() < 0.5:
             i, j = j, i
         rec: Dict = {"sample": k, "pair": [coll.names[i], coll.names[j]]}
-        if m_push > cfg.budget_exp:
+        if m_push > DEFAULT_BUDGET_EXP:
             insufficient += 1
             rec["status"] = "power-insufficient"
             records.append(rec)
@@ -297,7 +295,7 @@ def _run_theorem9(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict:
         for idx, syl in enumerate(g.syllables):
             left_exp = p * sum(exps[: idx + 1])
             right_exp = p * sum(exps[idx + 1 :])
-            if max(left_exp, right_exp) > cfg.budget_exp:
+            if max(left_exp, right_exp) > DEFAULT_BUDGET_EXP:
                 dists.append(None)
                 fits_all = False
                 continue
@@ -374,7 +372,7 @@ def _run_interval_check(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> D
         if rng.random() < 0.5:
             i, j = j, i
         rec: Dict = {"sample": k, "pair": [coll.names[i], coll.names[j]]}
-        if m_push > cfg.budget_exp:
+        if m_push > DEFAULT_BUDGET_EXP:
             insufficient += 1
             rec["status"] = "power-insufficient"
             records.append(rec)
@@ -578,9 +576,9 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
             "fixture": cfg.fixture if cfg.mode != "farey-crosscheck" else None,
             "samples": cfg.samples,
             "seed": cfg.seed,
-            "nielsen_len": cfg.nielsen_len,
+            "nielsen_len": NIELSEN_TREE_LENGTH,
             "power": cfg.power,
-            "budget_exp": cfg.budget_exp,
+            "budget_exp": DEFAULT_BUDGET_EXP,
         },
         "records": body["records"],
         "aggregates": body["aggregates"],

@@ -49,7 +49,7 @@ class MeetClass:
     """A nontrivial proper intersection class [A ∩ gBg⁻¹], viewed inside A."""
 
     in_ambient: FreeFactorClass
-    gens_in_A: Tuple[Word, ...]   # words over A's spanning-tree basis alphabet
+    classes: Tuple[Tuple[int, ...], ...]  # H₁(A) classes of its generators, in A's basis
     coset_tag: Word
     rank: int
 
@@ -66,7 +66,7 @@ def _meet_candidates(A: FreeFactorClass, B: FreeFactorClass) -> List[MeetClass]:
         cls = FreeFactorClass(
             A.ambient, comp.subgroup, stallings.canonical_core(comp.subgroup)
         )
-        out.append(MeetClass(cls, comp.gens_in_A, comp.coset_tag, comp.rank))
+        out.append(MeetClass(cls, comp.classes, comp.coset_tag, comp.rank))
     return out
 
 
@@ -94,7 +94,11 @@ def meet_projection(A: FreeFactorClass, B: FreeFactorClass) -> Set[MeetClass]:
 def overlap_check(A: FreeFactorClass, B: FreeFactorClass):
     """First (x, H) certificate with rank(H) = rank A + rank B - rank x, or None."""
     _require_rank2(A, B)
-    for mc in sorted(_meet_candidates(A, B), key=lambda m: (m.rank, m.in_ambient.key)):
+    return _overlap_certificate(A, B, _meet_candidates(A, B))
+
+
+def _overlap_certificate(A: FreeFactorClass, B: FreeFactorClass, candidates: List[MeetClass]):
+    for mc in sorted(candidates, key=lambda m: (m.rank, m.in_ambient.key)):
         if not (1 <= mc.rank < min(A.rank, B.rank)):
             continue
         g = mc.coset_tag
@@ -130,8 +134,11 @@ def disjoint_check(A: FreeFactorClass, B: FreeFactorClass) -> bool:
     plus the join being a free factor.
     """
     _require_rank2(A, B)
-    if pullback_components(A.graph, B.graph):
-        return False
+    return not pullback_components(A.graph, B.graph) and _common_splitting(A, B)
+
+
+def _common_splitting(A: FreeFactorClass, B: FreeFactorClass) -> bool:
+    """The coset search of ``disjoint_check``, for an empty pullback."""
     for g in _short_words(A.ambient, DOUBLE_COSET_SEARCH_LENGTH):
         conj_b = [w.conjugate_by(g) for w in B.basis()]
         # the pullback is empty, so A ∩ gBg⁻¹ = 1 for every g
@@ -225,12 +232,18 @@ def transport(f: GroupMap, A: FreeFactorClass) -> FreeFactorClass:
 
 
 def classify_pair(A: FreeFactorClass, B: FreeFactorClass):
-    """Trichotomy verdict: ("disjoint" | "overlap", witness) or ("none", detail)."""
-    if pullback_components(A.graph, B.graph):
-        cert = overlap_check(A, B)
+    """Trichotomy verdict: ("disjoint" | "overlap", witness) or ("none", detail).
+
+    One pullback serves both checks: its components are the overlap
+    candidates, and when there are none the coset search runs.
+    """
+    _require_rank2(A, B)
+    candidates = _meet_candidates(A, B)
+    if candidates:
+        cert = _overlap_certificate(A, B, candidates)
         if cert is not None:
             return "overlap", cert
         return "none", "nontrivial intersections but no amalgam rank certificate"
-    if disjoint_check(A, B):
+    if _common_splitting(A, B):
         return "disjoint", None
     return "none", "trivial intersections but no common-splitting certificate"

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, List, Tuple
 
-from freefactor.errors import NonPrimitiveImage, NotHyperbolic
+from freefactor.errors import MalformedVertex, NonPrimitiveImage, NotHyperbolic
 from freefactor.words import GroupMap, Word
 
 
@@ -48,8 +48,11 @@ def farey_vertex(p: int, q: int) -> FareyVertex:
 
 
 def vertex_from_str(s: str) -> FareyVertex:
-    p, q = s.split("/")
-    return farey_vertex(int(p), int(q))
+    p, _, q = s.partition("/")
+    try:
+        return farey_vertex(int(p), int(q))
+    except ValueError:
+        raise MalformedVertex(f"{s!r} is not a vertex p/q") from None
 
 
 def abelianize2(w: Word) -> Tuple[int, int]:
@@ -57,11 +60,6 @@ def abelianize2(w: Word) -> Tuple[int, int]:
     assert w.alphabet.rank == 2
     ls = w.letters
     return ls.count(1) - ls.count(-1), ls.count(2) - ls.count(-2)
-
-
-def farey_vertex_of(factor_word_in_basis: Word) -> FareyVertex:
-    """Abelianize a rank-1 factor generator written in a rank-2 basis."""
-    return farey_vertex(*abelianize2(factor_word_in_basis))
 
 
 def adjacent(u: FareyVertex, v: FareyVertex) -> bool:

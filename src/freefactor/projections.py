@@ -237,22 +237,13 @@ def project_tree(A: FreeFactorClass, T: MarkedGraph) -> ProjectionSet:
         raise UndefinedProjection("the factor and the marked graph have different alphabets")
     basis_paths = T.to_edge_paths(A.graph.basis())
     cover = from_generators(T.edge_alphabet, basis_paths)
-    basis_edges, _ = cover.basis_edges()
-    assert len(basis_edges) == 2, "the cover of a rank-2 factor has rank 2"
-    coord: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for (u, s, v), (dp, dq) in zip(basis_edges, ((1, 0), (0, 1))):
-        coord[(u, s)] = (dp, dq)
-        coord[(v, -s)] = (-dp, -dq)
+    coord, _ = stallings._h1_index(cover)
+    assert cover.rank == 2, "the cover of a rank-2 factor has rank 2"
     # change of basis: columns = H₁ classes of A's basis paths in the cover's
     # spanning-tree basis; unimodular since both are bases
-    columns = []
-    for path in basis_paths:
-        v, p, q = cover.base, 0, 0
-        for s in path.letters:
-            dp, dq = coord.get((v, s), (0, 0))
-            p, q, v = p + dp, q + dq, cover.adj[v][s]
-        columns.append((p, q))
-    (m00, m10), (m01, m11) = columns
+    (m00, m10), (m01, m11) = (
+        stallings._h1_read(cover, coord, cover.base, path) for path in basis_paths
+    )
     det = m00 * m11 - m01 * m10
     assert det in (1, -1), "basis change must be unimodular"
     # unbased core; the basis edges lie on cycles, so they survive the trim
@@ -307,7 +298,7 @@ def factor_projection_vertices(A: FreeFactorClass, B: FreeFactorClass) -> Frozen
     verts = set()
     for mc in classes:
         assert mc.rank == 1
-        verts.add(farey.farey_vertex_of(mc.gens_in_A[0]))
+        verts.add(farey.farey_vertex(*mc.classes[0]))
     assert farey.diameter(verts) <= PROJECTION_DIAMETER_BOUND
     return frozenset(verts)
 

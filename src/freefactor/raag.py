@@ -174,9 +174,11 @@ class SyllableOrder:
     ``precedes`` holds (i, j) iff syllable i comes before j in every member of
     Min(g); ``precedes_adjacent`` additionally requires adjacency in some
     member, so it holds the covering pairs.  The transitive closure of the
-    latter equals the former.
+    latter equals the former.  ``word`` is the normal form of g, whose k-th
+    syllable has sid k.
     """
 
+    word: RaagWord
     sids: Tuple[int, ...]
     precedes: FrozenSet[Tuple[int, int]]
     precedes_adjacent: FrozenSet[Tuple[int, int]]
@@ -201,7 +203,8 @@ class SyllableOrder:
 def syllable_order(graph: SimplicialGraph, g: RaagWord) -> SyllableOrder:
     """The transitive closure of the dependence order of the normalized form
     and its covering pairs; sids are positions in the normalized form."""
-    _, deps = _dependence(graph, normalize(graph, g).key())
+    word = normalize(graph, g)
+    _, deps = _dependence(graph, word.key())
     below: List[int] = []  # below[j]: bitmask of the syllables before j in every member
     precedes, covers = set(), set()
     for j, d in enumerate(deps):
@@ -212,7 +215,7 @@ def syllable_order(graph: SimplicialGraph, g: RaagWord) -> SyllableOrder:
         below.append(d | between)
         precedes.update((i, j) for i in range(j) if below[j] >> i & 1)
         covers.update((i, j) for i in range(j) if (d & ~between) >> i & 1)
-    return SyllableOrder(tuple(range(len(deps))), frozenset(precedes), frozenset(covers))
+    return SyllableOrder(word, tuple(range(len(deps))), frozenset(precedes), frozenset(covers))
 
 
 def clique_number(graph: SimplicialGraph) -> int:

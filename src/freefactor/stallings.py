@@ -1,4 +1,4 @@
-"""Stallings subgroup graphs: folding, membership, canonical cores, pullbacks.
+"""Stallings subgroup graphs: folding, canonical cores, pullbacks.
 
 A graph is stored as an adjacency list ``adj[v][s] = w`` where ``s`` is a
 signed letter index; folded form means at most one outgoing edge per signed
@@ -12,8 +12,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from freefactor.errors import TrivialSubgroup
-from freefactor.words import Alphabet, Word, identity, reduce_raw, std_alphabet
+from freefactor.errors import AlphabetMismatch, TrivialSubgroup
+from freefactor.words import Alphabet, Word, reduce_raw
 
 
 def _find(parent: List[int], x: int) -> int:
@@ -215,17 +215,14 @@ class SubgroupGraph:
             out.append(pu * mid * pv.inverse())
         return out
 
-    @property
-    def basis_alphabet(self) -> Alphabet:
-        return std_alphabet(max(self.rank, 1), prefix="g")
-
 
 def from_generators(alphabet: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
     """Folded based core graph of <gens> (single vertex when gens is empty)."""
     nv = 1
     raw: List[Tuple[int, int, int]] = []
     for g in gens:
-        assert g.alphabet == alphabet
+        if g.alphabet != alphabet:
+            raise AlphabetMismatch("a generator is not a word over the given alphabet")
         ls = g.letters
         if not ls:
             continue
@@ -241,46 +238,30 @@ def from_generators(alphabet: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
     return SubgroupGraph(alphabet, tuple(adj), index[base])
 
 
-def _basis_index(H: SubgroupGraph) -> Dict[Tuple[int, int, int], int]:
-    """Signed basis letter of every directed non-tree edge of H."""
-    index = {}
-    for k, (u, s, v) in enumerate(H.basis_edges()[0]):
-        index[(u, s, v)] = k + 1
-        index[(v, -s, u)] = -(k + 1)
-    return index
+def _h1_index(H: SubgroupGraph):
+    """Signed H₁ basis vector of every directed non-tree edge ``(u, s)`` of H,
+    with H's BFS tree: the k-th of ``basis_edges`` reads +e_k, its reverse
+    -e_k, and tree edges read 0."""
+    edges, parent_edge = H.basis_edges()
+    index: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    for k, (u, s, v) in enumerate(edges):
+        e = tuple(int(i == k) for i in range(len(edges)))
+        index[(u, s)] = e
+        index[(v, -s)] = tuple(-x for x in e)
+    return index, parent_edge
 
 
-def membership_rewrite(H: SubgroupGraph, w: Word, index=None) -> Optional[Word]:
-    """Expression of w in H's spanning-tree basis, or None when w is not in H.
-
-    ``index`` is H's ``_basis_index``, for callers that rewrite many words.
-    """
-    assert w.alphabet == H.alphabet
-    if index is None:
-        index = _basis_index(H)
-    out: List[int] = []
-    v = H.base
+def _h1_read(H: SubgroupGraph, index, start: int, w: Word) -> Tuple[int, ...]:
+    """H₁ class of the path that reads w in H from ``start``, summed over
+    ``index``, the first value of ``_h1_index(H)``."""
+    c = (0,) * H.rank
+    u = start
     for s in w.letters:
-        t = H.adj[v].get(s)
-        if t is None:
-            return None
-        k = index.get((v, s, t))  # None on tree edges
-        if k is not None:
-            out.append(k)
-        v = t
-    if v != H.base:
-        return None
-    return reduce_raw(H.basis_alphabet, out)
-
-
-def expand_basis_word(H: SubgroupGraph, expr: Word) -> Word:
-    """Substitute H's basis words into an expression over the basis alphabet."""
-    basis = H.basis()
-    result = identity(H.alphabet)
-    for s in expr.letters:
-        b = basis[abs(s) - 1]
-        result = result * (b if s > 0 else b.inverse())
-    return result
+        e = index.get((u, s))
+        if e is not None:
+            c = tuple(x + y for x, y in zip(c, e))
+        u = H.adj[u][s]
+    return c
 
 
 # --- canonical conjugacy-class cores ---------------------------------------
@@ -330,14 +311,19 @@ class PullbackComponent:
     """One rank >= 1 component of the fiber product of two subgroup graphs."""
 
     subgroup: SubgroupGraph          # representative of [A ∩ gBg⁻¹], in ambient letters
-    gens_in_A: Tuple[Word, ...]      # the same generators rewritten in A's basis
+    classes: Tuple[Tuple[int, ...], ...]  # its generators' H₁(A) classes, in A's basis
     coset_tag: Word                  # g, a double-coset representative
     rank: int
 
 
 def pullback_components(A: SubgroupGraph, B: SubgroupGraph) -> List[PullbackComponent]:
-    """Rank >= 1 components of the product automaton, one per double coset."""
-    assert A.alphabet == B.alphabet
+    """Rank >= 1 components of the product automaton, one per double coset.
+
+    A generator pA·loop·pA⁻¹ reads only tree edges of A along pA, so its
+    H₁(A) class is that of the loop read from pA's end u0.
+    """
+    if A.alphabet != B.alphabet:
+        raise AlphabetMismatch("the two subgroup graphs have different alphabets")
     alphabet = A.alphabet
     # reachable product states and edges
     states: Dict[Tuple[int, int], int] = {}
@@ -353,9 +339,8 @@ def pullback_components(A: SubgroupGraph, B: SubgroupGraph) -> List[PullbackComp
             if tv is not None:
                 adj[i][s] = states[(tu, tv)]
     out = []
-    _, parent_A = A.spanning_tree()
+    index_A, parent_A = _h1_index(A)
     _, parent_B = B.spanning_tree()
-    index_A = None  # A's basis edges, built at the first component
     # connected components (undirected; adj is already symmetric)
     for verts in _components(range(len(adj)), lambda i: adj[i].values()):
         local = {i: k for k, i in enumerate(verts)}
@@ -376,12 +361,6 @@ def pullback_components(A: SubgroupGraph, B: SubgroupGraph) -> List[PullbackComp
         loops = graph.basis()
         gens_ambient = [loop.conjugate_by(pA) for loop in loops]
         sub = from_generators(alphabet, gens_ambient)
-        if index_A is None:
-            index_A = _basis_index(A)
-        gens_in_A = []
-        for w in gens_ambient:
-            expr = membership_rewrite(A, w, index_A)
-            assert expr is not None, "pullback generator must lie in A"
-            gens_in_A.append(expr)
-        out.append(PullbackComponent(sub, tuple(gens_in_A), g, rank))
+        classes = tuple(_h1_read(A, index_A, u0, loop) for loop in loops)
+        out.append(PullbackComponent(sub, classes, g, rank))
     return out

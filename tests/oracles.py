@@ -6,6 +6,7 @@ the library must agree with these, not the other way around.
 """
 
 from collections import deque
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -365,6 +366,63 @@ def loop_word_projection(paths):
             p, q = det * (m11 * pt - m01 * qt), det * (-m10 * pt + m00 * qt)
             out.add((p, q) if (p or q) > 0 else (-p, -q))
     return frozenset(out)
+
+
+# --- pullback classes by membership rewrites -------------------------------
+
+def rewrite_class(basis, word):
+    """Coordinates of ``word``'s class in H₁(<basis>) = Z^r, in ``basis``.
+
+    Words are tuples of signed letters and ``basis`` is a free basis of its
+    subgroup.  The word is read through the folded core of <basis>, each
+    non-tree edge of a BFS tree from the base writing its own basis letter;
+    the rewrite is freely reduced and abelianized, and the result is carried
+    to ``basis`` by solving M x = h with exact fractions, where the columns
+    of M are the rewritten and abelianized basis words.
+    """
+    vertices, edges = naive_core(basis)
+    adj = {v: {} for v in vertices}
+    for u, x, v in edges:
+        adj[u][x] = v
+        adj[v][-x] = u
+    parent = {0: None}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for x in sorted(adj[u]):
+            if adj[u][x] not in parent:
+                parent[adj[u][x]] = (u, x)
+                queue.append(adj[u][x])
+    own = [e for e in sorted(edges) if parent[e[2]] != e[:2] and parent[e[0]] != (e[2], -e[1])]
+    r = len(own)
+    assert r == len(basis), "the basis must be free"
+
+    def h1(w):
+        expr = []
+        v = 0
+        for x in naive_reduce(w):
+            t = adj[v][x]  # a KeyError here: w is not in the subgroup
+            for k, e in enumerate(own):
+                if e == (v, x, t):
+                    expr.append(k + 1)
+                elif e == (t, -x, v):
+                    expr.append(-(k + 1))
+            v = t
+        assert v == 0, "the word must lie in the subgroup"
+        expr = naive_reduce(expr)
+        return [expr.count(k + 1) - expr.count(-(k + 1)) for k in range(r)]
+
+    columns = [h1(b) for b in basis]
+    rows = [[Fraction(columns[j][i]) for j in range(r)] + [Fraction(h)] for i, h in enumerate(h1(word))]
+    for c in range(r):
+        p = next(i for i in range(c, r) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(r):
+            if i != c and rows[i][c]:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[c])]
+    assert all(row[r].denominator == 1 for row in rows), "the basis change must be unimodular"
+    return tuple(int(row[r]) for row in rows)
 
 
 # --- automorphism inversion by Nielsen search -------------------------------

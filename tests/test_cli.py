@@ -2,6 +2,7 @@ import json
 
 from click.testing import CliRunner
 
+from freefactor import raag
 from freefactor.cli import main
 
 
@@ -23,6 +24,14 @@ class TestWordCommands:
     def test_syl_order_commuting(self):
         r = run("syl-order", "--vertices", "a,b", "--edges", "a-b", "a b")
         assert "(no forced order)" in r.output
+
+    def test_syl_order_normalizes_once(self, monkeypatch):
+        calls = []
+        normalize = raag.normalize
+        monkeypatch.setattr(raag, "normalize", lambda g, w: calls.append(1) or normalize(g, w))
+        r = run("syl-order", "--vertices", "a,b,c", "--edges", "a-b", "c a^2 b c^-1 a")
+        assert r.exit_code == 0
+        assert len(calls) == 1
 
 
 class TestGraphCommands:
@@ -130,6 +139,23 @@ class TestRefusals:
     def test_meet_repeated_letter(self):
         err = self.refused("meet", "--letters", "a,b,a", "a,b", "a")
         assert "letter name 'a' repeats" in err
+
+    def test_farey_dist_malformed_vertex(self):
+        for u in ("1/x", "1", "1/2/3"):
+            assert "is not a vertex p/q" in self.refused("farey-dist", u, "1/1")
+
+    def test_farey_dist_refusal_survives_optimize(self, run_optimized):
+        out = run_optimized(
+            "from click.testing import CliRunner\n"
+            "from freefactor.cli import main\n"
+            "for u in ('1/x', '1'):\n"
+            "    r = CliRunner().invoke(main, ['farey-dist', u, '1/1'])\n"
+            "    print(r.exit_code, repr(r.stderr), repr(r.stdout))\n"
+        )
+        assert out == (
+            "2 \"error: '1/x' is not a vertex p/q\\n\" ''\n"
+            "2 \"error: '1' is not a vertex p/q\\n\" ''\n"
+        )
 
     def test_alphabet_refusal_survives_optimize(self, run_optimized):
         out = run_optimized(

@@ -70,8 +70,8 @@ class TestMeet:
         A = fa.free_factor_class(A3, [w3("a"), w3("b")])
         B = fa.free_factor_class(A3, [w3("a"), w3("c")])
         for mc in fa.meet_projection(A, B):
-            for g in mc.gens_in_A:
-                assert g.alphabet == A.graph.basis_alphabet
+            for c in mc.classes:
+                assert len(c) == A.rank
 
 
 class TestOverlap:
@@ -107,6 +107,20 @@ class TestDisjoint:
         C = fa.free_factor_class(A4, [w4("b"), w4("c")])
         assert fa.classify_pair(A, B)[0] == "disjoint"
         assert fa.classify_pair(A, C)[0] == "overlap"
+
+    def test_classify_folds_one_pullback(self, monkeypatch):
+        calls = []
+        pullback = fa.pullback_components
+        monkeypatch.setattr(fa, "pullback_components", lambda A, B: calls.append(1) or pullback(A, B))
+        A = fa.free_factor_class(A4, [w4("a"), w4("b")])
+        B = fa.free_factor_class(A4, [w4("c"), w4("d")])
+        C = fa.free_factor_class(A4, [w4("b"), w4("c")])
+        D = fa.free_factor_class(A4, [w4("a a"), w4("b")])  # meets A, no certificate
+        E = fa.free_factor_class(A4, [w4("c c"), w4("d d")])  # misses A, not a factor
+        for X, Y, verdict in ((A, B, "disjoint"), (A, C, "overlap"), (A, D, "none"), (A, E, "none")):
+            calls.clear()
+            assert fa.classify_pair(X, Y)[0] == verdict
+            assert len(calls) == 1
 
 
 class TestIsFreeFactor:

@@ -32,13 +32,13 @@ class TestVertices:
 
 class TestVertexOf:
     def test_first_basis_letter(self):
-        assert farey.farey_vertex_of(word_from_str(A2, "a")) == v(1, 0)
+        assert farey.farey_vertex(*farey.abelianize2(word_from_str(A2, "a"))) == v(1, 0)
 
     def test_product(self):
-        assert farey.farey_vertex_of(word_from_str(A2, "a b")) == v(1, 1)
+        assert farey.farey_vertex(*farey.abelianize2(word_from_str(A2, "a b"))) == v(1, 1)
 
     def test_conjugation_invisible(self):
-        assert farey.farey_vertex_of(word_from_str(A2, "b a b^-1")) == v(1, 0)
+        assert farey.farey_vertex(*farey.abelianize2(word_from_str(A2, "b a b^-1"))) == v(1, 0)
 
 
 class TestDistance:

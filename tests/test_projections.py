@@ -122,7 +122,6 @@ class TestProjectTree:
         basis_edges = stallings.SubgroupGraph.basis_edges
         monkeypatch.setattr(stallings.SubgroupGraph, "basis_edges",
                             lambda H: seen.append(H.alphabet) or basis_edges(H))
-        monkeypatch.setattr(stallings, "membership_rewrite", None)
         pj.project_tree.__wrapped__(FACTOR_AB, T)
         assert seen.count(T.edge_alphabet) == 1
 

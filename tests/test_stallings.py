@@ -3,10 +3,13 @@ import random
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
 from freefactor import stallings as st
-from freefactor.errors import TrivialSubgroup
-from freefactor.words import abc_alphabet, identity, reduce_raw, std_alphabet, word_from_str, word_to_str
-from oracles import subgroup_ball
+from freefactor.errors import AlphabetMismatch, TrivialSubgroup
+from freefactor.words import abc_alphabet, reduce_raw, std_alphabet, word_from_str
+from oracles import rewrite_class, subgroup_ball
 
 A3 = abc_alphabet(3)
 
@@ -57,35 +60,6 @@ class TestFromGenerators:
                     in_ball = tuple(word.letters) in ball
                     if in_ball:
                         assert H.contains(word)
-
-
-class TestMembership:
-    def test_direct(self):
-        H = graph("a", "b")
-        assert word_to_str(st.membership_rewrite(H, w("b"))) == "g1"
-
-    def test_rejects(self):
-        H = graph("a a", "b")
-        assert st.membership_rewrite(H, w("a b a^-1")) is None
-
-    def test_reads_product(self):
-        H = graph("a a", "b")
-        expr = st.membership_rewrite(H, w("a a b"))
-        assert expr is not None
-        assert st.expand_basis_word(H, expr) == w("a a b")
-
-    def test_roundtrip_random(self):
-        rng = random.Random(5)
-        H = graph("a a", "b a b^-1", "c c a")
-        basis = H.basis()
-        for _ in range(40):
-            word = identity(A3)
-            for _ in range(rng.randrange(0, 6)):
-                b = rng.choice(basis)
-                word = word * (b if rng.random() < 0.5 else b.inverse())
-            expr = st.membership_rewrite(H, word)
-            assert expr is not None
-            assert st.expand_basis_word(H, expr) == word
 
 
 class TestCanonicalCore:
@@ -148,32 +122,95 @@ class TestPullback:
         B = graph("c", "d", alphabet=a4)
         assert st.pullback_components(A, B) == []
 
-    def test_components_lie_in_A(self):
-        A = graph("a", "b c")
-        B = graph("b", "c a")
-        for c in st.pullback_components(A, B):
-            # expanding the A-basis expressions recovers subgroup elements of A
-            for expr in c.gens_in_A:
-                assert A.contains(st.expand_basis_word(A, expr))
+    def test_alphabet_mismatch_is_typed(self):
+        A = graph("a", "b")
+        B = st.from_generators(std_alphabet(3), [])
+        with pytest.raises(AlphabetMismatch):
+            st.pullback_components(A, B)
+        with pytest.raises(AlphabetMismatch):
+            st.from_generators(A3, [w("a"), word_from_str(std_alphabet(3), "x1")])
 
-    def test_gens_in_A_unchanged_by_the_shared_index(self):
-        # the digest was taken when every generator rebuilt A's basis index
+    def test_alphabet_mismatch_survives_optimize(self, run_optimized):
+        out = run_optimized(
+            "from freefactor import stallings as st\n"
+            "from freefactor.errors import FreefactorError\n"
+            "from freefactor.words import abc_alphabet, std_alphabet, word_from_str\n"
+            "A3 = abc_alphabet(3)\n"
+            "A = st.from_generators(A3, [word_from_str(A3, 'a')])\n"
+            "B = st.from_generators(std_alphabet(3), [])\n"
+            "calls = [lambda: st.pullback_components(A, B),\n"
+            "         lambda: st.from_generators(A3, [word_from_str(std_alphabet(3), 'x1')])]\n"
+            "for call in calls:\n"
+            "    try:\n"
+            "        call()\n"
+            "    except FreefactorError as exc:\n"
+            "        print(type(exc).__name__)\n"
+        )
+        assert out == "AlphabetMismatch\nAlphabetMismatch\n"
+
+
+def random_pairs(rng, rank, count):
+    alphabet = std_alphabet(rank)
+    for _ in range(count):
+        yield tuple(st.from_generators(alphabet, [
+            reduce_raw(alphabet, [rng.choice((1, -1)) * rng.randrange(1, rank + 1)
+                                  for _ in range(rng.randrange(1, 6))])
+            for _ in range(rng.randrange(1, 4))]) for _ in range(2))
+
+
+@hst.composite
+def pairs(draw):
+    """Two subgroup graphs of one free group of rank 2-4."""
+    rank = draw(hst.integers(2, 4))
+    alphabet = std_alphabet(rank)
+    letter = hst.integers(1, rank).flatmap(lambda x: hst.sampled_from((x, -x)))
+    gens = hst.lists(hst.lists(letter, min_size=1, max_size=6), min_size=1, max_size=3)
+    return tuple(st.from_generators(alphabet, [reduce_raw(alphabet, g) for g in draw(gens)])
+                 for _ in range(2))
+
+
+class TestH1Classes:
+    """Each component's classes against rewriting its generators in A's
+    basis and abelianizing (``oracles.rewrite_class``)."""
+
+    def check(self, A, B):
+        # the generators in ambient letters are what pullback_components
+        # folds into each component's subgroup graph, once per component
+        seen = []
+        fold = st.from_generators
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(st, "from_generators", lambda alphabet, gens: seen.append(gens) or fold(alphabet, gens))
+            comps = st.pullback_components(A, B)
+        assert len(seen) == len(comps)
+        basis = [b.letters for b in A.basis()]
+        for c, gens in zip(comps, seen):
+            assert len(c.classes) == len(gens) == c.rank
+            assert all(len(v) == A.rank for v in c.classes)
+            assert list(c.classes) == [rewrite_class(basis, g.letters) for g in gens]
+        return len(comps)
+
+    def test_seeded_pairs(self):
+        rng = random.Random(7)
+        assert sum(self.check(A, B) for rank in (2, 3, 4) for A, B in random_pairs(rng, rank, 30)) > 30
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(pairs())
+    def test_hypothesis_pairs(self, pair):
+        self.check(*pair)
+
+    def test_classes_unchanged_from_the_rewrites(self):
+        # the digest was taken by abelianizing the membership rewrites that
+        # these classes replace
         rng = random.Random(43)
-        lines = []
-        for rank in (2, 3, 4):
-            alphabet = std_alphabet(rank)
-            for _ in range(30):
-                A, B = (st.from_generators(alphabet, [
-                    reduce_raw(alphabet, [rng.choice((1, -1)) * rng.randrange(1, rank + 1)
-                                          for _ in range(rng.randrange(1, 6))])
-                    for _ in range(rng.randrange(1, 4))]) for _ in range(2))
-                for c in st.pullback_components(A, B):
-                    for expr in c.gens_in_A:
-                        assert st.membership_rewrite(A, st.expand_basis_word(A, expr)) == expr
-                    lines.append(" | ".join(str(e) for e in c.gens_in_A))
+        lines = [
+            " | ".join(str(v) for v in c.classes)
+            for rank in (2, 3, 4)
+            for A, B in random_pairs(rng, rank, 30)
+            for c in st.pullback_components(A, B)
+        ]
         assert len(lines) == 39
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-            "620f958ed8fa3c7e690ad58d171b72e958e14fa64f232cfb8d4f49c9653a485d"
+            "fd0ce6c3d583bdc06d7ba1731e802fb09c69d356de2c55baf46aedfd4a00238e"
         )
 
 
