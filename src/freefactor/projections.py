@@ -10,6 +10,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from freefactor import factors as fa
 from freefactor import farey, stallings
+from freefactor._kernel import substitute
 from freefactor.errors import (
     InvalidMarking,
     NotInOmega,
@@ -124,11 +125,8 @@ class MarkedGraph:
 
     def eval_edge_word(self, edge_word: Sequence[int]) -> Word:
         """Label-word of an edge path (signed 1-based edge indices)."""
-        raw: List[int] = []
-        for s in edge_word:
-            ls = self.edges[abs(s) - 1][2].letters
-            raw.extend(ls if s > 0 else [-y for y in reversed(ls)])
-        return reduce_raw(self.alphabet, raw)
+        labels = [w.letters for _u, _v, w in self.edges]
+        return Word(self.alphabet, tuple(substitute(edge_word, labels)))
 
     def marking_words(self) -> List[Word]:
         """Images in F_n of the basis loops under the marking."""
@@ -139,15 +137,8 @@ class MarkedGraph:
         inv = _marking_inverse(self)
         loops = self.basis_loops()
         ea = self.edge_alphabet
-        out = []
-        for w in words:
-            in_basis = inv(w)  # word in the basis loops t_1..t_n
-            path: List[int] = []
-            for s in in_basis.letters:
-                loop = loops[abs(s) - 1]
-                path.extend(loop if s > 0 else [-x for x in reversed(loop)])
-            out.append(reduce_raw(ea, path))
-        return out
+        # inv(w) is a word in the basis loops t_1..t_n
+        return [Word(ea, tuple(substitute(inv(w).letters, loops))) for w in words]
 
 
 @lru_cache(maxsize=0)
@@ -162,7 +153,8 @@ def rose(alphabet: Alphabet) -> MarkedGraph:
 
 def transform_marked(f: GroupMap, T: MarkedGraph) -> MarkedGraph:
     """Relabel every edge word w by f(w)."""
-    assert f.kind == "verified-automorphism"
+    if f.inverse_images is None:
+        raise InvalidMarking("transform_marked needs a verified automorphism")
     edges = tuple((u, v, f(w)) for u, v, w in T.edges)
     return MarkedGraph(f.codomain, T.num_vertices, edges, T.base, compose_map(f, T.marking_hint))
 

@@ -10,8 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from freefactor._kernel import concat, reduce_word
-from freefactor.errors import InvalidAlphabet, MalformedWord, NotSurjective, UnknownLetter
+from freefactor._kernel import concat, reduce_word, substitute
+from freefactor.errors import (
+    AlphabetMismatch,
+    InvalidAlphabet,
+    MalformedWord,
+    NotSurjective,
+    UnknownLetter,
+)
 
 
 @dataclass(frozen=True)
@@ -26,6 +32,15 @@ class Alphabet:
         if len(set(self.names)) != len(self.names):
             repeated = next(n for i, n in enumerate(self.names) if n in self.names[:i])
             raise InvalidAlphabet(f"letter name {repeated!r} repeats in {self.names}")
+
+    def __eq__(self, other) -> bool:
+        # every product and map application compares alphabets, and almost
+        # always an alphabet with itself
+        if self is other:
+            return True
+        if not isinstance(other, Alphabet):
+            return NotImplemented
+        return self.names == other.names
 
     @property
     def rank(self) -> int:
@@ -77,7 +92,8 @@ class Word:
         return len(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        assert self.alphabet == other.alphabet
+        if self.alphabet != other.alphabet:
+            raise AlphabetMismatch("the two words have different alphabets")
         return Word(self.alphabet, tuple(concat(self.letters, other.letters)))
 
     def inverse(self) -> "Word":
@@ -217,13 +233,11 @@ class GroupMap:
         return "endomorphism" if self.inverse_images is None else "verified-automorphism"
 
     def __call__(self, w: Word) -> Word:
-        assert w.alphabet == self.domain, "alphabet mismatch"
-        raw: List[int] = []
-        for x in w.letters:
-            img = self.images[abs(x) - 1].letters
-            raw.extend(img if x > 0 else [-y for y in reversed(img)])
-        # images are reduced, so one linear pass reduces the whole product
-        return Word(self.codomain, tuple(reduce_word(raw)))
+        if w.alphabet != self.domain:
+            raise AlphabetMismatch("the word is not over the map's domain")
+        # images are reduced, so only the seams between them can cancel
+        images = [im.letters for im in self.images]
+        return Word(self.codomain, tuple(substitute(w.letters, images)))
 
     def is_identity(self) -> bool:
         return self.domain == self.codomain and all(
@@ -255,8 +269,18 @@ def conjugation_by(w: Word) -> GroupMap:
 
 
 def compose_map(f: GroupMap, g: GroupMap) -> GroupMap:
-    """(f o g)(x) = f(g(x))."""
-    assert g.codomain == f.domain, "alphabet mismatch"
+    """(f o g)(x) = f(g(x)).
+
+    The product carries its inverse exactly when both factors do.  When one
+    factor is the identity and skipping it keeps that rule, the other factor
+    is returned as it is.
+    """
+    if g.codomain != f.domain:
+        raise AlphabetMismatch("the inner map's codomain is not the outer map's domain")
+    if f.is_identity() and (f.inverse_images is not None or g.inverse_images is None):
+        return g
+    if g.is_identity() and (g.inverse_images is not None or f.inverse_images is None):
+        return f
     inverse = None
     if f.inverse_images is not None and g.inverse_images is not None:
         gi = g.inverse_hint
@@ -265,7 +289,8 @@ def compose_map(f: GroupMap, g: GroupMap) -> GroupMap:
 
 
 def map_power(f: GroupMap, n: int) -> GroupMap:
-    assert f.domain == f.codomain
+    if f.domain != f.codomain:
+        raise AlphabetMismatch("map_power needs an endomorphism")
     if n < 0:
         return map_power(invert_automorphism(f), -n)
     result = identity_map(f.domain)
@@ -387,7 +412,8 @@ def invert_automorphism(f: GroupMap) -> GroupMap:
     inverse images; it raises NotSurjective when the images generate a
     proper subgroup.
     """
-    assert f.domain == f.codomain, "inversion requires an endomorphism"
+    if f.domain != f.codomain:
+        raise AlphabetMismatch("inversion needs an endomorphism")
     if f.inverse_images is not None:
         return f.inverse_hint
     letters = _fold_inverse(f)
@@ -413,7 +439,8 @@ def is_inner(f: GroupMap, basis: Optional[Sequence[Word]] = None) -> Optional[Wo
     Solves the first basis word by a conjugacy search, then resolves the coset
     ambiguity w in w0<b1> by a bounded exponent scan.
     """
-    assert f.domain == f.codomain
+    if f.domain != f.codomain:
+        raise AlphabetMismatch("is_inner needs an endomorphism")
     if basis is None:
         basis = [letter(f.domain, i) for i in range(f.domain.rank)]
     images = [f(b) for b in basis]

@@ -451,6 +451,24 @@ def _compose(f, g):
     return tuple(out)
 
 
+def plain_substitution(word, pieces):
+    """The unreduced concatenation of pieces[x - 1] (x > 0) or of its
+    inverse (x < 0) over the letters x of word."""
+    out = ()
+    for x in word:
+        out += tuple(pieces[x - 1]) if x > 0 else _inv(pieces[-x - 1])
+    return out
+
+
+def compose_with_inverses(f, f_inv, g, g_inv):
+    """Images of f o g, and of its inverse g_inv o f_inv when both inverses
+    are given (else None); maps are tuples of image words."""
+    inverse = None
+    if f_inv is not None and g_inv is not None:
+        inverse = _compose(g_inv, f_inv)
+    return _compose(f, g), inverse
+
+
 def is_onto(n, images):
     """Whether the images generate F_n: their folded core is the full rose."""
     vertices, edges = naive_core(images)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -158,6 +159,10 @@ class TestModes:
         for rec in r["records"]:
             assert rec["status"] == "checked"
             assert rec["checks"]["disjoint"]
+        # pins the report bytes: sha256 of the canonical JSON
+        assert hashlib.sha256(se.canonical_dumps(r).encode()).hexdigest() == (
+            "0607bc312129bc79e2f4a6682ccf6482b1371e6abb52d53b2bb0a853a1dbde0c"
+        )
 
 
 class TestDeterminism:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freefactor import experiments as ex, words
+from freefactor import experiments as ex, projections as pj, words
+from freefactor._kernel import reduce_word, substitute
 from freefactor.errors import InvalidAlphabet, MalformedWord, NotSurjective, UnknownLetter
 from freefactor.words import (
     Alphabet,
@@ -24,7 +25,13 @@ from freefactor.words import (
     word_from_str,
     word_to_str,
 )
-from oracles import is_onto, naive_reduce, nielsen_inverse
+from oracles import (
+    compose_with_inverses,
+    is_onto,
+    naive_reduce,
+    nielsen_inverse,
+    plain_substitution,
+)
 
 A3 = abc_alphabet(3)
 
@@ -82,6 +89,11 @@ class TestReduce:
         with pytest.raises(InvalidAlphabet, match="letter name 'b' repeats"):
             Alphabet(("a", "b", "c", "b"))
 
+    def test_alphabet_equality_by_names(self):
+        ab = Alphabet(("a", "b"))
+        assert ab == abc_alphabet(2) and hash(ab) == hash(abc_alphabet(2))
+        assert ab != abc_alphabet(3) and ab != ("a", "b")
+
     def test_bad_exponent(self):
         for text in ("a^x", "a^", "b a^1.5"):
             with pytest.raises(MalformedWord):
@@ -96,6 +108,37 @@ class TestReduce:
         w = reduce_raw(A3, raw)
         assert reduce_raw(A3, w.letters) == w
         assert (w * w.inverse()).is_identity()
+
+
+@st.composite
+def seam_cases(draw):
+    """A word over piece indices and reduced pieces: some base words, their
+    inverses and the empty word, so whole pieces cancel (w, w^-1, w)."""
+    raw = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=8)
+    base = [naive_reduce(w) for w in draw(st.lists(raw, min_size=1, max_size=4))]
+    pieces = base + [tuple(-x for x in reversed(w)) for w in base] + [()]
+    index = st.integers(1, len(pieces)).flatmap(lambda i: st.sampled_from([i, -i]))
+    return draw(st.lists(index, max_size=12)), pieces
+
+
+class TestSeamProduct:
+    """``substitute`` cancels only at the seams, so it must agree with
+    reducing the plain concatenation letter by letter."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(seam_cases())
+    def test_matches_reduced_concatenation(self, case):
+        word, pieces = case
+        assert substitute(word, pieces) == reduce_word(plain_substitution(word, pieces))
+
+    def test_whole_pieces_cancel(self):
+        w = (1, 2, -3)
+        w_inv = (3, -2, -1)
+        assert substitute([1, -1, 1], [w]) == list(w)
+        assert substitute([1, 2, 1], [w, w_inv]) == list(w)
+        assert substitute([1, 2, -1, 1], [w, ()]) == list(w)
+        assert substitute([1, 2, 2, -1], [w, w_inv]) == list(w_inv + w_inv)
+        assert substitute([], [w]) == []
 
 
 class TestConjugacy:
@@ -126,6 +169,60 @@ class TestCompose:
         f = group_map(A3, A3, [word_from_str(A3, "a b"), word_from_str(A3, "b"), word_from_str(A3, "c")])
         ff = compose_map(f, f)
         assert word_to_str(ff.images[0]) == "a b b"
+
+    @pytest.mark.parametrize("id_certified", [True, False])
+    @pytest.mark.parametrize("other_certified", [True, False])
+    def test_identity_operand_matches_full_composition(self, id_certified, other_certified):
+        # an identity operand is skipped only where the full composition
+        # gives the same images, inverse images and kind
+        rng = random.Random(29)
+        for rank in (2, 3, 4):
+            alphabet = std_alphabet(rank)
+            ident = identity_map(alphabet)
+            if not id_certified:
+                ident = group_map(alphabet, alphabet, ident.images)
+            for _ in range(4):
+                other = _linked_product(rng, alphabet)
+                if not other_certified:
+                    other = group_map(alphabet, alphabet, other.images)
+                for f, g in ((ident, other), (other, ident)):
+                    got = compose_map(f, g)
+                    images, inverse = compose_with_inverses(
+                        _letters(f), _inverse_letters(f), _letters(g), _inverse_letters(g)
+                    )
+                    assert _letters(got) == images
+                    assert _inverse_letters(got) == inverse
+                    assert got.kind == ("endomorphism" if inverse is None else "verified-automorphism")
+
+
+class TestNoIdentityWork:
+    """Marking a rose and powering a map never apply an identity map."""
+
+    @pytest.mark.parametrize("rank", [2, 3, 5])
+    def test_map_applications(self, monkeypatch, rank):
+        alphabet = std_alphabet(rank)
+        f = compose_map(transvection(alphabet, 0, 1, 1), transvection(alphabet, rank - 1, 0, -1, "left"))
+        R = pj.rose(alphabet)
+        calls = []
+        apply = words.GroupMap.__call__
+
+        def counting(g, w):
+            calls.append(g)
+            return apply(g, w)
+
+        monkeypatch.setattr(words.GroupMap, "__call__", counting)
+        pj.transform_marked(f, R)
+        assert len(calls) == rank
+        assert not any(g.is_identity() for g in calls)
+        calls.clear()
+        map_power(f, 8)
+        # three squarings, each applying the base to n images and its
+        # inverse to n inverse images
+        assert len(calls) == 6 * rank
+        assert not any(g.is_identity() for g in calls)
+        calls.clear()
+        map_power(f, 0)
+        assert calls == []
 
 
 class TestInvert:
@@ -158,6 +255,12 @@ PLATEAU_IMAGES = ("b a^-1 b^-1", "c b^-1", "c a^-1 a^-1")
 
 def _letters(f):
     return tuple(w.letters for w in f.images)
+
+
+def _inverse_letters(f):
+    if f.inverse_images is None:
+        return None
+    return tuple(w.letters for w in f.inverse_images)
 
 
 class TestFoldInverse:
@@ -307,3 +410,44 @@ class TestIsInner:
             f = conjugation_by(w)
             finv = invert_automorphism(f)
             assert (is_inner(f) is None) == (is_inner(finv) is None)
+
+
+# each public entry point with a typed precondition: (statement, error line)
+PRECONDITIONS = {
+    "word-product": (
+        "W.letter(A, 0) * W.letter(B, 0)",
+        "AlphabetMismatch: the two words have different alphabets",
+    ),
+    "map-call": (
+        "W.identity_map(A)(W.letter(B, 0))",
+        "AlphabetMismatch: the word is not over the map's domain",
+    ),
+    "compose": (
+        "W.compose_map(W.identity_map(A), W.identity_map(B))",
+        "AlphabetMismatch: the inner map's codomain is not the outer map's domain",
+    ),
+    "map-power": ("W.map_power(P, 2)", "AlphabetMismatch: map_power needs an endomorphism"),
+    "invert": ("W.invert_automorphism(P)", "AlphabetMismatch: inversion needs an endomorphism"),
+    "is-inner": ("W.is_inner(P)", "AlphabetMismatch: is_inner needs an endomorphism"),
+    "transform-marked": (
+        "pj.transform_marked(W.group_map(A, A, W.identity_map(A).images), pj.rose(A))",
+        "InvalidMarking: transform_marked needs a verified automorphism",
+    ),
+}
+
+
+class TestTypedPreconditions:
+    @pytest.mark.parametrize("name", sorted(PRECONDITIONS))
+    def test_refusal_survives_optimize(self, run_optimized, name):
+        statement, line = PRECONDITIONS[name]
+        out = run_optimized(
+            "from freefactor import projections as pj, words as W\n"
+            "from freefactor.errors import FreefactorError\n"
+            "A, B = W.abc_alphabet(3), W.abc_alphabet(2)\n"
+            "P = W.group_map(A, B, [W.letter(B, 0)] * 3)\n"
+            "try:\n"
+            f"    {statement}\n"
+            "except FreefactorError as exc:\n"
+            "    print(f'{type(exc).__name__}: {exc}')\n"
+        )
+        assert out == line + "\n"
