@@ -99,6 +99,13 @@ CASES = {
         0,
         "57167baec5bd0537541f915bd71a10bcbebf5eabc0a913e3886ae143a90ca519",
     ),
+    # acceptance criterion 6's audit
+    "run-order-audit-overlap-chain-f3-100": (
+        ["run", "--mode", "order-audit", "--fixture", "overlap-chain-f3", "--samples", "100",
+         "--seed", "6"],
+        0,
+        "c50ad46737f3df8362fef9bb82a13f66852d4ef76e7a5606e453c8e6e620fed2",
+    ),
     "run-farey-crosscheck": (
         ["run", "--mode", "farey-crosscheck", "--samples", "3", "--seed", "1"],
         0,
