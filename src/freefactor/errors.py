@@ -93,6 +93,10 @@ class ThresholdViolated(FreefactorError):
     pass
 
 
+class PathTooShort(FreefactorError):
+    """A tree path has fewer than two trees."""
+
+
 class NotAdmissible(FreefactorError):
     def __init__(self, pair, detail=""):
         self.pair = pair

@@ -199,7 +199,7 @@ def _run_behrstock_scan(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> D
 def _run_order_audit(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict:
     rng = random.Random(cfg.seed)
     coll = system.collection
-    ambient = coll.factors[0].ambient
+    pairs = _overlapping_pairs(system)
     M = measure_m_emp(system, cfg.seed + 1, min(100, cfg.samples))
     K = 2 * M + 1
     m_push = max(K, 4)
@@ -208,7 +208,7 @@ def _run_order_audit(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict
     met = 0
     insufficient = 0
     for k in range(cfg.samples):
-        i, j = rng.choice(_overlapping_pairs(system))
+        i, j = rng.choice(pairs)
         if rng.random() < 0.5:
             i, j = j, i
         rec: Dict = {"sample": k, "pair": [coll.names[i], coll.names[j]]}
@@ -217,26 +217,26 @@ def _run_order_audit(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict
             rec["status"] = "power-insufficient"
             records.append(rec)
             continue
-        T = random_tree(rng, ambient, 4)
-        fi = map_power(system.maps[i], m_push)
-        fj = map_power(system.maps[j], m_push)
-        T2 = pj.transform_marked(compose_map(fi, fj), T)
-        A = coll.factors[i]
-        B2 = fc.transport(fi, coll.factors[j])
-        if not fc.meet_projection(A, B2):
+        T = random_tree(rng, coll.factors[0].ambient, 4)
+        # the pair (A_i, f_i^m A_j) on (T, f_i^m f_j^m T), pulled back by the
+        # isometry f_i^-m: f_i^m fixes A_i, and meets are equivariant
+        T1 = pj.transform_marked(map_power(system.maps[i], -m_push), T)
+        T2 = pj.transform_marked(map_power(system.maps[j], m_push), T)
+        A, B = coll.factors[i], coll.factors[j]
+        if not fc.meet_projection(A, B):
             rec["status"] = "pair-degenerate"
             records.append(rec)
             continue
-        dA = pj.projection_distance(A, T, T2)
-        dB = pj.projection_distance(B2, T, T2)
+        dA = pj.projection_distance(A, T1, T2)
+        dB = pj.projection_distance(B, T1, T2)
         rec["d_A"], rec["d_B"] = dA, dB
         if dA < K or dB < K:
             rec["status"] = "precondition-unmet"
             records.append(rec)
             continue
         met += 1
-        v_ab = pj.factor_order(A, B2, T, T2, M)
-        v_ba = pj.factor_order(B2, A, T, T2, M)
+        v_ab = pj.factor_order(A, B, T1, T2, M)
+        v_ba = pj.factor_order(B, A, T1, T2, M)
         checks = {
             "exactly_one_order": v_ab.first_precedes_second != v_ba.first_precedes_second,
         }
@@ -354,6 +354,7 @@ def _run_interval_check(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> D
     violations: List[Dict] = []
     insufficient = 0
     seg_cache: Dict[Tuple[int, bool], List[pj.MarkedGraph]] = {}
+    pairs = _overlapping_pairs(system)
 
     def segment(idx: int, inverse: bool) -> List[pj.MarkedGraph]:
         key = (idx, inverse)
@@ -368,7 +369,7 @@ def _run_interval_check(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> D
         return seg_cache[key]
 
     for k in range(cfg.samples):
-        i, j = rng.choice(_overlapping_pairs(system))
+        i, j = rng.choice(pairs)
         if rng.random() < 0.5:
             i, j = j, i
         rec: Dict = {"sample": k, "pair": [coll.names[i], coll.names[j]]}

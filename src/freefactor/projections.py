@@ -16,6 +16,7 @@ from freefactor.errors import (
     NotInOmega,
     NotOverlapping,
     NotSurjective,
+    PathTooShort,
     ThresholdViolated,
     UndefinedProjection,
 )
@@ -283,7 +284,8 @@ def project_tree(A: FreeFactorClass, T: MarkedGraph) -> ProjectionSet:
 
 def factor_projection_vertices(A: FreeFactorClass, B: FreeFactorClass) -> FrozenSet[farey.FareyVertex]:
     """π_A(B) as Farey vertices (A rank 2)."""
-    assert A.rank == 2
+    if A.rank != 2:
+        raise UndefinedProjection(f"Farey projections are for rank-2 factors, not rank {A.rank}")
     classes = fa.meet_projection(A, B)
     if not classes:
         raise UndefinedProjection("factors do not meet")
@@ -329,32 +331,23 @@ class OrderVerdict:
 
 
 def factor_order(
-    A: FreeFactorClass,
-    B: FreeFactorClass,
-    T: MarkedGraph,
-    T2: MarkedGraph,
-    M: int,
-    K: Optional[int] = None,
+    A: FreeFactorClass, B: FreeFactorClass, T: MarkedGraph, T2: MarkedGraph, M: int
 ) -> OrderVerdict:
-    """Order two overlapping factors far from both trees: A ≺ B iff
-    d_A(T, B) >= M + 1.  Returns all diagnostic quantities for auditing."""
-    if K is None:
-        K = 2 * M + 1
-    assert K >= 2 * M + 1, "order precondition: K >= 2M + 1"
+    """Order two overlapping factors at distance >= K = 2M + 1 from both
+    trees: A ≺ B iff d_A(T, B) >= M + 1.  Returns every diagnostic quantity."""
+    K = 2 * M + 1
     if not fa.meet_projection(A, B):
         raise NotOverlapping("factors do not meet")
     dA = projection_distance(A, T, T2)
     dB = projection_distance(B, T, T2)
     if dA < K or dB < K:
         raise NotInOmega(f"d_A(T,T')={dA}, d_B(T,T')={dB} below K={K}")
-    pa_t, pa_t2 = project_tree(A, T), project_tree(A, T2)
-    pb_t, pb_t2 = project_tree(B, T), project_tree(B, T2)
     pa_b = factor_projection_vertices(A, B)
     pb_a = factor_projection_vertices(B, A)
-    d_A_T_B = farey.diameter(pa_t.vertices | pa_b)
-    d_B_T_A = farey.diameter(pb_t.vertices | pb_a)
-    d_B_T2_A = farey.diameter(pb_t2.vertices | pb_a)
-    d_A_T2_B = farey.diameter(pa_t2.vertices | pa_b)
+    d_A_T_B = farey.diameter(project_tree(A, T).vertices | pa_b)
+    d_B_T_A = farey.diameter(project_tree(B, T).vertices | pb_a)
+    d_B_T2_A = farey.diameter(project_tree(B, T2).vertices | pb_a)
+    d_A_T2_B = farey.diameter(project_tree(A, T2).vertices | pa_b)
     return OrderVerdict(d_A_T_B >= M + 1, d_A_T_B, d_B_T_A, d_B_T2_A, d_A_T2_B, dA, dB)
 
 
@@ -367,7 +360,8 @@ class TreePath:
     trees: Tuple[MarkedGraph, ...]
 
     def __post_init__(self):
-        assert len(self.trees) >= 2
+        if len(self.trees) < 2:
+            raise PathTooShort(f"a tree path needs at least 2 trees, not {len(self.trees)}")
 
     @property
     def length(self) -> int:

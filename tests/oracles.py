@@ -557,3 +557,37 @@ def short_words(n, max_len):
         out.extend(w for w in product(letters, repeat=length)
                    if all(a != -b for a, b in zip(w, w[1:])))
     return out
+
+
+# --- order audit in the frame where it is defined ---------------------------
+#
+# Not naive like the rest: it reuses the library's projections.  It keeps the
+# direct order-audit computation, which transports A_j by f_i^m and projects
+# the tree f_i^m f_j^m T, so the audit's pulled-back frame (A_i, A_j) on
+# (f_i^-m T, f_j^m T) can be checked against it.
+
+def direct_order_distances(system, i, j, T, m, M):
+    """The six order-audit distances of the pair (A_i, f_i^m A_j) on
+    (T, f_i^m f_j^m T), and whether A_i precedes f_i^m A_j (d_A(T, B) >= M + 1);
+    None when the two factors do not meet."""
+    from freefactor import factors as fa, projections as pj
+    from freefactor.words import compose_map, map_power
+
+    fi = map_power(system.maps[i], m)
+    fj = map_power(system.maps[j], m)
+    T2 = pj.transform_marked(compose_map(fi, fj), T)
+    A = system.collection.factors[i]
+    B2 = fa.transport(fi, system.collection.factors[j])
+    if not fa.meet_projection(A, B2):
+        return None
+    d = pj.projection_distance
+    out = {
+        "d_A_T_T2": d(A, T, T2),
+        "d_B_T_T2": d(B2, T, T2),
+        "d_A_T_B": d(A, T, B2),
+        "d_B_T_A": d(B2, T, A),
+        "d_B_T2_A": d(B2, T2, A),
+        "d_A_T2_B": d(A, T2, B2),
+    }
+    out["first_precedes_second"] = out["d_A_T_B"] >= M + 1
+    return out

@@ -1,11 +1,13 @@
 import hashlib
 import random
+from dataclasses import asdict
 
 import pytest
 
 from freefactor import experiments as ex, factors as fc, projections as pj, serialize as se
 from freefactor.errors import UnknownMode
-from freefactor.words import abc_alphabet, std_alphabet, transvection
+from freefactor.words import abc_alphabet, map_power, std_alphabet, transvection
+from oracles import direct_order_distances
 
 FIXTURES = ("overlap-chain-f3", "pentagon-f5", "pentagon-support-f6")
 
@@ -163,6 +165,57 @@ class TestModes:
         assert hashlib.sha256(se.canonical_dumps(r).encode()).hexdigest() == (
             "0607bc312129bc79e2f4a6682ccf6482b1371e6abb52d53b2bb0a853a1dbde0c"
         )
+
+
+class TestOrderAuditFrame:
+    """order-audit measures (A_i, A_j) on (f_i^-m T, f_j^m T); the oracle
+    measures (A_i, f_i^m A_j) on (T, f_i^m f_j^m T), where the order is
+    defined.  M is pinned so the push power m is 4 or 5 at three samples."""
+
+    @pytest.mark.parametrize("fixture", ["overlap-chain-f3", "pentagon-f5"])
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_matches_direct_frame(self, monkeypatch, fixture, M):
+        monkeypatch.setattr(ex, "measure_m_emp", lambda *_: M)
+        seed = 4
+        r = ex.run_experiment(
+            ex.ExperimentConfig(mode="order-audit", fixture=fixture, samples=3, seed=seed)
+        )
+        m, K = r["aggregates"]["push_power"], r["aggregates"]["K"]
+        assert m == M + 3
+        system = se.load_fixture(fixture)
+        coll = system.collection
+        # replay the audit's draws
+        rng = random.Random(seed)
+        pairs = ex._overlapping_pairs(system)
+        for rec in r["records"]:
+            i, j = rng.choice(pairs)
+            if rng.random() < 0.5:
+                i, j = j, i
+            T = ex.random_tree(rng, coll.factors[0].ambient, 4)
+            assert rec["pair"] == [coll.names[i], coll.names[j]]
+            want = direct_order_distances(system, i, j, T, m, M)
+            assert (rec["d_A"], rec["d_B"]) == (want["d_A_T_T2"], want["d_B_T_T2"])
+            if min(rec["d_A"], rec["d_B"]) < K:
+                assert rec["status"] == "precondition-unmet"
+                continue
+            assert rec["status"] == "checked"
+            T1 = pj.transform_marked(map_power(system.maps[i], -m), T)
+            T2 = pj.transform_marked(map_power(system.maps[j], m), T)
+            A, B = coll.factors[i], coll.factors[j]
+            assert asdict(pj.factor_order(A, B, T1, T2, M)) == want
+            # the reversed pair reads the same four shadows in swapped roles
+            ba_first = want["d_B_T_A"] >= M + 1
+            if want["first_precedes_second"]:
+                far0, near0, far1, near1 = "d_A_T_B", "d_B_T_A", "d_B_T2_A", "d_A_T2_B"
+            else:
+                far0, near0, far1, near1 = "d_B_T_A", "d_A_T_B", "d_A_T2_B", "d_B_T2_A"
+            assert rec["checks"] == {
+                "exactly_one_order": want["first_precedes_second"] != ba_first,
+                "far_shadow_at_start": want[far0] >= M + 1,
+                "near_shadow_at_start": want[near0] <= M,
+                "far_shadow_at_end": want[far1] >= M + 1,
+                "near_shadow_at_end": want[near1] <= M,
+            }
 
 
 class TestDeterminism:

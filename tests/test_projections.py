@@ -10,7 +10,13 @@ from freefactor import (
     serialize as se,
     stallings,
 )
-from freefactor.errors import NotInOmega, NotOverlapping, ThresholdViolated, UndefinedProjection
+from freefactor.errors import (
+    NotInOmega,
+    NotOverlapping,
+    PathTooShort,
+    ThresholdViolated,
+    UndefinedProjection,
+)
 from freefactor.words import (
     Word,
     abc_alphabet,
@@ -204,6 +210,29 @@ class TestPreconditions:
         )
         assert out.split() == ["UndefinedProjection"] * 2
 
+    def test_rank3_factor_shadow_refused(self):
+        # <a, b, c> meets <c, d> in <c>, so only the rank check refuses
+        A4 = abc_alphabet(4)
+        A = fa.free_factor_class(A4, [word_from_str(A4, x) for x in "abc"])
+        B = fa.free_factor_class(A4, [word_from_str(A4, x) for x in "cd"])
+        with pytest.raises(UndefinedProjection, match="not rank 3"):
+            pj.factor_projection_vertices(A, B)
+
+    def test_rank3_factor_shadow_refused_under_optimize(self, run_optimized):
+        out = run_optimized(
+            "from freefactor import factors as fa, projections as pj\n"
+            "from freefactor.errors import UndefinedProjection\n"
+            "from freefactor.words import abc_alphabet, word_from_str\n"
+            "A4 = abc_alphabet(4)\n"
+            "A = fa.free_factor_class(A4, [word_from_str(A4, x) for x in 'abc'])\n"
+            "B = fa.free_factor_class(A4, [word_from_str(A4, x) for x in 'cd'])\n"
+            "try:\n"
+            "    pj.factor_projection_vertices(A, B)\n"
+            "except UndefinedProjection as exc:\n"
+            "    print(exc)\n"
+        )
+        assert out.strip() == "Farey projections are for rank-2 factors, not rank 3"
+
 
 class TestDistances:
     def test_linear_growth_under_iteration(self):
@@ -285,6 +314,23 @@ class TestIntervals:
         rec = pj.interval_of(path, FACTOR_AB, M=1, L=L)
         assert 0 <= rec.a < rec.b <= path.length
         assert rec.d_ends >= 5 * 1 + 3 * L
+
+    @pytest.mark.parametrize("trees", [(), (ROSE,)])
+    def test_short_path_refused(self, trees):
+        with pytest.raises(PathTooShort):
+            pj.TreePath(trees)
+
+    def test_short_path_refused_under_optimize(self, run_optimized):
+        out = run_optimized(
+            "from freefactor import projections as pj\n"
+            "from freefactor.errors import PathTooShort\n"
+            "from freefactor.words import abc_alphabet\n"
+            "try:\n"
+            "    pj.TreePath((pj.rose(abc_alphabet(3)),))\n"
+            "except PathTooShort as exc:\n"
+            "    print(type(exc).__name__)\n"
+        )
+        assert out.split() == ["PathTooShort"]
 
     def test_threshold_violation(self):
         path = self.path_through(HYP, 2)
