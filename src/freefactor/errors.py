@@ -25,6 +25,10 @@ class AlphabetMismatch(FreefactorError):
     """Words or subgroup graphs over different alphabets were combined."""
 
 
+class ImageCountMismatch(FreefactorError):
+    """A map lists a number of images other than its domain's rank."""
+
+
 class MalformedVertex(FreefactorError):
     """A Farey vertex is not written ``p/q`` with integers p and q."""
 
@@ -73,10 +77,6 @@ class NonPrimitiveImage(FreefactorError):
     """Abelianized generator is not a primitive integer pair."""
 
 
-class NotHyperbolic(FreefactorError):
-    pass
-
-
 class UndefinedProjection(FreefactorError):
     pass
 
@@ -113,6 +113,10 @@ class CommutationViolation(FreefactorError):
 
 class NotHyperbolicSeed(FreefactorError):
     pass
+
+
+class NoSuchSyllable(FreefactorError):
+    """A syllable index lies outside the word."""
 
 
 class SchemaError(FreefactorError):

@@ -48,6 +48,8 @@ MAX_POWER = 2 ** 10
 # cap on p * sum|e_i|: label lengths grow geometrically in this exponent
 DEFAULT_BUDGET_EXP = 14
 NIELSEN_TREE_LENGTH = 12
+FAREY_BOX = 40                # farey-crosscheck exhaustive box
+FAREY_RANDOM_PAIRS = 10_000   # farey-crosscheck metric checks
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,6 @@ class ExperimentConfig:
     samples: int = 100
     seed: int = 1
     power: Optional[int] = None          # None = auto-escalate
-    box: int = 40                        # farey-crosscheck exhaustive box
-    random_pairs: int = 10_000           # farey-crosscheck metric checks
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -138,16 +138,20 @@ def measure_m_emp(system: sy.AdmissibleSystem, seed: int, samples: int) -> int:
     return max((m for mins in minima for m in mins), default=0)
 
 
+def _power_path(f: GroupMap, steps: int) -> List[pj.MarkedGraph]:
+    """[R, f R, ..., f^steps R] from the rose R, one relabelling per step."""
+    trees = [pj.rose(f.domain)]
+    for _ in range(steps):
+        trees.append(pj.transform_marked(f, trees[-1]))
+    return trees
+
+
 def measure_l_path(system: sy.AdmissibleSystem, steps: int = 4) -> int:
     """Max per-step projection displacement when applying one generator power."""
     coll = system.collection
-    ambient = coll.factors[0].ambient
     best = 1
-    for i, f in enumerate(system.maps):
-        trees = [pj.rose(ambient)]
-        for _ in range(steps):
-            trees.append(pj.transform_marked(f, trees[-1]))
-        path = pj.TreePath(tuple(trees))
+    for f in system.maps:
+        path = pj.TreePath(tuple(_power_path(f, steps)))
         for A in coll.factors:
             best = max(best, path.step_bound(A))
     return best
@@ -289,6 +293,7 @@ def _run_theorem9(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict:
         # (prefix . f^{p e_k})^{-1}, which splits phi(g) at the active
         # syllable; both sides stay small when the split is balanced
         exps = [abs(s.exp) for s in g.syllables]
+        scaled = [(gen, p * e) for gen, e in g.key()]
         dists: List[Optional[int]] = []
         ok = True
         fits_all = True
@@ -299,14 +304,9 @@ def _run_theorem9(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict:
                 dists.append(None)
                 fits_all = False
                 continue
-            left = identity_map(rose.alphabet)
-            for s in g.syllables[: idx + 1]:
-                left = compose_map(left, map_power(system.map_of(s.gen), p * s.exp))
-            right = identity_map(rose.alphabet)
-            for s in g.syllables[idx + 1 :]:
-                right = compose_map(right, map_power(system.map_of(s.gen), p * s.exp))
+            left = sy.apply_phi(system, scaled[: idx + 1])
             T1 = pj.transform_marked(invert_automorphism(left), rose)
-            T2 = pj.transform_marked(right, rose)
+            T2 = pj.transform_marked(sy.apply_phi(system, scaled[idx + 1 :]), rose)
             A = system.collection.factors[system.collection.index(syl.gen)]
             d = pj.projection_distance(A, T1, T2)
             dists.append(d)
@@ -344,7 +344,6 @@ def _run_theorem9(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict:
 def _run_interval_check(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict:
     rng = random.Random(cfg.seed)
     coll = system.collection
-    ambient = coll.factors[0].ambient
     M = measure_m_emp(system, cfg.seed + 1, min(100, cfg.samples))
     L = measure_l_path(system)
     K = 5 * M + 3 * L
@@ -353,20 +352,12 @@ def _run_interval_check(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> D
     records: List[Dict] = []
     violations: List[Dict] = []
     insufficient = 0
-    seg_cache: Dict[Tuple[int, bool], List[pj.MarkedGraph]] = {}
     pairs = _overlapping_pairs(system)
 
+    @lru_cache(maxsize=None)
     def segment(idx: int, inverse: bool) -> List[pj.MarkedGraph]:
-        key = (idx, inverse)
-        if key not in seg_cache:
-            sign = -1 if inverse else 1
-            seg_cache[key] = [
-                pj.transform_marked(
-                    map_power(system.maps[idx], sign * step), pj.rose(ambient)
-                )
-                for step in range(m_push + 1)
-            ]
-        return seg_cache[key]
+        f = system.maps[idx]
+        return _power_path(invert_automorphism(f) if inverse else f, m_push)
 
     for k in range(cfg.samples):
         i, j = rng.choice(pairs)
@@ -502,14 +493,13 @@ def _bfs_distances(base: Tuple[int, int], box: int) -> Dict[Tuple[int, int], int
 
 def _run_farey_crosscheck(cfg: ExperimentConfig) -> Dict:
     rng = random.Random(cfg.seed)
-    box = cfg.box
     # BFS over a larger box so in-box geodesics are unconstrained
-    dist = _bfs_distances((1, 0), 4 * box)
+    dist = _bfs_distances((1, 0), 4 * FAREY_BOX)
     base = farey.farey_vertex(1, 0)
     mismatches = []
     checked = 0
-    for p in range(-box, box + 1):
-        for q in range(-box, box + 1):
+    for p in range(-FAREY_BOX, FAREY_BOX + 1):
+        for q in range(-FAREY_BOX, FAREY_BOX + 1):
             if (p, q) == (0, 0) or gcd(abs(p), abs(q)) != 1:
                 continue
             v = farey.farey_vertex(p, q)
@@ -519,7 +509,7 @@ def _run_farey_crosscheck(cfg: ExperimentConfig) -> Dict:
             if got != want:
                 mismatches.append({"p": p, "q": q, "got": got, "bfs": want})
     metric_fail = []
-    for k in range(cfg.random_pairs):
+    for k in range(FAREY_RANDOM_PAIRS):
         def rand_vertex():
             while True:
                 p = rng.randint(-200, 200)
@@ -540,7 +530,7 @@ def _run_farey_crosscheck(cfg: ExperimentConfig) -> Dict:
         "records": [],
         "aggregates": {
             "exhaustive_checked": checked,
-            "metric_samples": cfg.random_pairs,
+            "metric_samples": FAREY_RANDOM_PAIRS,
             "mismatches": len(mismatches),
             "metric_failures": len(metric_fail),
         },

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
-from freefactor.errors import MalformedVertex, NonPrimitiveImage, NotHyperbolic
+from freefactor.errors import MalformedVertex, NonPrimitiveImage
 from freefactor.words import GroupMap, Word
 
 
@@ -194,20 +194,3 @@ def act(m: Matrix2Z, v: FareyVertex) -> FareyVertex:
 def is_fully_irreducible(m: Matrix2Z) -> bool:
     """Hyperbolic matrices have no primitive eigenvector: |trace| > 2."""
     return abs(m.trace) > 2
-
-
-def translation_length_estimate(m: Matrix2Z, k_max: int = 16):
-    """Distances d(v, M^k v) for v = (1,0) and the Fekete upper bound.
-
-    The sequence is subadditive, so min_k d_k / k is an upper bound for the
-    stable translation length and the stabilized slope is the estimate.
-    """
-    assert 1 <= k_max <= 16
-    if not is_fully_irreducible(m):
-        raise NotHyperbolic(f"trace {m.trace} is not hyperbolic")
-    v = farey_vertex(1, 0)
-    dists: List[int] = []
-    for k in range(1, k_max + 1):
-        dists.append(farey_distance(v, act(m.power(k), v)))
-    fekete = min(d / k for k, d in enumerate(dists, start=1))
-    return dists, fekete

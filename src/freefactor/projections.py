@@ -194,7 +194,7 @@ def _natural_edges(adj: List[Dict[int, int]]):
                 arc.append((u, sl, v))
                 used.add((u, sl))
                 used.add((v, -sl))
-                if len(adj[v]) != 2 or v in branch:
+                if len(adj[v]) != 2:
                     break
                 nxts = [t for t in adj[v] if t != -sl]
                 assert len(nxts) == 1

@@ -164,9 +164,6 @@ class SubgroupGraph:
             v = nxt
         return v
 
-    def contains(self, w: Word) -> bool:
-        return self.trace(w) == self.base
-
     def spanning_tree(self):
         """BFS tree from base: (order, parent_edge) with parent_edge[v] = (u, s)."""
         adj = self.adj

@@ -5,11 +5,12 @@ into outer automorphisms of a free group."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from freefactor import factors as fa, farey, stallings
 from freefactor.errors import (
     CommutationViolation,
+    NoSuchSyllable,
     NotAdmissible,
     NotHyperbolicSeed,
     SupportViolation,
@@ -338,20 +339,19 @@ def certify_support(collection: AdmissibleCollection, maps: Sequence[GroupMap]) 
 
 # --- the homomorphism and active factors -----------------------------------
 
-def apply_phi(system: AdmissibleSystem, g: RaagWord) -> GroupMap:
-    """φ(g): left-to-right composition of the per-syllable generator powers."""
+def apply_phi(system: AdmissibleSystem, syllables: Iterable[Tuple[str, int]]) -> GroupMap:
+    """φ of a word given as (generator, exponent) pairs, such as
+    ``RaagWord.key()``: the left-to-right product of the generator powers."""
     out = identity_map(system.collection.factors[0].ambient)
-    for syl in g.syllables:
-        out = compose_map(out, map_power(system.map_of(syl.gen), syl.exp))
+    for gen, exp in syllables:
+        out = compose_map(out, map_power(system.map_of(gen), exp))
     return out
 
 
 def active_factor(system: AdmissibleSystem, g: RaagWord, k: int) -> FreeFactorClass:
     """A^g(k): the k-th syllable's factor transported by the prefix map."""
-    syls = g.syllables
-    assert 0 <= k < len(syls)
-    prefix = identity_map(system.collection.factors[0].ambient)
-    for syl in syls[:k]:
-        prefix = compose_map(prefix, map_power(system.map_of(syl.gen), syl.exp))
-    A = system.collection.factors[system.collection.index(syls[k].gen)]
-    return fa.transport(verify_automorphism(prefix), A)
+    syls = g.key()
+    if not 0 <= k < len(syls):
+        raise NoSuchSyllable(f"no syllable {k} in a word of syllable length {len(syls)}")
+    A = system.collection.factors[system.collection.index(syls[k][0])]
+    return fa.transport(apply_phi(system, syls[:k]), A)

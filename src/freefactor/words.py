@@ -13,6 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from freefactor._kernel import concat, reduce_word, substitute
 from freefactor.errors import (
     AlphabetMismatch,
+    ImageCountMismatch,
     InvalidAlphabet,
     MalformedWord,
     NotSurjective,
@@ -217,9 +218,11 @@ class GroupMap:
     inverse_images: Optional[Tuple[Word, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        assert len(self.images) == self.domain.rank
+        if len(self.images) != self.domain.rank:
+            raise ImageCountMismatch(f"{len(self.images)} images for a rank-{self.domain.rank} domain")
         for w in self.images:
-            assert w.alphabet == self.codomain
+            if w.alphabet != self.codomain:
+                raise AlphabetMismatch("an image is not over the map's codomain")
 
     @property
     def inverse_hint(self) -> Optional["GroupMap"]:

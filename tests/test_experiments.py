@@ -145,7 +145,7 @@ class TestModes:
 
     def test_farey_crosscheck_small(self):
         r = ex.run_experiment(
-            ex.ExperimentConfig(mode="farey-crosscheck", box=12, random_pairs=300, seed=5)
+            ex.ExperimentConfig(mode="farey-crosscheck", seed=5)
         )
         assert r["verdict"] == "pass"
         assert r["aggregates"]["mismatches"] == 0

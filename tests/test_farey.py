@@ -3,7 +3,7 @@ import random
 import pytest
 
 from freefactor import farey
-from freefactor.errors import NonPrimitiveImage, NotHyperbolic
+from freefactor.errors import NonPrimitiveImage
 from freefactor.words import abc_alphabet, group_map, word_from_str
 from oracles import farey_bfs_distances, farey_norm, primitive_pairs
 
@@ -88,23 +88,6 @@ class TestMatrices:
 
     def test_act(self):
         assert farey.act(farey.Matrix2Z(1, 1, 1, 2), v(1, 0)) == v(1, 1)
-
-
-class TestTranslationLength:
-    def test_not_hyperbolic(self):
-        with pytest.raises(NotHyperbolic):
-            farey.translation_length_estimate(farey.Matrix2Z(1, 0, 1, 1))
-
-    def test_growth_and_subadditivity(self):
-        m = farey.Matrix2Z(2, 1, 1, 1)
-        dists, fekete = farey.translation_length_estimate(m, 12)
-        assert all(d2 >= d1 for d1, d2 in zip(dists, dists[1:]))
-        assert dists[-1] > dists[0]
-        assert fekete > 0
-        # subadditivity of the distance sequence
-        for i in range(len(dists)):
-            for j in range(len(dists) - i - 1):
-                assert dists[i + j + 1] <= dists[i] + dists[j]
 
     def test_matches_bfs_small_powers(self):
         m = farey.Matrix2Z(2, 1, 1, 1)

@@ -121,6 +121,12 @@ CASES = {
         1,
         "f04c7308f6eca03e808d8037f30f845a5d6577fbd8944386d9a4526577d7877c",
     ),
+    # p = 2: two samples fit the exponent budget, so their products are built
+    "run-theorem9-check-power-2": (
+        ["run", "--mode", "theorem9-check", "--power", "2", "--samples", "5", "--seed", "1"],
+        1,
+        "d494f5d826f0ffe1846827651b176b5746f1cba90e1b29b45e7f39985d97d06b",
+    ),
     "verify-system-pentagon": (
         ["verify-system", "pentagon-f5"],
         0,

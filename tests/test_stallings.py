@@ -59,7 +59,7 @@ class TestFromGenerators:
                         continue
                     in_ball = tuple(word.letters) in ball
                     if in_ball:
-                        assert H.contains(word)
+                        assert H.trace(word) == H.base
 
 
 class TestCanonicalCore:

@@ -254,5 +254,22 @@ class TestPhi:
         gamma = system.collection.gamma
         g1 = raag.normalize(gamma, raag.raag_word_from_str(gamma, "v0 v2"))
         g2 = raag.normalize(gamma, raag.raag_word_from_str(gamma, "v2 v0"))
-        p1, p2 = sy.apply_phi(system, g1), sy.apply_phi(system, g2)
+        p1, p2 = sy.apply_phi(system, g1.key()), sy.apply_phi(system, g2.key())
         assert p1.images == p2.images  # disjoint supports commute exactly
+
+    def test_syllable_index_refusal_survives_optimize(self, run_optimized):
+        out = run_optimized(
+            "from freefactor import raag, serialize as se, systems as sy\n"
+            "from freefactor.errors import FreefactorError\n"
+            "system = se.load_fixture('pentagon-f5')\n"
+            "g = raag.raag_word(system.collection.gamma, [(system.collection.names[0], 2)])\n"
+            "for k in (-1, 1):\n"
+            "    try:\n"
+            "        sy.active_factor(system, g, k)\n"
+            "    except FreefactorError as exc:\n"
+            "        print(f'{type(exc).__name__}: {exc}')\n"
+        )
+        assert out == (
+            "NoSuchSyllable: no syllable -1 in a word of syllable length 1\n"
+            "NoSuchSyllable: no syllable 1 in a word of syllable length 1\n"
+        )

@@ -426,6 +426,14 @@ PRECONDITIONS = {
         "W.compose_map(W.identity_map(A), W.identity_map(B))",
         "AlphabetMismatch: the inner map's codomain is not the outer map's domain",
     ),
+    "map-image-count": (
+        "W.group_map(A, A, [W.letter(A, 0)] * 2)",
+        "ImageCountMismatch: 2 images for a rank-3 domain",
+    ),
+    "map-image-alphabet": (
+        "W.group_map(A, A, [W.letter(B, 0)] * 3)",
+        "AlphabetMismatch: an image is not over the map's codomain",
+    ),
     "map-power": ("W.map_power(P, 2)", "AlphabetMismatch: map_power needs an endomorphism"),
     "invert": ("W.invert_automorphism(P)", "AlphabetMismatch: inversion needs an endomorphism"),
     "is-inner": ("W.is_inner(P)", "AlphabetMismatch: is_inner needs an endomorphism"),
