@@ -106,7 +106,7 @@ def fold(letters, gens):
     g = stallings.from_generators(alphabet, _words(alphabet, gens))
     click.echo(f"vertices: {g.num_vertices}")
     click.echo(f"rank: {g.rank}")
-    click.echo("basis: " + ", ".join(word_to_str(w) for w in g.basis()))
+    click.echo("basis: " + ", ".join(word_to_str(w) for w in g.basis))
 
 
 @main.command("intersect")
@@ -123,7 +123,7 @@ def intersect(letters, first, second):
         click.echo("trivial intersection")
     for c in comps:
         click.echo(
-            "component basis: " + ", ".join(word_to_str(w) for w in c.subgroup.basis())
+            "component basis: " + ", ".join(word_to_str(w) for w in c.subgroup.basis)
         )
 
 
@@ -141,7 +141,7 @@ def meet(letters, first, second):
         click.echo("empty meet")
     for m in sorted(classes, key=lambda m: m.in_ambient.key):
         click.echo(
-            "< " + ", ".join(word_to_str(w) for w in m.in_ambient.basis()) + " >"
+            "< " + ", ".join(word_to_str(w) for w in m.in_ambient.basis) + " >"
         )
 
 
@@ -159,7 +159,7 @@ def overlap(letters, first, second):
         click.echo("no overlap")
     else:
         mc, H = cert
-        through = ", ".join(word_to_str(w) for w in mc.in_ambient.basis())
+        through = ", ".join(word_to_str(w) for w in mc.in_ambient.basis)
         click.echo(f"overlap certificate rank {H.rank} through < {through} >")
 
 

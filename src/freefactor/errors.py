@@ -30,7 +30,12 @@ class ImageCountMismatch(FreefactorError):
 
 
 class MalformedVertex(FreefactorError):
-    """A Farey vertex is not written ``p/q`` with integers p and q."""
+    """A Farey vertex is not written ``p/q`` with integers p and q, or its
+    first nonzero coordinate is negative."""
+
+
+class NotUnimodular(FreefactorError):
+    """A 2x2 integer matrix has determinant other than ±1."""
 
 
 class InvalidGraph(FreefactorError):

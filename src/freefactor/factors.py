@@ -27,8 +27,9 @@ class FreeFactorClass:
     def rank(self) -> int:
         return self.graph.rank
 
-    def basis(self) -> List[Word]:
-        return self.graph.basis()
+    @property
+    def basis(self) -> Tuple[Word, ...]:
+        return self.graph.basis
 
     def __eq__(self, other):
         return isinstance(other, FreeFactorClass) and self.key == other.key and self.ambient == other.ambient
@@ -102,8 +103,7 @@ def _overlap_certificate(A: FreeFactorClass, B: FreeFactorClass, candidates: Lis
         if not (1 <= mc.rank < min(A.rank, B.rank)):
             continue
         g = mc.coset_tag
-        conj_b = [w.conjugate_by(g) for w in B.basis()]
-        H = from_generators(A.ambient, A.basis() + conj_b)
+        H = from_generators(A.ambient, A.basis + tuple(w.conjugate_by(g) for w in B.basis))
         if H.rank == A.rank + B.rank - mc.rank:
             return mc, H
     return None
@@ -140,9 +140,8 @@ def disjoint_check(A: FreeFactorClass, B: FreeFactorClass) -> bool:
 def _common_splitting(A: FreeFactorClass, B: FreeFactorClass) -> bool:
     """The coset search of ``disjoint_check``, for an empty pullback."""
     for g in _short_words(A.ambient, DOUBLE_COSET_SEARCH_LENGTH):
-        conj_b = [w.conjugate_by(g) for w in B.basis()]
         # the pullback is empty, so A ∩ gBg⁻¹ = 1 for every g
-        H = from_generators(A.ambient, A.basis() + conj_b)
+        H = from_generators(A.ambient, A.basis + tuple(w.conjugate_by(g) for w in B.basis))
         if H.rank != A.rank + B.rank:
             continue
         if is_free_factor(H):
@@ -215,7 +214,7 @@ def is_free_factor(H: SubgroupGraph) -> bool:
             return False
         v, Y, change = move
         f = _whitehead_map(alphabet, v, Y)
-        gens = [f(w) for w in (H.basis() if gens is None else gens)]
+        gens = [f(w) for w in (H.basis if gens is None else gens)]
         expected = sum(map(len, core)) + 2 * change  # directed edges
         core = stallings._unbased_core(from_generators(alphabet, gens))
         assert sum(map(len, core)) == expected, "the cut count must match the fold"
@@ -228,7 +227,7 @@ def transport(f: GroupMap, A: FreeFactorClass) -> FreeFactorClass:
         raise InvalidTransport("transport requires a verified automorphism")
     if f.domain != A.ambient:
         raise InvalidTransport("the automorphism and the factor have different alphabets")
-    return free_factor_class(f.codomain, [f(w) for w in A.basis()])
+    return free_factor_class(f.codomain, [f(w) for w in A.basis])
 
 
 def classify_pair(A: FreeFactorClass, B: FreeFactorClass):

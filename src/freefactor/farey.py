@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Tuple
 
-from freefactor.errors import MalformedVertex, NonPrimitiveImage
+from freefactor.errors import MalformedVertex, NonPrimitiveImage, NotUnimodular
 from freefactor.words import GroupMap, Word
 
 
@@ -25,11 +25,11 @@ class FareyVertex:
     q: int
 
     def __post_init__(self):
-        assert (self.p, self.q) != (0, 0)
-        assert gcd(abs(self.p), abs(self.q)) == 1, "pair must be primitive"
+        if gcd(abs(self.p), abs(self.q)) != 1:
+            raise NonPrimitiveImage(f"({self.p}, {self.q}) is not a primitive pair")
         # sign normalization: first nonzero coordinate positive
-        lead = self.p if self.p != 0 else self.q
-        assert lead > 0, "vertex must be sign-normalized"
+        if (self.p if self.p != 0 else self.q) < 0:
+            raise MalformedVertex(f"{self} is not sign-normalized; farey_vertex normalizes")
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -150,7 +150,8 @@ class Matrix2Z:
     d: int
 
     def __post_init__(self):
-        assert abs(self.det) == 1, "matrix must lie in GL(2, Z)"
+        if abs(self.det) != 1:
+            raise NotUnimodular(f"determinant {self.det}: the matrix is not in GL(2, Z)")
 
     @property
     def det(self) -> int:

@@ -228,20 +228,19 @@ def project_tree(A: FreeFactorClass, T: MarkedGraph) -> ProjectionSet:
         raise UndefinedProjection(f"Farey projections are for rank-2 factors, not rank {A.rank}")
     if A.ambient != T.alphabet:
         raise UndefinedProjection("the factor and the marked graph have different alphabets")
-    basis_paths = T.to_edge_paths(A.graph.basis())
+    basis_paths = T.to_edge_paths(A.basis)
     cover = from_generators(T.edge_alphabet, basis_paths)
-    coord, _ = stallings._h1_index(cover)
     assert cover.rank == 2, "the cover of a rank-2 factor has rank 2"
     # change of basis: columns = H₁ classes of A's basis paths in the cover's
     # spanning-tree basis; unimodular since both are bases
     (m00, m10), (m01, m11) = (
-        stallings._h1_read(cover, coord, cover.base, path) for path in basis_paths
+        stallings._h1_read(cover, cover.base, path) for path in basis_paths
     )
     det = m00 * m11 - m01 * m10
     assert det in (1, -1), "basis change must be unimodular"
     # unbased core; the basis edges lie on cycles, so they survive the trim
     core_adj, core_index = stallings._trim([dict(d) for d in cover.adj])
-    coord = {(core_index[u], s): c for (u, s), c in coord.items()}
+    coord = {(core_index[u], s): c for (u, s), c in cover._h1_index.items()}
 
     vertices = set()
     for arc in _natural_edges(core_adj):

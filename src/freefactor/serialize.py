@@ -128,7 +128,7 @@ def system_to_json(system: sy.AdmissibleSystem) -> Dict:
         "gamma": gamma_to_json(coll.gamma),
         "ambient_alphabet": list(ambient.names),
         "factors": [
-            {"name": name, "gens": [word_to_str(w) for w in A.basis()]}
+            {"name": name, "gens": [word_to_str(w) for w in A.basis]}
             for name, A in zip(coll.names, coll.factors)
         ],
         "generators": [

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from freefactor.errors import AlphabetMismatch, TrivialSubgroup
@@ -164,8 +165,10 @@ class SubgroupGraph:
             v = nxt
         return v
 
+    @cached_property
     def spanning_tree(self):
-        """BFS tree from base: (order, parent_edge) with parent_edge[v] = (u, s)."""
+        """The one BFS tree from base, built on first use: (order, parent_edge)
+        with parent_edge[v] = (u, s)."""
         adj = self.adj
         order, parent_edge = bfs_tree(
             self.base, lambda v: ((s, adj[v][s]) for s in sorted(adj[v], key=_letter_order))
@@ -173,10 +176,9 @@ class SubgroupGraph:
         assert len(order) == self.num_vertices, "graph must be connected"
         return order, parent_edge
 
-    def path_word(self, v: int, parent_edge=None) -> Word:
+    def path_word(self, v: int) -> Word:
         """Label word of the BFS-tree path base -> v."""
-        if parent_edge is None:
-            _, parent_edge = self.spanning_tree()
+        parent_edge = self.spanning_tree[1]
         letters: List[int] = []
         while v != self.base:
             u, s = parent_edge[v]
@@ -184,9 +186,10 @@ class SubgroupGraph:
             v = u
         return reduce_raw(self.alphabet, list(reversed(letters)))
 
-    def basis_edges(self):
+    @cached_property
+    def basis_edges(self) -> Tuple[Tuple[int, int, int], ...]:
         """Non-tree directed edges (u, s, v) with a deterministic orientation."""
-        order, parent_edge = self.spanning_tree()
+        order, parent_edge = self.spanning_tree
         out = []
         seen = set()
         for v in order:
@@ -199,18 +202,28 @@ class SubgroupGraph:
                 seen.add((v, s, t))
                 # orient the recorded edge by its positive letter
                 out.append((v, s, t) if s > 0 else (t, -s, v))
-        return out, parent_edge
+        return tuple(out)
 
-    def basis(self) -> List[Word]:
+    @cached_property
+    def basis(self) -> Tuple[Word, ...]:
         """Spanning-tree free basis, as words in the ambient alphabet."""
-        edges, parent_edge = self.basis_edges()
-        out = []
-        for u, s, v in edges:
-            pu = self.path_word(u, parent_edge)
-            pv = self.path_word(v, parent_edge)
-            mid = Word(self.alphabet, (s,))
-            out.append(pu * mid * pv.inverse())
-        return out
+        return tuple(
+            self.path_word(u) * Word(self.alphabet, (s,)) * self.path_word(v).inverse()
+            for u, s, v in self.basis_edges
+        )
+
+    @cached_property
+    def _h1_index(self) -> Dict[Tuple[int, int], Tuple[int, ...]]:
+        """Signed H₁ basis vector of every directed non-tree edge ``(u, s)``:
+        the k-th of ``basis_edges`` reads +e_k, its reverse -e_k, and tree
+        edges read 0."""
+        edges = self.basis_edges
+        index: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        for k, (u, s, v) in enumerate(edges):
+            e = tuple(int(i == k) for i in range(len(edges)))
+            index[(u, s)] = e
+            index[(v, -s)] = tuple(-x for x in e)
+        return index
 
 
 def from_generators(alphabet: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
@@ -235,22 +248,10 @@ def from_generators(alphabet: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
     return SubgroupGraph(alphabet, tuple(adj), index[base])
 
 
-def _h1_index(H: SubgroupGraph):
-    """Signed H₁ basis vector of every directed non-tree edge ``(u, s)`` of H,
-    with H's BFS tree: the k-th of ``basis_edges`` reads +e_k, its reverse
-    -e_k, and tree edges read 0."""
-    edges, parent_edge = H.basis_edges()
-    index: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    for k, (u, s, v) in enumerate(edges):
-        e = tuple(int(i == k) for i in range(len(edges)))
-        index[(u, s)] = e
-        index[(v, -s)] = tuple(-x for x in e)
-    return index, parent_edge
-
-
-def _h1_read(H: SubgroupGraph, index, start: int, w: Word) -> Tuple[int, ...]:
+def _h1_read(H: SubgroupGraph, start: int, w: Word) -> Tuple[int, ...]:
     """H₁ class of the path that reads w in H from ``start``, summed over
-    ``index``, the first value of ``_h1_index(H)``."""
+    H's edge index."""
+    index = H._h1_index
     c = (0,) * H.rank
     u = start
     for s in w.letters:
@@ -336,8 +337,6 @@ def pullback_components(A: SubgroupGraph, B: SubgroupGraph) -> List[PullbackComp
             if tv is not None:
                 adj[i][s] = states[(tu, tv)]
     out = []
-    index_A, parent_A = _h1_index(A)
-    _, parent_B = B.spanning_tree()
     # connected components (undirected; adj is already symmetric)
     for verts in _components(range(len(adj)), lambda i: adj[i].values()):
         local = {i: k for k, i in enumerate(verts)}
@@ -352,12 +351,12 @@ def pullback_components(A: SubgroupGraph, B: SubgroupGraph) -> List[PullbackComp
         base_local = min(core_index, key=lambda k: state_list[verts[k]])
         u0, v0 = state_list[verts[base_local]]
         graph = SubgroupGraph(alphabet, tuple(core_adj), core_index[base_local])
-        pA = A.path_word(u0, parent_A)
-        pB = B.path_word(v0, parent_B)
+        pA = A.path_word(u0)
+        pB = B.path_word(v0)
         g = pA * pB.inverse()
-        loops = graph.basis()
+        loops = graph.basis
         gens_ambient = [loop.conjugate_by(pA) for loop in loops]
         sub = from_generators(alphabet, gens_ambient)
-        classes = tuple(_h1_read(A, index_A, u0, loop) for loop in loops)
+        classes = tuple(_h1_read(A, u0, loop) for loop in loops)
         out.append(PullbackComponent(sub, classes, g, rank))
     return out

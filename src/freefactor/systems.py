@@ -10,9 +10,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from freefactor import factors as fa, farey, stallings
 from freefactor.errors import (
     CommutationViolation,
+    InvalidGraph,
     NoSuchSyllable,
     NotAdmissible,
     NotHyperbolicSeed,
+    RankTooSmall,
     SupportViolation,
 )
 from freefactor.factors import FreeFactorClass, free_factor_class
@@ -93,7 +95,8 @@ def build_support_graph(gamma: SimplicialGraph) -> GraphOfGroups:
     carry a rank-2 group; components are joined by a wedge of intervals, so
     the ambient rank is the underlying Betti number plus the vertex ranks.
     """
-    assert len(gamma.vertices) >= 2
+    if len(gamma.vertices) < 2:
+        raise InvalidGraph("a support graph needs at least two vertices")
     comps, comp_adj = _complement_components(gamma)
 
     vertices: List[str] = []
@@ -211,7 +214,8 @@ def verify_admissible(
     factors: Sequence[FreeFactorClass], names: Optional[Sequence[str]] = None
 ) -> AdmissibleCollection:
     """Classify every pair; the verdict must be disjoint or overlap."""
-    assert all(A.rank >= 2 for A in factors)
+    if any(A.rank < 2 for A in factors):
+        raise RankTooSmall("admissible collections need factors of rank >= 2")
     if names is None:
         names = [f"v{i}" for i in range(len(factors))]
     names = list(names)
@@ -233,7 +237,7 @@ def verify_admissible(
 
 def restricts_inner_trivially(f: GroupMap, A: FreeFactorClass) -> bool:
     """True when f agrees on A with conjugation by a single element."""
-    return is_inner(f, A.basis()) is not None
+    return is_inner(f, A.basis) is not None
 
 
 @dataclass(frozen=True)
@@ -295,7 +299,7 @@ def build_generators(
         m = farey.matrix_of_out(seed)
         if not farey.is_fully_irreducible(m):
             raise NotHyperbolicSeed(f"seed abelianization has trace {m.trace}")
-        f = _extend_seed(A.ambient, A.basis(), comp, seed, power)
+        f = _extend_seed(A.ambient, A.basis, comp, seed, power)
         maps.append(f)
         hyp.append(power != 0)
 

@@ -69,7 +69,8 @@ ABC = "abcdefghij"
 
 def abc_alphabet(rank: int) -> Alphabet:
     """Alphabet a, b, c, ... for small ranks."""
-    assert rank <= len(ABC)
+    if rank > len(ABC):
+        raise InvalidAlphabet(f"abc alphabets have rank at most {len(ABC)}, not {rank}")
     return Alphabet(tuple(ABC[:rank]))
 
 
@@ -184,7 +185,8 @@ def word_from_str(alphabet: Alphabet, s: str) -> Word:
 
 def conjugacy_witness(u: Word, v: Word) -> Optional[Word]:
     """Some w with w u w^-1 = v, or None when u and v are not conjugate."""
-    assert u.alphabet == v.alphabet
+    if u.alphabet != v.alphabet:
+        raise AlphabetMismatch("the two words have different alphabets")
     cu, a = u.cyclic_reduce()
     cv, b = v.cyclic_reduce()
     if len(cu) != len(cv):

@@ -101,7 +101,7 @@ class TestCriterion2:
                 if empty:
                     # linked pair: join must be rank-additive (wedge summands)
                     join = stallings.from_generators(
-                        G.ambient, facs[i].basis() + facs[j].basis()
+                        G.ambient, facs[i].basis + facs[j].basis
                     )
                     if join.rank != facs[i].rank + facs[j].rank:
                         ok = False
@@ -195,7 +195,7 @@ class TestCriterion5:
             B = rng.choice([x for x in facs if x != A])
             got = {m.in_ambient.key for m in fc.meet_projection(fA, fc.transport(f, B))}
             want = {
-                fc.free_factor_class(F3, [f(w) for w in m.in_ambient.basis()]).key
+                fc.free_factor_class(F3, [f(w) for w in m.in_ambient.basis]).key
                 for m in fc.meet_projection(A, B)
             }
             if got != want:

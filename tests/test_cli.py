@@ -140,6 +140,19 @@ class TestRefusals:
         err = self.refused("meet", "--letters", "a,b,a", "a,b", "a")
         assert "letter name 'a' repeats" in err
 
+    def test_support_graph_one_vertex(self):
+        err = self.refused("support-graph", "--vertices", "a")
+        assert err == "error: a support graph needs at least two vertices\n"
+
+    def test_support_graph_refusal_survives_optimize(self, run_optimized):
+        out = run_optimized(
+            "from click.testing import CliRunner\n"
+            "from freefactor.cli import main\n"
+            "r = CliRunner().invoke(main, ['support-graph', '--vertices', 'a'])\n"
+            "print(r.exit_code, repr(r.stderr), repr(r.stdout))\n"
+        )
+        assert out == "2 'error: a support graph needs at least two vertices\\n' ''\n"
+
     def test_farey_dist_malformed_vertex(self):
         for u in ("1/x", "1", "1/2/3"):
             assert "is not a vertex p/q" in self.refused("farey-dist", u, "1/1")

@@ -176,7 +176,7 @@ class TestTransport:
         }
         transported = {
             fa.free_factor_class(
-                A3, [f(w) for w in stallings.from_generators(A3, [w3("a")]).basis()]
+                A3, [f(w) for w in stallings.from_generators(A3, [w3("a")]).basis]
             ).key
         }
         assert len(before) == len(after) == 1
@@ -292,7 +292,7 @@ class TestWhiteheadOracle:
         A4 = abc_alphabet(4)
         f = verify_automorphism(group_map(A4, A4, [w4("a b c"), w4("b c"), w4("c d"), w4("d")]))
         H = stallings.from_generators(A4, [f(w4("a b a^-1 d")), f(w4("c c d"))])
-        assert fa.is_free_factor(H) == trial_fold_is_free_factor(4, [w.letters for w in H.basis()])
+        assert fa.is_free_factor(H) == trial_fold_is_free_factor(4, [w.letters for w in H.basis])
 
 
 class TestShortWords:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from freefactor import farey
-from freefactor.errors import NonPrimitiveImage
+from freefactor.errors import MalformedVertex, NonPrimitiveImage, NotUnimodular
 from freefactor.words import abc_alphabet, group_map, word_from_str
 from oracles import farey_bfs_distances, farey_norm, primitive_pairs
 
@@ -24,6 +24,29 @@ class TestVertices:
             v(2, 4)
         with pytest.raises(NonPrimitiveImage):
             v(0, 0)
+
+    def test_constructor_refuses_bad_pairs(self):
+        for p, q in ((0, 0), (2, 4)):
+            with pytest.raises(NonPrimitiveImage):
+                farey.FareyVertex(p, q)
+        with pytest.raises(MalformedVertex):
+            farey.FareyVertex(-1, 2)
+
+    def test_constructor_refusals_survive_optimize(self, run_optimized):
+        out = run_optimized(
+            "from freefactor import farey\n"
+            "from freefactor.errors import FreefactorError\n"
+            "for p, q in ((0, 0), (2, 4), (-1, 2)):\n"
+            "    try:\n"
+            "        farey.FareyVertex(p, q)\n"
+            "    except FreefactorError as exc:\n"
+            "        print(f'{type(exc).__name__}: {exc}')\n"
+        )
+        assert out == (
+            "NonPrimitiveImage: (0, 0) is not a primitive pair\n"
+            "NonPrimitiveImage: (2, 4) is not a primitive pair\n"
+            "MalformedVertex: -1/2 is not sign-normalized; farey_vertex normalizes\n"
+        )
 
     def test_str_roundtrip(self):
         u = v(3, -5)
@@ -85,6 +108,21 @@ class TestMatrices:
         m = farey.matrix_of_out(f)
         assert (m.a, m.b, m.c, m.d) == (1, 1, 1, 2)
         assert farey.is_fully_irreducible(m)
+
+    def test_singular_refused(self):
+        with pytest.raises(NotUnimodular):
+            farey.Matrix2Z(2, 0, 0, 2)
+
+    def test_singular_refusal_survives_optimize(self, run_optimized):
+        out = run_optimized(
+            "from freefactor import farey\n"
+            "from freefactor.errors import NotUnimodular\n"
+            "try:\n"
+            "    farey.Matrix2Z(2, 0, 0, 2)\n"
+            "except NotUnimodular as exc:\n"
+            "    print(exc)\n"
+        )
+        assert out == "determinant 4: the matrix is not in GL(2, Z)\n"
 
     def test_act(self):
         assert farey.act(farey.Matrix2Z(1, 1, 1, 2), v(1, 0)) == v(1, 1)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -21,6 +22,7 @@ from freefactor.words import (
     Word,
     abc_alphabet,
     group_map,
+    identity_map,
     map_power,
     verify_automorphism,
     word_from_str,
@@ -125,9 +127,9 @@ class TestProjectTree:
         # one spanning-tree basis of the cover; no loop word is rewritten
         T = pj.transform_marked(HYP, ROSE)
         seen = []
-        basis_edges = stallings.SubgroupGraph.basis_edges
-        monkeypatch.setattr(stallings.SubgroupGraph, "basis_edges",
-                            lambda H: seen.append(H.alphabet) or basis_edges(H))
+        basis_edges = stallings.SubgroupGraph.__dict__["basis_edges"]
+        build = basis_edges.func
+        monkeypatch.setattr(basis_edges, "func", lambda H: seen.append(H.alphabet) or build(H))
         pj.project_tree.__wrapped__(FACTOR_AB, T)
         assert seen.count(T.edge_alphabet) == 1
 
@@ -136,6 +138,44 @@ class TestProjectTree:
         T = pj.transform_marked(HYP, ROSE)
         T2 = pj.transform_marked(inner, T)
         assert pj.project_tree(FACTOR_AB, T).vertices == pj.project_tree(FACTOR_AB, T2).vertices
+
+
+@pytest.fixture
+def trees_built(monkeypatch):
+    """graph id -> [graph, number of BFS trees built on it] while the test runs."""
+    built = {}
+    bfs_tree = stallings.bfs_tree
+
+    def spy(root, neighbours):
+        caller = sys._getframe(1).f_locals.get("self")
+        if isinstance(caller, stallings.SubgroupGraph):
+            built.setdefault(id(caller), [caller, 0])[1] += 1
+        return bfs_tree(root, neighbours)
+
+    monkeypatch.setattr(stallings, "bfs_tree", spy)
+    return built
+
+
+class TestOneTreePerGraph:
+    def test_at_most_one_bfs_tree_per_graph(self, trees_built):
+        system = se.load_fixture("pentagon-f5")
+        coll = system.collection
+        # fresh graphs, on which no tree has been built yet
+        facs = [fa.transport(identity_map(A.ambient), A) for A in coll.factors]
+        kinds = {kind: (i, j) for i, j, kind in coll.classifications}
+        i, j = kinds["overlap"]
+        for _ in range(3):
+            assert stallings.pullback_components(facs[i].graph, facs[j].graph)
+        for kind in ("disjoint", "overlap"):
+            i, j = kinds[kind]
+            assert fa.classify_pair(facs[i], facs[j])[0] == kind
+        T = pj.transform_marked(system.maps[0], pj.rose(coll.factors[0].ambient))
+        for A in facs:
+            for _ in range(2):
+                pj.project_tree.__wrapped__(A, T)
+        assert all(id(A.graph) in trees_built for A in facs)
+        assert len(trees_built) > len(facs)
+        assert max(n for _g, n in trees_built.values()) == 1
 
 
 def subdivide(T, rng):
@@ -153,7 +193,7 @@ def subdivide(T, rng):
 
 
 def assert_matches_oracle(A, T):
-    paths = [p.letters for p in T.to_edge_paths(A.basis())]
+    paths = [p.letters for p in T.to_edge_paths(A.basis)]
     got = {(v.p, v.q) for v in pj.project_tree(A, T).vertices}
     assert got == loop_word_projection(paths), (A.key, T)
 

@@ -77,7 +77,7 @@ class TestCanonicalCore:
         for _ in range(20):
             conj = reduce_raw(A3, [rng.choice([1, -1]) * rng.randrange(1, 4) for _ in range(4)])
             H = graph("a a", "b c")
-            gens = [g.conjugate_by(conj) for g in H.basis()]
+            gens = [g.conjugate_by(conj) for g in H.basis]
             K = st.from_generators(A3, gens)
             assert st.canonical_core(H) == st.canonical_core(K)
 
@@ -182,7 +182,7 @@ class TestH1Classes:
             mp.setattr(st, "from_generators", lambda alphabet, gens: seen.append(gens) or fold(alphabet, gens))
             comps = st.pullback_components(A, B)
         assert len(seen) == len(comps)
-        basis = [b.letters for b in A.basis()]
+        basis = [b.letters for b in A.basis]
         for c, gens in zip(comps, seen):
             assert len(c.classes) == len(gens) == c.rank
             assert all(len(v) == A.rank for v in c.classes)

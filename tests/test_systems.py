@@ -3,7 +3,12 @@ import itertools
 import pytest
 
 from freefactor import factors as fc, raag, stallings, systems as sy
-from freefactor.errors import NotAdmissible, NotHyperbolicSeed, SupportViolation
+from freefactor.errors import (
+    NotAdmissible,
+    NotHyperbolicSeed,
+    RankTooSmall,
+    SupportViolation,
+)
 from freefactor.words import (
     abc_alphabet,
     compose_map,
@@ -130,6 +135,22 @@ class TestVerifyAdmissible:
         facs = pentagon_factors()
         with pytest.raises(NotAdmissible):
             sy.verify_admissible([facs[0], facs[0]])
+
+    def test_rank_one_factor_refused(self):
+        with pytest.raises(RankTooSmall):
+            sy.verify_admissible([fc.free_factor_class(F5, [letter(F5, 0)])])
+
+    def test_rank_refusal_survives_optimize(self, run_optimized):
+        out = run_optimized(
+            "from freefactor import factors as fc, systems as sy, words as W\n"
+            "from freefactor.errors import RankTooSmall\n"
+            "F = W.std_alphabet(5)\n"
+            "try:\n"
+            "    sy.verify_admissible([fc.free_factor_class(F, [W.letter(F, 0)])])\n"
+            "except RankTooSmall as exc:\n"
+            "    print(exc)\n"
+        )
+        assert out == "admissible collections need factors of rank >= 2\n"
 
     def test_example2_coincidence_is_pentagon_complement(self):
         coll = sy.verify_admissible(pentagon_factors())

@@ -399,7 +399,7 @@ class TestIsInner:
             alphabet = std_alphabet(rank)
             for _ in range(30):
                 f = ex.random_automorphism(rng, alphabet, 8)
-                basis = free_factor_class(alphabet, f.images[:2]).basis()
+                basis = free_factor_class(alphabet, f.images[:2]).basis
                 u = rand_word(rng, alphabet, rng.randrange(0, 12))
                 assert is_inner(conjugation_by(u), basis) == u
 
@@ -437,6 +437,14 @@ PRECONDITIONS = {
     "map-power": ("W.map_power(P, 2)", "AlphabetMismatch: map_power needs an endomorphism"),
     "invert": ("W.invert_automorphism(P)", "AlphabetMismatch: inversion needs an endomorphism"),
     "is-inner": ("W.is_inner(P)", "AlphabetMismatch: is_inner needs an endomorphism"),
+    "abc-alphabet-rank": (
+        "W.abc_alphabet(11)",
+        "InvalidAlphabet: abc alphabets have rank at most 10, not 11",
+    ),
+    "conjugacy-witness": (
+        "W.conjugacy_witness(W.letter(A, 0), W.letter(B, 0))",
+        "AlphabetMismatch: the two words have different alphabets",
+    ),
     "transform-marked": (
         "pj.transform_marked(W.group_map(A, A, W.identity_map(A).images), pj.rose(A))",
         "InvalidMarking: transform_marked needs a verified automorphism",
