@@ -18,7 +18,8 @@ class UnknownMode(FreefactorError):
 
 
 class MalformedWord(FreefactorError):
-    """A word token is not ``name`` or ``name^exp`` with an integer exponent."""
+    """A word token is not ``name`` or ``name^exp`` with an integer exponent,
+    a word is not freely reduced, or a letter or syllable has no sign."""
 
 
 class AlphabetMismatch(FreefactorError):
@@ -36,6 +37,10 @@ class MalformedVertex(FreefactorError):
 
 class NotUnimodular(FreefactorError):
     """A 2x2 integer matrix has determinant other than ±1."""
+
+
+class NegativePower(FreefactorError):
+    """A power that must be nonnegative is negative."""
 
 
 class InvalidGraph(FreefactorError):
@@ -56,6 +61,10 @@ class InvalidMarking(FreefactorError):
 
 class RankTooSmall(FreefactorError):
     """A factor's rank is below what the operation needs."""
+
+
+class RankMismatch(FreefactorError):
+    """A word or map is over an alphabet of another rank than the operation needs."""
 
 
 class InvalidTransport(FreefactorError):

@@ -15,7 +15,13 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Tuple
 
-from freefactor.errors import MalformedVertex, NonPrimitiveImage, NotUnimodular
+from freefactor.errors import (
+    MalformedVertex,
+    NegativePower,
+    NonPrimitiveImage,
+    NotUnimodular,
+    RankMismatch,
+)
 from freefactor.words import GroupMap, Word
 
 
@@ -57,7 +63,8 @@ def vertex_from_str(s: str) -> FareyVertex:
 
 def abelianize2(w: Word) -> Tuple[int, int]:
     """Image in Z^2 of a word over a rank-2 basis (exponent sums of x_1, x_2)."""
-    assert w.alphabet.rank == 2
+    if w.alphabet.rank != 2:
+        raise RankMismatch(f"abelianize2 needs a rank-2 word, not rank {w.alphabet.rank}")
     ls = w.letters
     return ls.count(1) - ls.count(-1), ls.count(2) - ls.count(-2)
 
@@ -170,7 +177,8 @@ class Matrix2Z:
         )
 
     def power(self, k: int) -> "Matrix2Z":
-        assert k >= 0
+        if k < 0:
+            raise NegativePower(f"matrix power {k} is negative")
         result = Matrix2Z(1, 0, 0, 1)
         base = self
         while k:
@@ -183,7 +191,8 @@ class Matrix2Z:
 
 def matrix_of_out(f: GroupMap) -> Matrix2Z:
     """Abelianization matrix of a rank-2 automorphism (columns = images)."""
-    assert f.domain.rank == 2 and f.codomain.rank == 2
+    if f.domain.rank != 2 or f.codomain.rank != 2:
+        raise RankMismatch(f"matrix_of_out needs rank 2, not {f.domain.rank} -> {f.codomain.rank}")
     (a, c), (b, d) = (abelianize2(w) for w in f.images)
     return Matrix2Z(a, b, c, d)
 

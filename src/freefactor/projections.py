@@ -26,6 +26,7 @@ from freefactor.words import (
     Alphabet,
     GroupMap,
     Word,
+    _word,
     compose_map,
     group_map,
     identity_map,
@@ -127,7 +128,7 @@ class MarkedGraph:
     def eval_edge_word(self, edge_word: Sequence[int]) -> Word:
         """Label-word of an edge path (signed 1-based edge indices)."""
         labels = [w.letters for _u, _v, w in self.edges]
-        return Word(self.alphabet, tuple(substitute(edge_word, labels)))
+        return _word(self.alphabet, tuple(substitute(edge_word, labels)))
 
     def marking_words(self) -> List[Word]:
         """Images in F_n of the basis loops under the marking."""
@@ -139,7 +140,7 @@ class MarkedGraph:
         loops = self.basis_loops()
         ea = self.edge_alphabet
         # inv(w) is a word in the basis loops t_1..t_n
-        return [Word(ea, tuple(substitute(inv(w).letters, loops))) for w in words]
+        return [_word(ea, tuple(substitute(inv(w).letters, loops))) for w in words]
 
 
 @lru_cache(maxsize=0)
@@ -153,11 +154,25 @@ def rose(alphabet: Alphabet) -> MarkedGraph:
 
 
 def transform_marked(f: GroupMap, T: MarkedGraph) -> MarkedGraph:
-    """Relabel every edge word w by f(w)."""
+    """Relabel every edge word w by f(w).
+
+    The basis loops of f(T) are those of T, so its marking words are f of
+    T's: the composed hint is certified onto them, and the graph is built
+    without evaluating them again.  On a one-vertex graph the labels are the
+    marking words, so they are read off the composed hint.
+    """
     if f.inverse_images is None:
         raise InvalidMarking("transform_marked needs a verified automorphism")
-    edges = tuple((u, v, f(w)) for u, v, w in T.edges)
-    return MarkedGraph(f.codomain, T.num_vertices, edges, T.base, compose_map(f, T.marking_hint))
+    hint = compose_map(f, T.marking_hint)
+    if T.num_vertices == 1:
+        edges = tuple([(u, v, w) for (u, v, _), w in zip(T.edges, hint.images)])
+    else:
+        edges = tuple([(u, v, f(w)) for u, v, w in T.edges])
+    fT = object.__new__(MarkedGraph)
+    fT.__dict__.update(
+        alphabet=f.codomain, num_vertices=T.num_vertices, edges=edges, base=T.base, marking_hint=hint
+    )
+    return fT
 
 
 # --- the projection ---------------------------------------------------------

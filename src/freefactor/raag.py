@@ -18,7 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from freefactor.errors import InvalidGraph, OrbitBudgetExceeded, TooLarge, TooLong, UnknownLetter
+from freefactor.errors import (
+    InvalidGraph,
+    MalformedWord,
+    OrbitBudgetExceeded,
+    TooLarge,
+    TooLong,
+    UnknownLetter,
+)
 from freefactor.words import parse_power
 
 ORBIT_BUDGET = 10 ** 6
@@ -65,7 +72,8 @@ class Syllable:
     sid: int  # stable id, preserved across moves
 
     def __post_init__(self):
-        assert self.exp != 0
+        if self.exp == 0:
+            raise MalformedWord(f"syllable {self.gen!r} has exponent 0")
 
 
 @dataclass(frozen=True)

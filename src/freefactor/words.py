@@ -1,8 +1,14 @@
 """Free group words, reduction, conjugacy, and maps given by generator images.
 
 Words are stored as flat tuples of signed 1-based letter indices: letter i of
-the alphabet is ``i + 1``, its inverse ``-(i + 1)``.  Every constructor
-reduces eagerly, so a ``Word`` is always freely reduced.
+the alphabet is ``i + 1``, its inverse ``-(i + 1)``.  A ``Word`` is always
+freely reduced.  Words are checked once, where they enter: the public
+``Word(...)`` constructor refuses a letter out of range (``UnknownLetter``)
+and an unreduced word (``MalformedWord``), and ``reduce_raw`` checks the
+range of raw input before it reduces it.  Products, inverses and map images
+are built by the kernel from words already checked, so they are reduced and
+in range by construction and go through the private ``_word``, which does
+not check them again.
 """
 
 from __future__ import annotations
@@ -86,9 +92,9 @@ class Word:
         for x in self.letters:
             if x == 0 or abs(x) > rank:
                 raise UnknownLetter(f"letter index {x} invalid for rank {rank}")
-        # reduced-form invariant
         for a, b in zip(self.letters, self.letters[1:]):
-            assert a != -b, f"word not freely reduced: {self.letters}"
+            if a == -b:
+                raise MalformedWord(f"word not freely reduced: {self.letters}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -96,10 +102,10 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise AlphabetMismatch("the two words have different alphabets")
-        return Word(self.alphabet, tuple(concat(self.letters, other.letters)))
+        return _word(self.alphabet, tuple(concat(self.letters, other.letters)))
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, tuple([-x for x in reversed(self.letters)]))
+        return _word(self.alphabet, tuple([-x for x in reversed(self.letters)]))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -136,13 +142,24 @@ class Word:
         return f"Word({word_to_str(self)!r})"
 
 
+def _word(alphabet: Alphabet, letters: Tuple[int, ...]) -> Word:
+    """A Word of letters that the kernel built from checked words, and so
+    reduced and in range: it fills the frozen fields without the checks."""
+    w = object.__new__(Word)
+    fields = w.__dict__
+    fields["alphabet"] = alphabet
+    fields["letters"] = letters
+    return w
+
+
 def identity(alphabet: Alphabet) -> Word:
     return Word(alphabet, ())
 
 
 def letter(alphabet: Alphabet, i: int, sign: int = 1) -> Word:
     """Generator word x_i or its inverse (0-based index)."""
-    assert sign in (1, -1)
+    if sign not in (1, -1):
+        raise MalformedWord(f"a letter's sign is 1 or -1, not {sign}")
     return Word(alphabet, (sign * (i + 1),))
 
 
@@ -153,7 +170,7 @@ def reduce_raw(alphabet: Alphabet, raw: Iterable[int]) -> Word:
     for x in seq:
         if x == 0 or abs(x) > rank:
             raise UnknownLetter(f"letter index {x} invalid for rank {rank}")
-    return Word(alphabet, tuple(reduce_word(seq)))
+    return _word(alphabet, tuple(reduce_word(seq)))
 
 
 def word_to_str(w: Word) -> str:
@@ -242,7 +259,7 @@ class GroupMap:
             raise AlphabetMismatch("the word is not over the map's domain")
         # images are reduced, so only the seams between them can cancel
         images = [im.letters for im in self.images]
-        return Word(self.codomain, tuple(substitute(w.letters, images)))
+        return _word(self.codomain, tuple(substitute(w.letters, images)))
 
     def is_identity(self) -> bool:
         return self.domain == self.codomain and all(
@@ -424,7 +441,7 @@ def invert_automorphism(f: GroupMap) -> GroupMap:
     letters = _fold_inverse(f)
     if letters is None:
         raise NotSurjective(f"images of {f!r} generate a proper subgroup")
-    object.__setattr__(f, "inverse_images", tuple([Word(f.domain, tuple(ls)) for ls in letters]))
+    object.__setattr__(f, "inverse_images", tuple([_word(f.domain, tuple(ls)) for ls in letters]))
     inv = f.inverse_hint
     assert compose_map(f, inv).is_identity() and compose_map(inv, f).is_identity()
     return inv

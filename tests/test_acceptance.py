@@ -149,6 +149,7 @@ class TestCriterion4:
             adj = {frozenset(e) for e in g.edges}
             sylls = [(v, s) for v in g.vertices for s in (1, -1)]
             seen_normals = set()
+            canonical = {}  # closure member -> canonical form, for this graph
             words = []
             for k in range(1, radius + 1):
                 words.extend(itertools.product(sylls, repeat=k))
@@ -157,7 +158,7 @@ class TestCriterion4:
                 words.append(tuple(rng.choice(sylls) for _ in range(8)))
             for tup in words:
                 w = raag.normalize(g, raag.raag_word(g, tup))
-                want = oracles.raag_canonical(adj, tup, list(g.vertices))
+                want = oracles.raag_canonical(adj, tup, list(g.vertices), canonical)
                 if w.key() != want:
                     ok = False
                 checked += 1

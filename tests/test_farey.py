@@ -3,8 +3,14 @@ import random
 import pytest
 
 from freefactor import farey
-from freefactor.errors import MalformedVertex, NonPrimitiveImage, NotUnimodular
-from freefactor.words import abc_alphabet, group_map, word_from_str
+from freefactor.errors import (
+    MalformedVertex,
+    NegativePower,
+    NonPrimitiveImage,
+    NotUnimodular,
+    RankMismatch,
+)
+from freefactor.words import abc_alphabet, group_map, identity_map, word_from_str
 from oracles import farey_bfs_distances, farey_norm, primitive_pairs
 
 A2 = abc_alphabet(2)
@@ -123,6 +129,35 @@ class TestMatrices:
             "    print(exc)\n"
         )
         assert out == "determinant 4: the matrix is not in GL(2, Z)\n"
+
+    def test_rank_and_power_refused(self):
+        with pytest.raises(RankMismatch):
+            farey.abelianize2(word_from_str(abc_alphabet(3), "c"))
+        with pytest.raises(RankMismatch):
+            farey.matrix_of_out(identity_map(abc_alphabet(3)))
+        with pytest.raises(NegativePower):
+            farey.Matrix2Z(1, 1, 0, 1).power(-1)
+
+    def test_rank_and_power_refusals_survive_optimize(self, run_optimized):
+        out = run_optimized(
+            "from freefactor import farey, words as W\n"
+            "from freefactor.errors import FreefactorError\n"
+            "A = W.abc_alphabet(3)\n"
+            "for call in (\n"
+            "    lambda: farey.abelianize2(W.letter(A, 2)),\n"
+            "    lambda: farey.matrix_of_out(W.identity_map(A)),\n"
+            "    lambda: farey.Matrix2Z(1, 1, 0, 1).power(-1),\n"
+            "):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except FreefactorError as exc:\n"
+            "        print(f'{type(exc).__name__}: {exc}')\n"
+        )
+        assert out == (
+            "RankMismatch: abelianize2 needs a rank-2 word, not rank 3\n"
+            "RankMismatch: matrix_of_out needs rank 2, not 3 -> 3\n"
+            "NegativePower: matrix power -1 is negative\n"
+        )
 
     def test_act(self):
         assert farey.act(farey.Matrix2Z(1, 1, 1, 2), v(1, 0)) == v(1, 1)

@@ -21,8 +21,10 @@ from freefactor.errors import (
 from freefactor.words import (
     Word,
     abc_alphabet,
+    compose_map,
     group_map,
     identity_map,
+    invert_automorphism,
     map_power,
     verify_automorphism,
     word_from_str,
@@ -190,6 +192,32 @@ def subdivide(T, rng):
         else:
             edges.append((u, v, label))
     return pj.MarkedGraph(T.alphabet, nv, tuple(edges), rng.randrange(nv))
+
+
+def checked_transform(f, T):
+    """f(T) through every check of ``MarkedGraph``: f applied to each label,
+    then the marking words evaluated afresh and compared with the composed
+    marking, which must carry its inverse."""
+    edges = tuple((u, v, f(label)) for u, v, label in T.edges)
+    return pj.MarkedGraph(f.codomain, T.num_vertices, edges, T.base, compose_map(f, T.marking_hint))
+
+
+class TestTransformedMarking:
+    """``transform_marked`` builds f(T) from the composed marking and skips
+    the checks of ``MarkedGraph``; the checked rebuild is its oracle."""
+
+    @pytest.mark.parametrize("fixture", ["overlap-chain-f3", "pentagon-f5", "pentagon-support-f6"])
+    def test_matches_checked_rebuild(self, fixture):
+        rng = random.Random(67)
+        for f in se.load_fixture(fixture).maps:
+            # f^±k R for k <= 8, then multi-vertex trees
+            steps = [(g, T) for g in (f, invert_automorphism(f)) for T in ex._power_path(g, 7)]
+            steps += [(f, subdivide(ex.random_tree(rng, f.domain, 6), rng)) for _ in range(3)]
+            assert any(T.num_vertices > 1 for _g, T in steps)
+            for g, T in steps:
+                got, want = pj.transform_marked(g, T), checked_transform(g, T)
+                assert got.edges == want.edges
+                assert got.marking_hint.images == tuple(want.marking_words())
 
 
 def assert_matches_oracle(A, T):

@@ -226,6 +226,23 @@ class TestSimplicialGraph:
             raag.simplicial_graph(vertices, edges)
 
 
+class TestSyllable:
+    def test_zero_exponent_refused(self):
+        with pytest.raises(MalformedWord):
+            raag.Syllable("a", 0, 0)
+
+    def test_zero_exponent_refusal_survives_optimize(self, run_optimized):
+        out = run_optimized(
+            "from freefactor import raag\n"
+            "from freefactor.errors import FreefactorError\n"
+            "try:\n"
+            "    raag.Syllable('a', 0, 0)\n"
+            "except FreefactorError as exc:\n"
+            "    print(f'{type(exc).__name__}: {exc}')\n"
+        )
+        assert out == "MalformedWord: syllable 'a' has exponent 0\n"
+
+
 class TestCliqueNumber:
     def test_pentagon(self):
         assert raag.clique_number(PENT) == 2

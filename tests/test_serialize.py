@@ -6,7 +6,7 @@ import random
 import pytest
 
 from freefactor import experiments as ex, factors as fa, projections as pj, serialize as se, systems as sy
-from freefactor.errors import SchemaError
+from freefactor.errors import InvalidMarking, SchemaError
 from freefactor.words import abc_alphabet, compose_map, identity_map, invert_automorphism, word_from_str
 
 
@@ -55,6 +55,16 @@ class TestGraphRoundTrip:
         back = se.graph_from_json(obj)
         assert str(back.edges[0][2]) == "a"
 
+    def test_labels_that_do_not_generate_refused(self):
+        # a transformed rose read back from JSON is checked again, in full
+        A2 = abc_alphabet(2)
+        f = invert_automorphism(ex.random_automorphism(random.Random(3), A2, 4))
+        obj = se.graph_to_json(pj.transform_marked(f, pj.rose(A2)))
+        obj["edges"][1]["label"] = obj["edges"][0]["label"]
+        with pytest.raises(SchemaError) as e:
+            se.graph_from_json(obj)
+        assert isinstance(e.value.__context__, InvalidMarking)
+
     def test_valence_one_vertex_refused_under_optimize(self, run_optimized):
         # rank 2, Betti 2, but vertex 1 hangs off a single edge
         obj = {
@@ -69,7 +79,7 @@ class TestGraphRoundTrip:
         }
         out = run_optimized(
             "from freefactor import serialize as se\n"
-            "from freefactor.errors import SchemaError\n"
+            "from freefactor.errors import InvalidMarking, SchemaError\n"
             "try:\n"
             f"    se.graph_from_json({obj!r})\n"
             "except SchemaError as exc:\n"
@@ -92,7 +102,7 @@ class TestGraphRoundTrip:
             se.graph_from_json(obj)
         out = run_optimized(
             "from freefactor import serialize as se\n"
-            "from freefactor.errors import SchemaError\n"
+            "from freefactor.errors import InvalidMarking, SchemaError\n"
             "try:\n"
             f"    se.graph_from_json({obj!r})\n"
             "except SchemaError as exc:\n"
@@ -154,7 +164,7 @@ class TestFixtures:
             se.system_from_json(obj)
         out = run_optimized(
             "from freefactor import serialize as se\n"
-            "from freefactor.errors import SchemaError\n"
+            "from freefactor.errors import InvalidMarking, SchemaError\n"
             "try:\n"
             f"    se.system_from_json({obj!r})\n"
             "except SchemaError as exc:\n"

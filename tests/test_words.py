@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freefactor import experiments as ex, projections as pj, words
-from freefactor._kernel import reduce_word, substitute
+from freefactor._kernel import concat, reduce_word, substitute
 from freefactor.errors import InvalidAlphabet, MalformedWord, NotSurjective, UnknownLetter
 from freefactor.words import (
     Alphabet,
@@ -74,6 +74,12 @@ class TestReduce:
         with pytest.raises(UnknownLetter):
             word_from_str(A3, "z")
 
+    def test_unreduced_word_refused(self):
+        with pytest.raises(MalformedWord):
+            words.Word(abc_alphabet(2), (1, -1))
+        with pytest.raises(MalformedWord):
+            letter(A3, 0, 0)
+
     def test_letter_index_out_of_range(self):
         for raw in ([1, 4], [0], [-4, 2]):
             bad = next(x for x in raw if x == 0 or abs(x) > 3)
@@ -139,6 +145,48 @@ class TestSeamProduct:
         assert substitute([1, 2, -1, 1], [w, ()]) == list(w)
         assert substitute([1, 2, 2, -1], [w, w_inv]) == list(w_inv + w_inv)
         assert substitute([], [w]) == []
+
+
+@st.composite
+def kernel_inputs(draw):
+    """An alphabet of rank 2 to 5, two raw words over it, and a seed."""
+    rank = draw(st.integers(2, 5))
+    signed = st.integers(1, rank).flatmap(lambda i: st.sampled_from([i, -i]))
+    raw = st.lists(signed, max_size=30)
+    return std_alphabet(rank), draw(raw), draw(raw), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def checked(w):
+    """w rebuilt by the checked constructor, which refuses a letter out of
+    range or an unreduced word; the rebuilt word must equal w."""
+    again = words.Word(w.alphabet, w.letters)
+    assert again == w
+    return again
+
+
+class TestTrustedConstruction:
+    """Products, inverses and map images skip the constructor's checks.
+    Replaying them through the checked constructor is the oracle for that
+    trusted path: a kernel that leaves a seam uncancelled fails it."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(kernel_inputs())
+    def test_kernel_output_passes_the_checks(self, case):
+        alphabet, raw_u, raw_v, seed = case
+        rng = random.Random(seed)
+        u, v = checked(reduce_raw(alphabet, raw_u)), checked(reduce_raw(alphabet, raw_v))
+        f = ex.random_automorphism(rng, alphabet, 6)
+        g = ex.random_automorphism(rng, alphabet, 6)
+        images = [im.letters for im in f.images]
+        words.Word(alphabet, tuple(concat(u.letters, v.letters)))
+        words.Word(alphabet, tuple(substitute(u.letters, images)))
+        words.Word(alphabet, tuple(substitute(v.letters + u.letters, images)))
+        for w in (u * v, u.inverse() * v, v * u.inverse(), u.inverse(), f(u), f(v.inverse() * u)):
+            checked(w)
+        unmarked = group_map(alphabet, alphabet, f.images)
+        for h in (compose_map(f, g), map_power(f, 3), map_power(g, -2), invert_automorphism(unmarked)):
+            for w in h.images + h.inverse_images:
+                checked(w)
 
 
 class TestConjugacy:
@@ -212,7 +260,9 @@ class TestNoIdentityWork:
 
         monkeypatch.setattr(words.GroupMap, "__call__", counting)
         pj.transform_marked(f, R)
-        assert len(calls) == rank
+        # a rose's labels are its marking words, read off the composed
+        # marking, and composing with the rose's identity marking returns f
+        assert len(calls) == 0
         assert not any(g.is_identity() for g in calls)
         calls.clear()
         map_power(f, 8)
@@ -445,6 +495,8 @@ PRECONDITIONS = {
         "W.conjugacy_witness(W.letter(A, 0), W.letter(B, 0))",
         "AlphabetMismatch: the two words have different alphabets",
     ),
+    "unreduced-word": ("W.Word(B, (1, -1))", "MalformedWord: word not freely reduced: (1, -1)"),
+    "letter-sign": ("W.letter(A, 0, 2)", "MalformedWord: a letter's sign is 1 or -1, not 2"),
     "transform-marked": (
         "pj.transform_marked(W.group_map(A, A, W.identity_map(A).images), pj.rose(A))",
         "InvalidMarking: transform_marked needs a verified automorphism",
