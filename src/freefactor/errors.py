@@ -64,7 +64,13 @@ class RankTooSmall(FreefactorError):
 
 
 class RankMismatch(FreefactorError):
-    """A word or map is over an alphabet of another rank than the operation needs."""
+    """A word or map is over an alphabet of another rank than the operation
+    needs, or a factor has another rank."""
+
+
+class LengthMismatch(FreefactorError):
+    """Sequences that must match in length do not: a system's factors, seeds
+    and complements, or a factor basis and its complement against the rank."""
 
 
 class InvalidTransport(FreefactorError):

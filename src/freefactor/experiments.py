@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import ceil, floor, gcd
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from freefactor import factors as fc, farey, projections as pj, raag, serialize as se
+from freefactor import farey, projections as pj, raag, serialize as se
 from freefactor import systems as sy
 from freefactor.errors import FreefactorError, UnknownMode
 from freefactor.raag import RaagWord
@@ -117,18 +117,18 @@ def _behrstock_minima(
 ) -> Iterator[List[int]]:
     """Per random tree T, min{d_A(B, T), d_B(A, T)} for each overlapping pair
     in ``_overlapping_pairs`` order.  The factor shadows π_A(B) and π_B(A) do
-    not depend on T, so they are projected once, before the first tree."""
+    not depend on T; they are read off the collection, which projects each
+    once, and an overlapping pair without one raises before the first tree."""
     coll = system.collection
-    shadows = [
-        (A, pj.ProjectionSet(A, pj.factor_projection_vertices(A, B)),
-         B, pj.ProjectionSet(B, pj.factor_projection_vertices(B, A)))
-        for A, B in ((coll.factors[i], coll.factors[j]) for i, j in _overlapping_pairs(system))
+    pairs = [
+        (coll.factors[i], coll.shadow(i, j), coll.factors[j], coll.shadow(j, i))
+        for i, j in _overlapping_pairs(system)
     ]
     for _ in range(samples):
         T = random_tree(rng, coll.factors[0].ambient, max_len)
         yield [
             min(pj.projection_distance(A, b_in_A, T), pj.projection_distance(B, a_in_B, T))
-            for A, b_in_A, B, a_in_B in shadows
+            for A, b_in_A, B, a_in_B in pairs
         ]
 
 
@@ -163,12 +163,10 @@ def derive_constants(system: sy.AdmissibleSystem, seed: int, scan_samples: int =
     rose = pj.rose(ambient)
     m_emp = measure_m_emp(system, seed, scan_samples)
     l_path = measure_l_path(system)
-    maxd = 0
-    for i, A in enumerate(coll.factors):
-        for j, B in enumerate(coll.factors):
-            if i == j or not fc.meet_projection(A, B):
-                continue
-            maxd = max(maxd, pj.projection_distance(A, rose, B))
+    maxd = max(
+        (pj.projection_distance(coll.factors[i], rose, shadow) for (i, _j), shadow in coll.shadows.items()),
+        default=0,
+    )
     s = raag.clique_number(coll.gamma)
     K = 5 * m_emp + 3 * l_path + 2 * maxd
     return {"M_emp": m_emp, "L_path": l_path, "max_factor_dist": maxd, "s": s, "K": K}
@@ -227,7 +225,7 @@ def _run_order_audit(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict
         T1 = pj.transform_marked(map_power(system.maps[i], -m_push), T)
         T2 = pj.transform_marked(map_power(system.maps[j], m_push), T)
         A, B = coll.factors[i], coll.factors[j]
-        if not fc.meet_projection(A, B):
+        if (i, j) not in coll.shadows:
             rec["status"] = "pair-degenerate"
             records.append(rec)
             continue

@@ -5,7 +5,7 @@ intervals along bounded-step paths."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from freefactor import factors as fa
@@ -19,6 +19,7 @@ from freefactor.errors import (
     PathTooShort,
     ThresholdViolated,
     UndefinedProjection,
+    UnknownLetter,
 )
 from freefactor.factors import FreeFactorClass
 from freefactor.stallings import from_generators
@@ -77,6 +78,15 @@ class MarkedGraph:
         elif hint.inverse_images is None or hint.images != words:
             raise InvalidMarking("marking hint is not a certified map onto the marking words")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # a Word hashes its whole letter tuple on every call, and labels run
+        # to thousands of letters; the fields are frozen, so hash them once
+        return hash((self.alphabet, self.num_vertices, self.edges, self.base))
+
     @property
     def num_edges(self) -> int:
         return len(self.edges)
@@ -85,7 +95,7 @@ class MarkedGraph:
     def betti(self) -> int:
         return self.num_edges - self.num_vertices + 1
 
-    @property
+    @cached_property
     def edge_alphabet(self) -> Alphabet:
         return std_alphabet(self.num_edges, prefix="e")
 
@@ -111,8 +121,9 @@ class MarkedGraph:
             v = u
         return list(reversed(out))
 
-    def basis_loops(self) -> List[List[int]]:
-        """Edge-paths (signed 1-based edge indices) of the non-tree basis loops."""
+    @cached_property
+    def _loops(self) -> Tuple[Tuple[int, ...], ...]:
+        """The basis loops as signed 1-based edge indices, derived once."""
         parent = self._tree()
         tree_edges = {idx for _u, (idx, _d) in parent.values()}
         loops = []
@@ -122,22 +133,33 @@ class MarkedGraph:
             pu = self._tree_path_edges(u, parent)
             pv = self._tree_path_edges(v, parent)
             loop = pu + [idx + 1] + [-x for x in reversed(pv)]
-            loops.append([x for x in reduce_raw(self.edge_alphabet, loop).letters])
-        return loops
+            loops.append(reduce_raw(self.edge_alphabet, loop).letters)
+        return tuple(loops)
+
+    def basis_loops(self) -> List[List[int]]:
+        """Edge-paths (signed 1-based edge indices) of the non-tree basis loops."""
+        return [list(loop) for loop in self._loops]
 
     def eval_edge_word(self, edge_word: Sequence[int]) -> Word:
         """Label-word of an edge path (signed 1-based edge indices)."""
-        labels = [w.letters for _u, _v, w in self.edges]
-        return _word(self.alphabet, tuple(substitute(edge_word, labels)))
+        m = self.num_edges
+        for x in edge_word:
+            if x == 0 or abs(x) > m:
+                raise UnknownLetter(f"edge letter {x} invalid for a graph of {m} edges")
+        return _word(self.alphabet, tuple(substitute(edge_word, self._labels())))
+
+    def _labels(self) -> List[Tuple[int, ...]]:
+        return [w.letters for _u, _v, w in self.edges]
 
     def marking_words(self) -> List[Word]:
         """Images in F_n of the basis loops under the marking."""
-        return [self.eval_edge_word(loop) for loop in self.basis_loops()]
+        labels = self._labels()
+        return [_word(self.alphabet, tuple(substitute(loop, labels))) for loop in self._loops]
 
     def to_edge_paths(self, words: Sequence[Word]) -> List[Word]:
         """Rewrite ambient words as based edge-path loops (over edge letters)."""
         inv = _marking_inverse(self)
-        loops = self.basis_loops()
+        loops = self._loops
         ea = self.edge_alphabet
         # inv(w) is a word in the basis loops t_1..t_n
         return [_word(ea, tuple(substitute(inv(w).letters, loops))) for w in words]
@@ -158,8 +180,9 @@ def transform_marked(f: GroupMap, T: MarkedGraph) -> MarkedGraph:
 
     The basis loops of f(T) are those of T, so its marking words are f of
     T's: the composed hint is certified onto them, and the graph is built
-    without evaluating them again.  On a one-vertex graph the labels are the
-    marking words, so they are read off the composed hint.
+    without evaluating them again; f(T) shares T's loops and edge alphabet.
+    On a one-vertex graph the labels are the marking words, so they are read
+    off the composed hint.
     """
     if f.inverse_images is None:
         raise InvalidMarking("transform_marked needs a verified automorphism")
@@ -170,7 +193,8 @@ def transform_marked(f: GroupMap, T: MarkedGraph) -> MarkedGraph:
         edges = tuple([(u, v, f(w)) for u, v, w in T.edges])
     fT = object.__new__(MarkedGraph)
     fT.__dict__.update(
-        alphabet=f.codomain, num_vertices=T.num_vertices, edges=edges, base=T.base, marking_hint=hint
+        alphabet=f.codomain, num_vertices=T.num_vertices, edges=edges, base=T.base, marking_hint=hint,
+        _loops=T._loops, edge_alphabet=T.edge_alphabet,
     )
     return fT
 
@@ -296,19 +320,23 @@ def project_tree(A: FreeFactorClass, T: MarkedGraph) -> ProjectionSet:
 
 # --- distances --------------------------------------------------------------
 
-def factor_projection_vertices(A: FreeFactorClass, B: FreeFactorClass) -> FrozenSet[farey.FareyVertex]:
-    """π_A(B) as Farey vertices (A rank 2)."""
+def factor_shadow(A: FreeFactorClass, B: FreeFactorClass) -> Optional[ProjectionSet]:
+    """π_A(B) (A rank 2), or None when the factors do not meet."""
     if A.rank != 2:
         raise UndefinedProjection(f"Farey projections are for rank-2 factors, not rank {A.rank}")
-    classes = fa.meet_projection(A, B)
-    if not classes:
-        raise UndefinedProjection("factors do not meet")
     verts = set()
-    for mc in classes:
+    for mc in fa.meet_projection(A, B):
         assert mc.rank == 1
         verts.add(farey.farey_vertex(*mc.classes[0]))
-    assert farey.diameter(verts) <= PROJECTION_DIAMETER_BOUND
-    return frozenset(verts)
+    return ProjectionSet(A, frozenset(verts)) if verts else None
+
+
+def factor_projection_vertices(A: FreeFactorClass, B: FreeFactorClass) -> FrozenSet[farey.FareyVertex]:
+    """π_A(B) as Farey vertices (A rank 2)."""
+    shadow = factor_shadow(A, B)
+    if shadow is None:
+        raise UndefinedProjection("factors do not meet")
+    return shadow.vertices
 
 
 def _vertices_of(A: FreeFactorClass, X) -> FrozenSet[farey.FareyVertex]:

@@ -5,19 +5,24 @@ into outer automorphisms of a free group."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from freefactor import factors as fa, farey, stallings
 from freefactor.errors import (
     CommutationViolation,
     InvalidGraph,
+    LengthMismatch,
     NoSuchSyllable,
     NotAdmissible,
     NotHyperbolicSeed,
+    RankMismatch,
     RankTooSmall,
     SupportViolation,
+    UndefinedProjection,
 )
 from freefactor.factors import FreeFactorClass, free_factor_class
+from freefactor.projections import ProjectionSet, factor_shadow
 from freefactor.raag import RaagWord, SimplicialGraph, simplicial_graph
 from freefactor.words import (
     Alphabet,
@@ -199,6 +204,10 @@ class AdmissibleCollection:
 
     The coincidence graph has an edge (i, j) exactly when A_i and A_j are
     disjoint (sit in a common splitting); overlapping pairs are non-edges.
+
+    The factor shadows π_{A_i}(A_j) depend on no tree, so ``shadows`` projects
+    them on first use and keeps them; building or loading a collection
+    computes none of them.
     """
 
     names: Tuple[str, ...]
@@ -208,6 +217,26 @@ class AdmissibleCollection:
 
     def index(self, name: str) -> int:
         return self.names.index(name)
+
+    @cached_property
+    def shadows(self) -> Dict[Tuple[int, int], ProjectionSet]:
+        """π_{A_i}(A_j) for each ordered pair (i, j) of factors that meet,
+        from one ``meet_projection`` per ordered pair.  Like every Farey
+        projection, it raises UndefinedProjection on a factor of rank other
+        than 2."""
+        return {
+            (i, j): shadow
+            for i, A in enumerate(self.factors)
+            for j, B in enumerate(self.factors)
+            if i != j and (shadow := factor_shadow(A, B)) is not None
+        }
+
+    def shadow(self, i: int, j: int) -> ProjectionSet:
+        """π_{A_i}(A_j); UndefinedProjection when the two do not meet."""
+        try:
+            return self.shadows[(i, j)]
+        except KeyError:
+            raise UndefinedProjection("factors do not meet") from None
 
 
 def verify_admissible(
@@ -265,7 +294,8 @@ def _extend_seed(
     """
     n = ambient.rank
     full = list(basis_pair) + list(complement)
-    assert len(full) == n
+    if len(full) != n:
+        raise LengthMismatch(f"a factor basis and complement of {len(full)} words in rank {n}")
     C = verify_automorphism(group_map(ambient, ambient, full))
     sp = map_power(seed, power)
     block = [Word(ambient, w.letters) for w in sp.images] + [
@@ -291,11 +321,15 @@ def build_generators(
     inner-trivial restriction; linked pairs commute up to inner.
     """
     factors = collection.factors
-    assert len(seeds) == len(factors) == len(complements)
+    if not len(seeds) == len(factors) == len(complements):
+        raise LengthMismatch(
+            f"{len(factors)} factors, {len(seeds)} seeds and {len(complements)} complements"
+        )
     maps: List[GroupMap] = []
     hyp: List[bool] = []
     for A, seed, comp in zip(factors, seeds, complements):
-        assert A.rank == 2, "seed extension needs rank-2 factors"
+        if A.rank != 2:
+            raise RankMismatch(f"seed extension needs rank-2 factors, not rank {A.rank}")
         m = farey.matrix_of_out(seed)
         if not farey.is_fully_irreducible(m):
             raise NotHyperbolicSeed(f"seed abelianization has trace {m.trace}")

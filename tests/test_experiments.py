@@ -5,7 +5,8 @@ from dataclasses import asdict
 import pytest
 
 from freefactor import experiments as ex, factors as fc, projections as pj, serialize as se
-from freefactor.errors import UnknownMode
+from freefactor import systems as sy
+from freefactor.errors import UndefinedProjection, UnknownMode
 from freefactor.words import abc_alphabet, map_power, std_alphabet, transvection
 from oracles import direct_order_distances
 
@@ -76,14 +77,43 @@ class TestBehrstockMinima:
             return meet(A, B)
 
         monkeypatch.setattr(fc, "meet_projection", counting)
-        system = se.load_fixture("pentagon-f5")
-        samples, pairs = 7, len(ex._overlapping_pairs(system))
-        r = ex.run_experiment(
-            ex.ExperimentConfig(mode="behrstock-scan", fixture="pentagon-f5", samples=samples, seed=5)
+        loaded = se.load_fixture("pentagon-f5")
+        coll = loaded.collection
+        # a fresh collection, on which no shadow has been projected yet
+        fresh = sy.AdmissibleSystem(
+            sy.AdmissibleCollection(coll.names, coll.factors, coll.gamma, coll.classifications),
+            loaded.maps, loaded.power, loaded.restriction_hyperbolic,
         )
-        assert len(r["records"]) == samples
-        assert pairs == 5
-        assert len(calls) == 2 * pairs
+        rows = list(ex._behrstock_minima(fresh, random.Random(5), 7, ex.NIELSEN_TREE_LENGTH))
+        assert len(rows) == 7
+        n = len(coll.factors)
+        ordered = {(A, B) for A in coll.factors for B in coll.factors if A != B}
+        assert calls and len(set(calls)) == len(calls) <= n * (n - 1)
+        assert set(calls) <= ordered
+        # a second scan on the loaded fixture reads the shadows it kept
+        cfg = ex.ExperimentConfig(mode="behrstock-scan", fixture="pentagon-f5", samples=7, seed=5)
+        ex.run_experiment(cfg)
+        calls.clear()
+        r = ex.run_experiment(cfg)
+        assert len(r["records"]) == 7
+        assert calls == []
+
+    def test_overlapping_pair_without_shadow_refused(self):
+        # claim "overlap" for a disjoint pair whose factors do not meet
+        coll = se.load_fixture("pentagon-f5").collection
+        i, j = next(
+            (i, j) for i, j, kind in coll.classifications
+            if kind == "disjoint" and (i, j) not in coll.shadows
+        )
+        relabelled = tuple(
+            (a, b, "overlap" if (a, b) == (i, j) else kind) for a, b, kind in coll.classifications
+        )
+        system = sy.AdmissibleSystem(
+            sy.AdmissibleCollection(coll.names, coll.factors, coll.gamma, relabelled), (), 1, ()
+        )
+        minima = ex._behrstock_minima(system, random.Random(1), 0, ex.NIELSEN_TREE_LENGTH)
+        with pytest.raises(UndefinedProjection, match="factors do not meet"):
+            next(minima)
 
 
 class TestDerivedConstants:

@@ -17,6 +17,7 @@ from freefactor.errors import (
     PathTooShort,
     ThresholdViolated,
     UndefinedProjection,
+    UnknownLetter,
 )
 from freefactor.words import (
     Word,
@@ -111,6 +112,76 @@ class TestMarkedGraph:
         assert T.betti == 2
         ws = T.marking_words()
         assert len(ws) == 2
+
+
+class TestEdgeWords:
+    def test_eval_edge_word(self):
+        assert ROSE.eval_edge_word([1, -3]) == w("a c^-1")
+        assert ROSE.eval_edge_word([]) == Word(A3, ())
+
+    def test_edge_letter_out_of_range_refused(self):
+        for bad in ([0], [4], [-4], [1, 0, 2]):
+            with pytest.raises(UnknownLetter):
+                ROSE.eval_edge_word(bad)
+
+    def test_refusal_survives_optimize(self, run_optimized):
+        out = run_optimized(
+            "from freefactor import projections as pj\n"
+            "from freefactor.errors import FreefactorError\n"
+            "from freefactor.words import abc_alphabet\n"
+            "R = pj.rose(abc_alphabet(3))\n"
+            "for bad in ([0], [4]):\n"
+            "    try:\n"
+            "        R.eval_edge_word(bad)\n"
+            "    except FreefactorError as exc:\n"
+            "        print(f'{type(exc).__name__}: {exc}')\n"
+        )
+        assert out == (
+            "UnknownLetter: edge letter 0 invalid for a graph of 3 edges\n"
+            "UnknownLetter: edge letter 4 invalid for a graph of 3 edges\n"
+        )
+
+    def test_basis_loops_keep_their_type(self):
+        T = subdivide(ex.random_tree(random.Random(5), A3, 6), random.Random(6))
+        loops = T.basis_loops()
+        assert isinstance(loops, list) and all(isinstance(loop, list) for loop in loops)
+        assert [T.eval_edge_word(loop) for loop in loops] == T.marking_words()
+
+
+class TestHash:
+    """Equal marked graphs hash equal however they were built, so the
+    ``project_tree`` cache hits on each of them."""
+
+    def equal_graphs(self):
+        f = auto("a b", "b c", "c")
+
+        def back(T):
+            return pj.transform_marked(invert_automorphism(f), pj.transform_marked(f, T))
+
+        T = subdivide(ex.random_tree(random.Random(9), A3, 6), random.Random(10))
+        assert T.num_vertices > 1
+        return [
+            [ROSE, pj.rose(A3), pj.MarkedGraph(A3, 1, ROSE.edges, 0), se.graph_from_json(se.graph_to_json(ROSE)),
+             back(ROSE)],
+            [T, pj.MarkedGraph(A3, T.num_vertices, T.edges, T.base), se.graph_from_json(se.graph_to_json(T)),
+             back(T), pj.transform_marked(identity_map(A3), T)],
+        ]
+
+    def test_equal_graphs_hash_equal(self):
+        for group in self.equal_graphs():
+            first = group[0]
+            assert len({id(T) for T in group}) == len(group)
+            for T in group:
+                assert T == first and hash(T) == hash(first) == hash(T)
+
+    def test_project_tree_hits_on_equal_graphs(self):
+        for group in self.equal_graphs():
+            before = pj.project_tree.cache_info()
+            sets = {pj.project_tree(FACTOR_BC, T) for T in group}
+            after = pj.project_tree.cache_info()
+            assert len(sets) == 1
+            assert after.misses - before.misses <= 1
+            assert after.hits - before.hits >= len(group) - 1
 
 
 class TestProjectTree:

@@ -173,6 +173,26 @@ def test_report_bytes_pinned(name):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
+# report modes that read what a loaded fixture keeps (its factor shadows)
+IN_PROCESS = ("run-behrstock-scan", "run-order-audit-pentagon", "run-order-audit", "run-theorem9-check-power-2")
+
+
+@pytest.mark.parametrize("name", IN_PROCESS)
+def test_report_bytes_repeat_in_process(name):
+    """Two runs in one process print the same bytes as each other and as a
+    fresh interpreter, whose output ``test_report_bytes_pinned`` checks
+    against the same digest; the second run reads the cached shadows."""
+    from click.testing import CliRunner
+
+    from freefactor.cli import main
+
+    args, exit_code, digest = CASES[name]
+    first, second = (CliRunner().invoke(main, args) for _ in range(2))
+    assert first.stdout_bytes == second.stdout_bytes
+    assert first.exit_code == second.exit_code == exit_code
+    assert hashlib.sha256(second.stdout_bytes).hexdigest() == digest
+
+
 if __name__ == "__main__":
     for name in sorted(CASES):
         args, _, _ = CASES[name]

@@ -1,13 +1,17 @@
 import itertools
+import json
 
 import pytest
 
-from freefactor import factors as fc, raag, stallings, systems as sy
+from freefactor import factors as fc, farey, projections as pj, raag, serialize as se, stallings, systems as sy
 from freefactor.errors import (
+    LengthMismatch,
     NotAdmissible,
     NotHyperbolicSeed,
+    RankMismatch,
     RankTooSmall,
     SupportViolation,
+    UndefinedProjection,
 )
 from freefactor.words import (
     abc_alphabet,
@@ -208,6 +212,45 @@ class TestBuildGenerators:
         )
         assert all(system.restriction_hyperbolic)
 
+    def test_mismatched_lengths_refused(self):
+        coll = sy.verify_admissible(pentagon_factors())
+        with pytest.raises(LengthMismatch):
+            sy.build_generators(coll, [SEED] * 4, 1, pentagon_complements())
+        with pytest.raises(LengthMismatch):
+            sy.build_generators(coll, [SEED] * 5, 1, pentagon_complements()[:4])
+        short = pentagon_complements()
+        short[2] = short[2][:2]
+        with pytest.raises(LengthMismatch):
+            sy.build_generators(coll, [SEED] * 5, 1, short)
+
+    def test_rank3_factor_refused(self):
+        A = fc.free_factor_class(F5, [letter(F5, 0), letter(F5, 1), letter(F5, 2)])
+        coll = sy.AdmissibleCollection(("v0",), (A,), raag.simplicial_graph(["v0"], []), ())
+        with pytest.raises(RankMismatch):
+            sy.build_generators(coll, [SEED], 1, [[letter(F5, 3), letter(F5, 4)]])
+
+    def test_preconditions_survive_optimize(self, run_optimized):
+        out = run_optimized(
+            "from freefactor import factors as fc, raag, systems as sy\n"
+            "from freefactor.errors import FreefactorError\n"
+            "from freefactor.words import group_map, letter, std_alphabet, word_from_str\n"
+            "F5, A2 = std_alphabet(5), std_alphabet(2)\n"
+            "seed = group_map(A2, A2, [word_from_str(A2, 'x0 x0 x1'), word_from_str(A2, 'x0 x1')])\n"
+            "A = fc.free_factor_class(F5, [letter(F5, 0), letter(F5, 1)])\n"
+            "B = fc.free_factor_class(F5, [letter(F5, 0), letter(F5, 1), letter(F5, 2)])\n"
+            "one = lambda X: sy.AdmissibleCollection(('v0',), (X,), raag.simplicial_graph(['v0'], []), ())\n"
+            "rest = [letter(F5, k) for k in (2, 3, 4)]\n"
+            "calls = [lambda: sy.build_generators(one(A), [seed, seed], 1, [rest]),\n"
+            "         lambda: sy.build_generators(one(B), [seed], 1, [rest[1:]]),\n"
+            "         lambda: sy.build_generators(one(A), [seed], 1, [rest[:2]])]\n"
+            "for call in calls:\n"
+            "    try:\n"
+            "        call()\n"
+            "    except FreefactorError as exc:\n"
+            "        print(type(exc).__name__)\n"
+        )
+        assert out.split() == ["LengthMismatch", "RankMismatch", "LengthMismatch"]
+
     def test_bad_complement_raises(self):
         coll = sy.verify_admissible(pentagon_factors())
         from freefactor.errors import NotSurjective
@@ -216,6 +259,35 @@ class TestBuildGenerators:
         bad[0] = [letter(F5, 0), letter(F5, 3), letter(F5, 4)]  # not a basis
         with pytest.raises((NotSurjective, AssertionError)):
             sy.build_generators(coll, [SEED] * 5, 1, bad)
+
+
+class TestShadows:
+    """The collection's shadows against a fresh projection of every pair."""
+
+    @pytest.mark.parametrize("fixture", ["overlap-chain-f3", "pentagon-f5", "pentagon-support-f6"])
+    def test_match_fresh_projection(self, fixture):
+        coll = se.load_fixture(fixture).collection
+        for i, A in enumerate(coll.factors):
+            for j, B in enumerate(coll.factors):
+                if i == j:
+                    continue
+                meets = fc.meet_projection(A, B)
+                if meets:
+                    want = frozenset(farey.farey_vertex(*mc.classes[0]) for mc in meets)
+                    assert coll.shadows[(i, j)] == coll.shadow(i, j) == pj.ProjectionSet(A, want)
+                    assert pj.factor_projection_vertices(A, B) == want
+                else:
+                    assert (i, j) not in coll.shadows
+                    with pytest.raises(UndefinedProjection):
+                        coll.shadow(i, j)
+        assert coll.shadows and all(i != j for i, j in coll.shadows)
+
+    def test_loading_projects_nothing(self):
+        text = se.fixture_path("pentagon-f5").read_text()
+        system = se.system_from_json(json.loads(text))
+        assert "shadows" not in vars(system.collection)
+        coll = sy.verify_admissible(pentagon_factors())
+        assert "shadows" not in vars(coll)
 
 
 class TestRestrictsInnerTrivially:
