@@ -268,7 +268,7 @@ def run(mode, fixture, seed, samples, power, out):
         click.echo(f"{report['verdict']}: report written to {out}")
     else:
         click.echo(text, nl=False)
-    sys.exit(0 if report["verdict"] == "pass" else 1)
+    sys.exit({"pass": 0, "fail": 1, "power-insufficient": 3}[report["verdict"]])
 
 
 if __name__ == "__main__":

@@ -237,8 +237,9 @@ def _run_order_audit(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict
             records.append(rec)
             continue
         met += 1
-        v_ab = pj.factor_order(A, B, T1, T2, M)
-        v_ba = pj.factor_order(B, A, T1, T2, M)
+        shadows = (coll.shadow(i, j), coll.shadow(j, i))
+        v_ab = pj.factor_order(A, B, T1, T2, M, shadows)
+        v_ba = pj.factor_order(B, A, T1, T2, M, shadows[::-1])
         checks = {
             "exactly_one_order": v_ab.first_precedes_second != v_ba.first_precedes_second,
         }

@@ -1,6 +1,8 @@
 """Marked graphs (spine points), the projection to rank-2 factor complexes,
 projection distances, the Behrstock minimum, factor ordering, and activity
-intervals along bounded-step paths."""
+intervals along bounded-step paths.  After the fold of the A-cover of T,
+π_A(T) reads H₁ arc by arc, not letter by letter, on the cover's graph of
+arcs: its maximal chains through valence-2 vertices."""
 
 from __future__ import annotations
 
@@ -213,55 +215,50 @@ class ProjectionSet:
         assert farey.diameter(self.vertices) <= PROJECTION_DIAMETER_BOUND
 
 
-def _natural_edges(adj: List[Dict[int, int]]):
-    """Maximal arcs through valence-2 vertices of an unbased core graph.
+def _arcs(adj, branch: Sequence[bool]):
+    """Maximal chains of a folded graph through its non-``branch`` vertices,
+    each of which has valence 2.
 
-    Returns a list of arcs; an arc is a list of directed (u, s, v) steps.
-    Each undirected natural edge appears once.
+    Returns ``arcs[k] = (u, letters, v)``, the letters read from u to v, and
+    ``step[(x, s)] = (k, ±1)`` for the first letter s of arc k read from its
+    end x: +1 from u, -1 from v.
     """
-    branch = [v for v in range(len(adj)) if len(adj[v]) != 2]
     arcs = []
-    used = set()
-    for b in branch:
-        for s in sorted(adj[b], key=stallings._letter_order):
-            if (b, s) in used:
+    step: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for b, d in enumerate(adj):
+        if not branch[b]:
+            continue
+        for s in d:
+            if (b, s) in step:
                 continue
-            arc = []
-            u, sl = b, s
-            while True:
-                v = adj[u][sl]
-                arc.append((u, sl, v))
-                used.add((u, sl))
-                used.add((v, -sl))
-                if len(adj[v]) != 2:
-                    break
-                nxts = [t for t in adj[v] if t != -sl]
-                assert len(nxts) == 1
-                u, sl = v, nxts[0]
-            arcs.append(arc)
-    assert arcs, "core of a rank >= 2 factor has a branch vertex"
-    return arcs
-
-
-def _cycle_h1(coord, tree, u: int, s: int, v: int) -> Tuple[int, int]:
-    """H₁ class of the cycle that the non-tree edge u -s-> v closes: the
-    ``bfs_tree`` path to u, the edge, and the tree path from v back."""
-    p, q = coord.get((u, s), (0, 0))
-    for x, sign in ((u, 1), (v, -1)):
-        while x in tree:
-            x, t = tree[x]
-            dp, dq = coord.get((x, t), (0, 0))
-            p, q = p + sign * dp, q + sign * dq
-    return p, q
+            letters, u, back = [s], d[s], -s
+            while not branch[u]:
+                nxt = adj[u]
+                t, other = nxt
+                if t == back:
+                    t = other
+                letters.append(t)
+                u, back = nxt[t], -t
+            step[(b, s)] = (len(arcs), 1)
+            step[(u, back)] = (len(arcs), -1)
+            arcs.append((b, letters, u))
+    return arcs, step
 
 
 @lru_cache(maxsize=4096)
 def project_tree(A: FreeFactorClass, T: MarkedGraph) -> ProjectionSet:
     """π_A(T) via the A-cover core of T, per natural-edge 1-edge collapses.
 
-    A vertex group is kept only as its class in H₁(A) = Z², which adds up
-    along edges and ignores conjugation: a directed cover edge counts 0 on
-    the spanning tree and ±e_k on the k-th basis edge.
+    After the fold of A's basis paths, only listing the cover's arcs, its
+    maximal chains through valence-2 vertices other than the base, reads
+    single letters.  A vertex group is kept only as its class in
+    H₁(A) = Z², which adds up along arcs and ignores conjugation: an arc
+    counts 0 on a BFS tree of the arc graph and ±e_k on its k-th other arc.
+    A reduced path that enters an arc runs to its end, so A's basis paths
+    are read arc by arc.  The trimmed arc graph chains into at most three
+    natural edges, a rose, a barbell or a theta, and each collapse leaves
+    loops, which give their classes, or two parallel edges, which give
+    their difference.
     """
     if A.rank != 2:
         raise UndefinedProjection(f"Farey projections are for rank-2 factors, not rank {A.rank}")
@@ -270,51 +267,62 @@ def project_tree(A: FreeFactorClass, T: MarkedGraph) -> ProjectionSet:
     basis_paths = T.to_edge_paths(A.basis)
     cover = from_generators(T.edge_alphabet, basis_paths)
     assert cover.rank == 2, "the cover of a rank-2 factor has rank 2"
-    # change of basis: columns = H₁ classes of A's basis paths in the cover's
-    # spanning-tree basis; unimodular since both are bases
-    (m00, m10), (m01, m11) = (
-        stallings._h1_read(cover, cover.base, path) for path in basis_paths
-    )
+    branch = [len(d) != 2 for d in cover.adj]
+    branch[cover.base] = True
+    arcs, step = _arcs(cover.adj, branch)
+    node = {v: i for i, v in enumerate(v for v, b in enumerate(branch) if b)}
+    arc_adj: List[Dict[int, int]] = [{} for _ in node]
+    for k, (u, _letters, v) in enumerate(arcs):
+        arc_adj[node[u]][k + 1] = node[v]
+        arc_adj[node[v]][-k - 1] = node[u]
+    _, tree = stallings.bfs_tree(node[cover.base], lambda x: arc_adj[x].items())
+    tree_arcs = {abs(s) - 1 for _x, s in tree.values()}
+    # the two arcs off the tree read e_0 and e_1
+    coord = dict(zip((k for k in range(len(arcs)) if k not in tree_arcs), ((1, 0), (0, 1))))
+
+    def h1(arc_word) -> Tuple[int, int]:
+        p = q = 0
+        for s in arc_word:
+            c = coord.get(abs(s) - 1)
+            if c is not None:
+                p, q = (p + c[0], q + c[1]) if s > 0 else (p - c[0], q - c[1])
+        return p, q
+
+    def read(path: Word) -> Tuple[int, int]:
+        """H₁ class of a based loop of the cover, one arc per jump."""
+        ls, i, u, word = path.letters, 0, cover.base, []
+        while i < len(ls):
+            k, sign = step[(u, ls[i])]
+            word.append(sign * (k + 1))
+            i += len(arcs[k][1])
+            u = arcs[k][2] if sign > 0 else arcs[k][0]
+        return h1(word)
+
+    # change of basis: columns = H₁ classes of A's basis paths in the arc
+    # tree's basis; unimodular since both are bases
+    (m00, m10), (m01, m11) = (read(path) for path in basis_paths)
     det = m00 * m11 - m01 * m10
     assert det in (1, -1), "basis change must be unimodular"
-    # unbased core; the basis edges lie on cycles, so they survive the trim
-    core_adj, core_index = stallings._trim([dict(d) for d in cover.adj])
-    coord = {(core_index[u], s): c for (u, s), c in cover._h1_index.items()}
+    # unbased core of the arc graph, chained through its valence-2 vertices
+    core, _ = stallings._trim(arc_adj)
+    ends = [len(d) != 2 for d in core]
+    edges = [(x, y, h1(word)) for x, word, y in _arcs(core, ends)[0]]
+    shape = (sum(ends), sum(x == y for x, y, _c in edges))
+    assert shape in ((1, 2), (2, 2), (2, 0)), \
+        "a rank-2 core is a rose, a barbell or a theta, so collapses leave rank-1 components"
 
     vertices = set()
-    for arc in _natural_edges(core_adj):
-        removed_edges = set()
-        interior = set()
-        for u, s, v2 in arc:
-            removed_edges.add((u, s))
-            removed_edges.add((v2, -s))
-        for step in arc[:-1]:
-            interior.add(step[2])
-        interior.discard(arc[0][0])
-        remaining = [v for v in range(len(core_adj)) if v not in interior]
-        rem_adj = {
-            v: {s: t for s, t in core_adj[v].items() if (v, s) not in removed_edges and t not in interior}
-            for v in remaining
-        }
-        # components of the complement of the open arc
-        for verts in stallings._components(remaining, lambda v: rem_adj[v].values()):
-            rank = sum(len(rem_adj[v]) for v in verts) // 2 - len(verts) + 1
-            if rank < 1:
-                continue
-            assert rank == 1, "rank-2 cover components have cyclic vertex groups"
-            # the one cycle: the component's BFS tree plus its first non-tree edge
-            _, tree = stallings.bfs_tree(verts[0], lambda v: sorted(rem_adj[v].items()))
-            u, s, v = next(
-                (u, s, v)
-                for u in verts
-                for s, v in rem_adj[u].items()
-                if tree.get(v) != (u, s) and tree.get(u) != (v, -s)
-            )
-            pt, qt = _cycle_h1(coord, tree, u, s, v)
-            # back to A's basis: apply the inverse of the unimodular matrix
-            p = det * (m11 * pt - m01 * qt)
-            q = det * (-m10 * pt + m00 * qt)
-            vertices.add(farey.farey_vertex(p, q))
+    for e in edges:
+        rest = [f for f in edges if f is not e]
+        cycles = [c for x, y, c in rest if x == y]
+        links = [(x, c) for x, y, c in rest if x != y]
+        if len(links) == 2:  # two parallel edges; a lone bridge closes no loop
+            (x1, (p1, q1)), (x2, (p2, q2)) = links
+            cycles.append((p1 - p2, q1 - q2) if x1 == x2 else (p1 + p2, q1 + q2))
+        # back to A's basis: apply the inverse of the unimodular matrix
+        vertices.update(
+            farey.farey_vertex(det * (m11 * p - m01 * q), det * (m00 * q - m10 * p)) for p, q in cycles
+        )
     return ProjectionSet(A, frozenset(vertices))
 
 
@@ -373,19 +381,25 @@ class OrderVerdict:
 
 
 def factor_order(
-    A: FreeFactorClass, B: FreeFactorClass, T: MarkedGraph, T2: MarkedGraph, M: int
+    A: FreeFactorClass, B: FreeFactorClass, T: MarkedGraph, T2: MarkedGraph, M: int,
+    shadows: Optional[Tuple[ProjectionSet, ProjectionSet]] = None,
 ) -> OrderVerdict:
     """Order two overlapping factors at distance >= K = 2M + 1 from both
-    trees: A ≺ B iff d_A(T, B) >= M + 1.  Returns every diagnostic quantity."""
+    trees: A ≺ B iff d_A(T, B) >= M + 1.  Returns every diagnostic quantity.
+
+    ``shadows`` is (π_A(B), π_B(A)) when the caller holds them, as an
+    ``AdmissibleCollection`` does; without it, both are projected here.
+    """
     K = 2 * M + 1
-    if not fa.meet_projection(A, B):
+    if shadows is None:
+        shadows = (factor_shadow(A, B), factor_shadow(B, A))
+    if None in shadows:
         raise NotOverlapping("factors do not meet")
     dA = projection_distance(A, T, T2)
     dB = projection_distance(B, T, T2)
     if dA < K or dB < K:
         raise NotInOmega(f"d_A(T,T')={dA}, d_B(T,T')={dB} below K={K}")
-    pa_b = factor_projection_vertices(A, B)
-    pb_a = factor_projection_vertices(B, A)
+    pa_b, pb_a = (shadow.vertices for shadow in shadows)
     d_A_T_B = farey.diameter(project_tree(A, T).vertices | pa_b)
     d_B_T_A = farey.diameter(project_tree(B, T).vertices | pb_a)
     d_B_T2_A = farey.diameter(project_tree(B, T2).vertices | pb_a)

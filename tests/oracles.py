@@ -608,3 +608,108 @@ def direct_order_distances(system, i, j, T, m, M):
     }
     out["first_precedes_second"] = out["d_A_T_B"] >= M + 1
     return out
+
+
+# --- projections letter by letter on the whole cover ------------------------
+#
+# Not naive like the rest: it reuses the library's folds, spanning trees and
+# H₁ index.  It is the projection as the library computed it before it read
+# the cover's graph of arcs: every H₁ read walks single letters of the cover,
+# and every natural edge's collapse rebuilds the core around it.
+
+def _natural_edges(adj):
+    """Maximal arcs through valence-2 vertices of an unbased core graph, as
+    lists of directed (u, s, v) steps; each natural edge appears once."""
+    from freefactor import stallings
+
+    arcs, used = [], set()
+    for b in (v for v in range(len(adj)) if len(adj[v]) != 2):
+        for s in sorted(adj[b], key=stallings._letter_order):
+            if (b, s) in used:
+                continue
+            arc, u, sl = [], b, s
+            while True:
+                v = adj[u][sl]
+                arc.append((u, sl, v))
+                used.update({(u, sl), (v, -sl)})
+                if len(adj[v]) != 2:
+                    break
+                (sl,) = [t for t in adj[v] if t != -sl]
+                u = v
+            arcs.append(arc)
+    return arcs
+
+
+def _cover_core(A, T):
+    from freefactor import stallings
+
+    cover = stallings.from_generators(T.edge_alphabet, T.to_edge_paths(A.basis))
+    core_adj, core_index = stallings._trim([dict(d) for d in cover.adj])
+    return cover, core_adj, core_index
+
+
+def letter_projection(A, T):
+    """π_A(T) as Farey vertices, read letter by letter on the A-cover of T.
+
+    The cover's BFS tree gives H₁ coordinates; both basis paths are read
+    through its H₁ index for the basis change, and for every natural edge of
+    the unbased core, each rank-1 component of the core minus that open edge
+    gives the class of the cycle its own BFS tree closes.
+    """
+    from freefactor import farey, stallings
+
+    cover, core_adj, core_index = _cover_core(A, T)
+    assert cover.rank == 2
+    (m00, m10), (m01, m11) = (
+        stallings._h1_read(cover, cover.base, path) for path in T.to_edge_paths(A.basis)
+    )
+    det = m00 * m11 - m01 * m10
+    assert det in (1, -1)
+    coord = {(core_index[u], s): c for (u, s), c in cover._h1_index.items()}
+
+    def cycle_h1(tree, u, s, v):
+        p, q = coord.get((u, s), (0, 0))
+        for x, sign in ((u, 1), (v, -1)):
+            while x in tree:
+                x, t = tree[x]
+                dp, dq = coord.get((x, t), (0, 0))
+                p, q = p + sign * dp, q + sign * dq
+        return p, q
+
+    vertices = set()
+    for arc in _natural_edges(core_adj):
+        removed = {(u, s) for u, s, _v in arc} | {(v, -s) for _u, s, v in arc}
+        interior = {v for _u, _s, v in arc[:-1]} - {arc[0][0]}
+        remaining = [v for v in range(len(core_adj)) if v not in interior]
+        rem_adj = {
+            v: {s: t for s, t in core_adj[v].items() if (v, s) not in removed and t not in interior}
+            for v in remaining
+        }
+        for verts in stallings._components(remaining, lambda v: rem_adj[v].values()):
+            rank = sum(len(rem_adj[v]) for v in verts) // 2 - len(verts) + 1
+            if rank < 1:
+                continue
+            assert rank == 1
+            _, tree = stallings.bfs_tree(verts[0], lambda v: sorted(rem_adj[v].items()))
+            u, s, v = next(
+                (u, s, v)
+                for u in verts
+                for s, v in rem_adj[u].items()
+                if tree.get(v) != (u, s) and tree.get(u) != (v, -s)
+            )
+            pt, qt = cycle_h1(tree, u, s, v)
+            vertices.add(farey.farey_vertex(det * (m11 * pt - m01 * qt), det * (-m10 * pt + m00 * qt)))
+    return frozenset(vertices)
+
+
+def cover_shape(A, T):
+    """The shape of the A-cover's unbased core ("rose", "barbell" or
+    "theta") and the valence of the cover's base."""
+    cover, core_adj, _ = _cover_core(A, T)
+    if sum(len(d) != 2 for d in core_adj) == 1:
+        shape = "rose"
+    elif any(arc[0][0] == arc[-1][2] for arc in _natural_edges(core_adj)):
+        shape = "barbell"
+    else:
+        shape = "theta"
+    return shape, len(cover.adj[cover.base])

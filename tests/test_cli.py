@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from freefactor import raag
@@ -229,6 +230,27 @@ class TestSystemCommands:
         report = json.loads(out.read_text())
         assert report["verdict"] == "pass"
         assert report["config"]["seed"] == 3
+
+    @pytest.mark.parametrize(
+        "args, code, verdict",
+        [
+            (["--mode", "farey-crosscheck", "--samples", "3"], 0, "pass"),
+            (["--mode", "theorem9-check", "--power", "2", "--samples", "5"], 1, "fail"),
+            (["--mode", "theorem9-check", "--samples", "2"], 3, "power-insufficient"),
+        ],
+    )
+    def test_run_exit_code_by_verdict(self, tmp_path, args, code, verdict):
+        out = tmp_path / "report.json"
+        r = run("run", *args, "--seed", "1", "--out", str(out))
+        assert r.exit_code == code
+        assert r.output == f"{verdict}: report written to {out}\n"
+        assert json.loads(out.read_text())["verdict"] == verdict
+
+    def test_run_error_exits_2(self):
+        r = run("run", "--mode", "behrstock-scan", "--fixture", "no-such-fixture", "--samples", "1")
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: no shipped fixture named 'no-such-fixture'\n"
 
     def test_run_stdout_verdict_gates_exit(self):
         r = run(

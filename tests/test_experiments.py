@@ -98,6 +98,18 @@ class TestBehrstockMinima:
         assert len(r["records"]) == 7
         assert calls == []
 
+    def test_order_audit_reads_the_collections_shadows(self, monkeypatch):
+        calls = []
+        meet = fc.meet_projection
+        monkeypatch.setattr(fc, "meet_projection", lambda A, B: calls.append((A, B)) or meet(A, B))
+        cfg = ex.ExperimentConfig(mode="order-audit", fixture="pentagon-f5", samples=3, seed=1)
+        first = ex.run_experiment(cfg)
+        calls.clear()
+        second = ex.run_experiment(cfg)
+        assert second == first
+        assert [rec["status"] for rec in second["records"]] == ["checked"] * 3
+        assert calls == []
+
     def test_overlapping_pair_without_shadow_refused(self):
         # claim "overlap" for a disjoint pair whose factors do not meet
         coll = se.load_fixture("pentagon-f5").collection
@@ -233,6 +245,8 @@ class TestOrderAuditFrame:
             T2 = pj.transform_marked(map_power(system.maps[j], m), T)
             A, B = coll.factors[i], coll.factors[j]
             assert asdict(pj.factor_order(A, B, T1, T2, M)) == want
+            shadows = (coll.shadow(i, j), coll.shadow(j, i))
+            assert asdict(pj.factor_order(A, B, T1, T2, M, shadows)) == want
             # the reversed pair reads the same four shadows in swapped roles
             ba_first = want["d_B_T_A"] >= M + 1
             if want["first_precedes_second"]:

@@ -1,7 +1,10 @@
+import json
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from freefactor import (
     experiments as ex,
@@ -20,6 +23,7 @@ from freefactor.errors import (
     UnknownLetter,
 )
 from freefactor.words import (
+    Alphabet,
     Word,
     abc_alphabet,
     compose_map,
@@ -27,10 +31,11 @@ from freefactor.words import (
     identity_map,
     invert_automorphism,
     map_power,
+    transvection,
     verify_automorphism,
     word_from_str,
 )
-from oracles import loop_word_projection
+from oracles import cover_shape, letter_projection, loop_word_projection
 
 A3 = abc_alphabet(3)
 
@@ -197,14 +202,25 @@ class TestProjectTree:
             assert farey.diameter(P.vertices) <= pj.PROJECTION_DIAMETER_BOUND
 
     def test_reads_h1_without_membership_rewrites(self, monkeypatch):
-        # one spanning-tree basis of the cover; no loop word is rewritten
-        T = pj.transform_marked(HYP, ROSE)
-        seen = []
-        basis_edges = stallings.SubgroupGraph.__dict__["basis_edges"]
-        build = basis_edges.func
-        monkeypatch.setattr(basis_edges, "func", lambda H: seen.append(H.alphabet) or build(H))
-        pj.project_tree.__wrapped__(FACTOR_AB, T)
-        assert seen.count(T.edge_alphabet) == 1
+        # the cover gets no spanning tree, basis edges or H₁ index and no
+        # letter-by-letter H₁ read; the one BFS tree is on its graph of arcs
+        T = pj.transform_marked(map_power(HYP, 4), ROSE)
+        # the factor's basis is built here, before the spies go in
+        cover = stallings.from_generators(T.edge_alphabet, T.to_edge_paths(FACTOR_BC.basis))
+        want = letter_projection(FACTOR_BC, T)
+        built, trees = [], []
+        for name in ("spanning_tree", "basis_edges", "_h1_index"):
+            prop = stallings.SubgroupGraph.__dict__[name]
+            monkeypatch.setattr(prop, "func", lambda H, f=prop.func, n=name: built.append(n) or f(H))
+        monkeypatch.setattr(stallings, "_h1_read", lambda *args: built.append("_h1_read"))
+        bfs_tree = stallings.bfs_tree
+        monkeypatch.setattr(stallings, "bfs_tree", lambda *args: trees.append(bfs_tree(*args)) or trees[-1])
+        P = pj.project_tree.__wrapped__(FACTOR_BC, T)
+        assert P.vertices == want
+        assert built == []
+        # its nodes: the base and the at most two vertices of valence 3 or more
+        assert len(trees) == 1
+        assert len(trees[0][0]) <= 3 < cover.num_vertices
 
     def test_invariant_under_inner(self):
         inner = auto("c a c^-1", "c b c^-1", "c")
@@ -291,14 +307,27 @@ class TestTransformedMarking:
                 assert got.marking_hint.images == tuple(want.marking_words())
 
 
-def assert_matches_oracle(A, T):
-    paths = [p.letters for p in T.to_edge_paths(A.basis)]
-    got = {(v.p, v.q) for v in pj.project_tree(A, T).vertices}
-    assert got == loop_word_projection(paths), (A.key, T)
+def assert_matches_oracle(A, T, loop_words=True):
+    """Check π_A(T) against the letter-by-letter projection and, unless the
+    paths are too long for its naive fold, against loop words; returns the
+    shape of the cover's core and the valence of its base."""
+    got = pj.project_tree.__wrapped__(A, T).vertices
+    assert got == letter_projection(A, T), (A.key, T)
+    if loop_words:
+        paths = [p.letters for p in T.to_edge_paths(A.basis)]
+        assert {(v.p, v.q) for v in got} == loop_word_projection(paths), (A.key, T)
+    return cover_shape(A, T)
+
+
+FIXTURES = ("overlap-chain-f3", "pentagon-f5", "pentagon-support-f6")
+# loop words are rewritten in a naive fold, so they are compared only up to
+# these powers; overlap-chain-f3's paths grow fastest
+LOOP_WORD_POWER = {"overlap-chain-f3": 4, "pentagon-f5": 6, "pentagon-support-f6": 6}
 
 
 class TestLoopWordOracle:
-    """The H₁ projection agrees with conjugated loop words rewritten in the cover."""
+    """The arc-graph projection agrees with the letter-by-letter projection
+    and with conjugated loop words rewritten in the cover."""
 
     def test_rose_transforms(self):
         system = se.load_fixture("pentagon-f5")
@@ -315,10 +344,63 @@ class TestLoopWordOracle:
                 assert_matches_oracle(A, T)
 
     def test_subdivided_graphs(self):
+        # the cover's base on a tail (valence 1), inside an arc (2) and on a
+        # branch vertex (3 or more), and every core shape
         rng = random.Random(73)
+        seen = set()
         for _ in range(120):
             T = subdivide(subdivide(ex.random_tree(rng, A3, 8), rng), rng)
             for A in (FACTOR_AB, FACTOR_BC, fa.transport(rand_auto(rng, 4), FACTOR_BC)):
+                shape, valence = assert_matches_oracle(A, T)
+                seen |= {shape, min(valence, 3)}
+        assert seen == {"rose", "barbell", "theta", 1, 2, 3}
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_power_paths(self, fixture):
+        # f^±k R for k <= 8
+        system = se.load_fixture(fixture)
+        for f in system.maps:
+            for g in (f, invert_automorphism(f)):
+                for k, T in enumerate(ex._power_path(g, 8)):
+                    for A in system.collection.factors:
+                        assert_matches_oracle(A, T, k <= LOOP_WORD_POWER[fixture])
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_random_trees(self, fixture):
+        factors = se.load_fixture(fixture).collection.factors
+        rng = random.Random(79)
+        for _ in range(20):
+            T = ex.random_tree(rng, factors[0].ambient, 12)
+            for A in factors:
+                assert_matches_oracle(A, T)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        hst.lists(hst.tuples(hst.integers(0, 2), hst.integers(1, 2), hst.sampled_from((1, -1))), max_size=10),
+        hst.integers(0, 2**16),
+    )
+    def test_hypothesis_trees(self, moves, seed):
+        f = identity_map(A3)
+        for i, d, sign in moves:
+            f = compose_map(transvection(A3, i, (i + d) % 3, sign), f)
+        rng = random.Random(seed)
+        T = pj.transform_marked(f, ROSE)
+        if seed % 2:
+            T = subdivide(T, rng)
+        for A in (FACTOR_AB, FACTOR_BC, fa.transport(rand_auto(rng, 3), FACTOR_AB)):
+            assert_matches_oracle(A, T)
+
+    def test_json_graphs(self):
+        # another ambient alphabet; the cover reads edge letters e0, e1, ...
+        X = Alphabet(("x", "y", "z", "w"))
+        factors = [fa.free_factor_class(X, [word_from_str(X, g) for g in gens])
+                   for gens in (("x", "y z"), ("z w^-1", "y"))]
+        rng = random.Random(83)
+        for _ in range(15):
+            T0 = subdivide(ex.random_tree(rng, X, 8), rng)
+            T = se.graph_from_json(json.loads(json.dumps(se.graph_to_json(T0))))
+            assert T == T0 and T.edge_alphabet.names[0] == "e0"
+            for A in factors + [fa.transport(ex.random_automorphism(rng, X, 4), B) for B in factors]:
                 assert_matches_oracle(A, T)
 
 

@@ -118,7 +118,7 @@ CASES = {
     ),
     "run-theorem9-check": (
         ["run", "--mode", "theorem9-check", "--samples", "2", "--seed", "1"],
-        1,
+        3,
         "f04c7308f6eca03e808d8037f30f845a5d6577fbd8944386d9a4526577d7877c",
     ),
     # p = 2: two samples fit the exponent budget, so their products are built
