@@ -19,7 +19,7 @@ from freefactor import (
     stallings,
     systems as sy,
 )
-from freefactor.errors import FreefactorError, UndefinedProjection
+from freefactor.errors import FreefactorError, SchemaError, UndefinedProjection
 from freefactor.words import Alphabet, group_map, verify_automorphism, word_from_str, word_to_str
 
 
@@ -225,6 +225,15 @@ def dist(letters, factor, marking, marking2):
     click.echo(str(pj.projection_distance(A, T1, T2)))
 
 
+def _system_json(path: Path):
+    """The JSON of a system file; a file that cannot be read or is not JSON
+    is a malformed system."""
+    try:
+        return json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"cannot read {path} as JSON: {exc}") from None
+
+
 @main.command("verify-system")
 @click.argument("fixture")
 def verify_system(fixture):
@@ -234,9 +243,7 @@ def verify_system(fixture):
     """
     try:
         if Path(fixture).exists():
-            system = se.system_from_json(
-                json.loads(Path(fixture).read_text()), verify=True
-            )
+            system = se.system_from_json(_system_json(Path(fixture)), verify=True)
         else:
             system = se.load_fixture(fixture, verify=True)
     except FreefactorError as exc:
@@ -264,7 +271,11 @@ def run(mode, fixture, seed, samples, power, out):
     report = ex.run_experiment(cfg)
     text = se.canonical_dumps(report)
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            click.echo(f"error: cannot write {out}: {exc.strerror}", err=True)
+            sys.exit(2)
         click.echo(f"{report['verdict']}: report written to {out}")
     else:
         click.echo(text, nl=False)

@@ -9,6 +9,19 @@ Modes:
 * ``qie-sandwich``     — the word-length sandwich |g| <= (5 s L / K) N
 * ``farey-crosscheck`` — continued-fraction distances against a BFS oracle
 
+Each record of a sampled mode has a status:
+
+* ``order-audit``    — ``checked``, ``precondition-unmet``, ``pair-degenerate``,
+  ``power-insufficient``
+* ``theorem9-check`` — ``checked``, ``power-insufficient``, ``empty-word``
+* ``interval-check`` — ``checked``, ``threshold-unmet``, ``power-insufficient``
+* ``qie-sandwich``   — ``checked``
+
+``behrstock-scan`` records carry no status, and ``farey-crosscheck`` keeps no
+records.  A violation is a ``checked`` record that fails a check, or in
+``theorem9-check`` a ``power-insufficient`` one whose computed distances fall
+short.
+
 Every run is a pure function of (fixture, mode, seed, samples): reports are
 canonical JSON and byte-identical across runs.
 """
@@ -16,10 +29,11 @@ canonical JSON and byte-identical across runs.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, floor, gcd
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from freefactor import farey, projections as pj, raag, serialize as se
 from freefactor import systems as sy
@@ -198,72 +212,89 @@ def _run_behrstock_scan(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> D
     }
 
 
-def _run_order_audit(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict:
-    rng = random.Random(cfg.seed)
-    coll = system.collection
-    pairs = _overlapping_pairs(system)
-    M = measure_m_emp(system, cfg.seed + 1, min(100, cfg.samples))
-    K = 2 * M + 1
-    m_push = max(K, 4)
+def _sampled(samples: int, fill: Callable[[Dict], bool]) -> Tuple[Dict, Counter]:
+    """A report body of one record per sample, numbered and filled in by
+    ``fill``, which sets its status and says whether it is a violation; and
+    the counts of the statuses.  The caller adds the aggregates."""
     records: List[Dict] = []
     violations: List[Dict] = []
-    met = 0
-    insufficient = 0
-    for k in range(cfg.samples):
+    for k in range(samples):
+        rec: Dict = {"sample": k}
+        if fill(rec):
+            violations.append(rec)
+        records.append(rec)
+    return {"records": records, "violations": violations}, Counter(rec["status"] for rec in records)
+
+
+def _sampled_pairs(
+    rng: random.Random, samples: int, system: sy.AdmissibleSystem, m_push: int,
+    fill: Callable[[Dict, int, int], bool],
+) -> Tuple[Dict, Counter]:
+    """``_sampled`` over overlapping pairs (i, j) drawn from ``rng`` in random
+    order and named in each record; a push power over the exponent budget
+    makes every record ``power-insufficient`` without calling ``fill``."""
+    names = system.collection.names
+    pairs = _overlapping_pairs(system)
+
+    def draw(rec: Dict) -> bool:
         i, j = rng.choice(pairs)
         if rng.random() < 0.5:
             i, j = j, i
-        rec: Dict = {"sample": k, "pair": [coll.names[i], coll.names[j]]}
+        rec["pair"] = [names[i], names[j]]
         if m_push > DEFAULT_BUDGET_EXP:
-            insufficient += 1
             rec["status"] = "power-insufficient"
-            records.append(rec)
-            continue
+            return False
+        return fill(rec, i, j)
+
+    return _sampled(samples, draw)
+
+
+def _run_order_audit(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict:
+    rng = random.Random(cfg.seed)
+    coll = system.collection
+    M = measure_m_emp(system, cfg.seed + 1, min(100, cfg.samples))
+    K = 2 * M + 1
+    m_push = max(K, 4)
+
+    def fill(rec: Dict, i: int, j: int) -> bool:
         T = random_tree(rng, coll.factors[0].ambient, 4)
+        if (i, j) not in coll.shadows:
+            rec["status"] = "pair-degenerate"
+            return False
         # the pair (A_i, f_i^m A_j) on (T, f_i^m f_j^m T), pulled back by the
         # isometry f_i^-m: f_i^m fixes A_i, and meets are equivariant
         T1 = pj.transform_marked(map_power(system.maps[i], -m_push), T)
         T2 = pj.transform_marked(map_power(system.maps[j], m_push), T)
         A, B = coll.factors[i], coll.factors[j]
-        if (i, j) not in coll.shadows:
-            rec["status"] = "pair-degenerate"
-            records.append(rec)
-            continue
         dA = pj.projection_distance(A, T1, T2)
         dB = pj.projection_distance(B, T1, T2)
         rec["d_A"], rec["d_B"] = dA, dB
         if dA < K or dB < K:
             rec["status"] = "precondition-unmet"
-            records.append(rec)
-            continue
-        met += 1
+            return False
         shadows = (coll.shadow(i, j), coll.shadow(j, i))
         v_ab = pj.factor_order(A, B, T1, T2, M, shadows)
         v_ba = pj.factor_order(B, A, T1, T2, M, shadows[::-1])
-        checks = {
-            "exactly_one_order": v_ab.first_precedes_second != v_ba.first_precedes_second,
-        }
         first = v_ab if v_ab.first_precedes_second else v_ba
-        checks["far_shadow_at_start"] = first.d_A_T_B >= M + 1
-        checks["near_shadow_at_start"] = first.d_B_T_A <= M
-        checks["far_shadow_at_end"] = first.d_B_T2_A >= M + 1
-        checks["near_shadow_at_end"] = first.d_A_T2_B <= M
         rec["status"] = "checked"
-        rec["checks"] = checks
-        if not all(checks.values()):
-            violations.append(rec)
-        records.append(rec)
-    return {
-        "records": records,
-        "aggregates": {
-            "M_emp": M,
-            "K": K,
-            "push_power": m_push,
-            "met_precondition": met,
-            "power_insufficient": insufficient,
-        },
-        "violations": violations,
+        rec["checks"] = checks = {
+            "exactly_one_order": v_ab.first_precedes_second != v_ba.first_precedes_second,
+            "far_shadow_at_start": first.d_A_T_B >= M + 1,
+            "near_shadow_at_start": first.d_B_T_A <= M,
+            "far_shadow_at_end": first.d_B_T2_A >= M + 1,
+            "near_shadow_at_end": first.d_A_T2_B <= M,
+        }
+        return not all(checks.values())
+
+    body, status = _sampled_pairs(rng, cfg.samples, system, m_push, fill)
+    body["aggregates"] = {
+        "M_emp": M,
+        "K": K,
+        "push_power": m_push,
+        "met_precondition": status["checked"],
+        "power_insufficient": status["power-insufficient"],
     }
+    return body
 
 
 def _run_theorem9(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict:
@@ -273,71 +304,52 @@ def _run_theorem9(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict:
     p = escalate_power(K, cfg.power)
     gamma = system.collection.gamma
     rose = pj.rose(system.collection.factors[0].ambient)
-    records: List[Dict] = []
-    violations: List[Dict] = []
-    insufficient = 0
-    for k in range(cfg.samples):
+
+    def fill(rec: Dict) -> bool:
         g = random_raag_word(rng, gamma)
-        total_exp = sum(abs(s.exp) for s in g.syllables)
-        rec: Dict = {
-            "sample": k,
-            "word": [[s.gen, s.exp] for s in g.syllables],
-            "total_exp": total_exp,
-        }
-        if not g.syllables:
+        exps = [abs(s.exp) for s in g.syllables]
+        rec["word"] = [[s.gen, s.exp] for s in g.syllables]
+        rec["total_exp"] = sum(exps)
+        if not exps:
             rec["status"] = "empty-word"
-            records.append(rec)
-            continue
+            return False
         # d_{A^g(k)}(T, phi(g)T) is invariant under the global isometry
         # (prefix . f^{p e_k})^{-1}, which splits phi(g) at the active
         # syllable; both sides stay small when the split is balanced
-        exps = [abs(s.exp) for s in g.syllables]
         scaled = [(gen, p * e) for gen, e in g.key()]
         dists: List[Optional[int]] = []
-        ok = True
-        fits_all = True
         for idx, syl in enumerate(g.syllables):
             left_exp = p * sum(exps[: idx + 1])
             right_exp = p * sum(exps[idx + 1 :])
             if max(left_exp, right_exp) > DEFAULT_BUDGET_EXP:
                 dists.append(None)
-                fits_all = False
                 continue
             left = sy.apply_phi(system, scaled[: idx + 1])
             T1 = pj.transform_marked(invert_automorphism(left), rose)
             T2 = pj.transform_marked(sy.apply_phi(system, scaled[idx + 1 :]), rose)
             A = system.collection.factors[system.collection.index(syl.gen)]
-            d = pj.projection_distance(A, T1, T2)
-            dists.append(d)
-            if d < K * abs(syl.exp):
-                ok = False
+            dists.append(pj.projection_distance(A, T1, T2))
         rec["distances"] = dists
         rec["required"] = [K * e for e in exps]
-        if not fits_all:
-            insufficient += 1
-            rec["status"] = "power-insufficient"
-        else:
-            rec["status"] = "checked"
-        if not ok:
-            violations.append(rec)
-        records.append(rec)
-    checked = sum(1 for r in records if r["status"] == "checked")
+        rec["status"] = "power-insufficient" if None in dists else "checked"
+        return any(d is not None and d < r for d, r in zip(dists, rec["required"]))
+
+    body, status = _sampled(cfg.samples, fill)
+    checked, insufficient = status["checked"], status["power-insufficient"]
+    violations = body["violations"]
     verdict = (
         "pass"
         if not violations and not insufficient
         else ("power-insufficient" if not violations and checked == 0 else "fail")
     )
-    return {
-        "records": records,
-        "aggregates": {
-            **consts,
-            "power": p,
-            "checked": checked,
-            "power_insufficient": insufficient,
-            "theorem_verdict": verdict,
-        },
-        "violations": violations,
+    body["aggregates"] = {
+        **consts,
+        "power": p,
+        "checked": checked,
+        "power_insufficient": insufficient,
+        "theorem_verdict": verdict,
     }
+    return body
 
 
 def _run_interval_check(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict:
@@ -348,26 +360,13 @@ def _run_interval_check(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> D
     K = 5 * M + 3 * L
     s = raag.clique_number(coll.gamma)
     m_push = K + 1
-    records: List[Dict] = []
-    violations: List[Dict] = []
-    insufficient = 0
-    pairs = _overlapping_pairs(system)
 
     @lru_cache(maxsize=None)
     def segment(idx: int, inverse: bool) -> List[pj.MarkedGraph]:
         f = system.maps[idx]
         return _power_path(invert_automorphism(f) if inverse else f, m_push)
 
-    for k in range(cfg.samples):
-        i, j = rng.choice(pairs)
-        if rng.random() < 0.5:
-            i, j = j, i
-        rec: Dict = {"sample": k, "pair": [coll.names[i], coll.names[j]]}
-        if m_push > DEFAULT_BUDGET_EXP:
-            insufficient += 1
-            rec["status"] = "power-insufficient"
-            records.append(rec)
-            continue
+    def fill(rec: Dict, i: int, j: int) -> bool:
         # two-segment staggered path f_i^k R (k <= m), then f_i^m f_j^k R,
         # pulled back by the isometry f_i^{-m} so every label stays small;
         # the pullback carries the transported second factor back to A_j
@@ -381,36 +380,30 @@ def _run_interval_check(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> D
         except FreefactorError as exc:
             rec["status"] = "threshold-unmet"
             rec["detail"] = str(exc)
-            records.append(rec)
-            continue
+            return False
         total = sum(
             pj.projection_distance(F, trees[0], trees[-1]) for F in (A, B2)
         )
-        checks = {
+        rec["status"] = "checked"
+        rec["intervals"] = {"first": [ra.a, ra.b], "second": [rb.a, rb.b]}
+        rec["checks"] = checks = {
             "disjoint": ra.b <= rb.a or rb.b <= ra.a,
             "ordered_first_before_second": ra.b <= rb.a,
             "sum_bound": total <= 5 * s * L * path.length,
         }
-        rec["status"] = "checked"
-        rec["intervals"] = {"first": [ra.a, ra.b], "second": [rb.a, rb.b]}
-        rec["checks"] = checks
-        if not all(checks.values()):
-            violations.append(rec)
-        records.append(rec)
-    checked = sum(1 for r in records if r["status"] == "checked")
-    return {
-        "records": records,
-        "aggregates": {
-            "M_emp": M,
-            "L_path": L,
-            "K": K,
-            "s": s,
-            "push_power": m_push,
-            "checked": checked,
-            "power_insufficient": insufficient,
-        },
-        "violations": violations,
+        return not all(checks.values())
+
+    body, status = _sampled_pairs(rng, cfg.samples, system, m_push, fill)
+    body["aggregates"] = {
+        "M_emp": M,
+        "L_path": L,
+        "K": K,
+        "s": s,
+        "push_power": m_push,
+        "checked": status["checked"],
+        "power_insufficient": status["power-insufficient"],
     }
+    return body
 
 
 def _run_qie_sandwich(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dict:
@@ -419,28 +412,18 @@ def _run_qie_sandwich(cfg: ExperimentConfig, system: sy.AdmissibleSystem) -> Dic
     K, L, s = consts["K"], consts["L_path"], consts["s"]
     p = escalate_power(K, cfg.power)
     gamma = system.collection.gamma
-    records: List[Dict] = []
-    violations: List[Dict] = []
-    for k in range(cfg.samples):
+
+    def fill(rec: Dict) -> bool:
         g = random_raag_word(rng, gamma)
         size = sum(abs(s_.exp) for s_ in g.syllables)
         N = p * size  # one path step per generator application
         bound = 5 * s * L * N / K if K else float("inf")
-        rec = {
-            "sample": k,
-            "word_size": size,
-            "path_length": N,
-            "bound": bound,
-            "status": "checked",
-        }
-        if size > bound:
-            violations.append(rec)
-        records.append(rec)
-    return {
-        "records": records,
-        "aggregates": {**consts, "power": p},
-        "violations": violations,
-    }
+        rec.update(word_size=size, path_length=N, bound=bound, status="checked")
+        return size > bound
+
+    body, _ = _sampled(cfg.samples, fill)
+    body["aggregates"] = {**consts, "power": p}
+    return body
 
 
 # --- farey crosscheck -------------------------------------------------------

@@ -87,7 +87,9 @@ class TestProjectionCommands:
 
 
 class TestRefusals:
-    """Bad input ends a command with one line on stderr and exit code 2."""
+    """Bad input ends a command with one line on stderr and exit code 2; a
+    system that ``verify-system`` cannot certify, with one ``FAIL:`` line on
+    stdout and exit code 1."""
 
     def refused(self, *args):
         r = run(*args)
@@ -95,6 +97,32 @@ class TestRefusals:
         assert r.stdout == ""
         assert len(r.stderr.splitlines()) == 1
         return r.stderr
+
+    def failed_verify(self, path):
+        r = run("verify-system", str(path))
+        assert r.exit_code == 1
+        assert r.stderr == ""
+        assert r.stdout.startswith("FAIL: ")
+        assert len(r.stdout.splitlines()) == 1
+        return r.stdout
+
+    def test_verify_system_not_json(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert "as JSON: " in self.failed_verify(bad)
+
+    def test_verify_system_not_text(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert "as JSON: " in self.failed_verify(bad)
+
+    def test_verify_system_directory(self, tmp_path):
+        assert "Is a directory" in self.failed_verify(tmp_path)
+
+    def test_run_out_unwritable(self, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        err = self.refused("run", "--mode", "qie-sandwich", "--samples", "1", "--out", str(out))
+        assert err == f"error: cannot write {out}: No such file or directory\n"
 
     def test_meet_rank_one(self):
         assert "rank 1" in self.refused("meet", "--letters", "a,b,c", "a", "b")

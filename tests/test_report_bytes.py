@@ -2,18 +2,23 @@
 
 Each invocation runs in a fresh interpreter under several ``PYTHONHASHSEED``
 values.  Its stdout and exit code must not depend on the hash seed, and the
-stdout's sha256 must equal the digest recorded here.  A refactor that keeps
-reports byte-identical leaves this file alone; a change that alters a report
-on purpose re-records the digest (``python tests/test_report_bytes.py``
-prints the current ones) and says why.
+stdout's sha256 must equal the digest recorded here.  ``STATUS_CASES`` pin,
+in process, small reports that reach every record status of the sampled
+modes.  A refactor that keeps reports byte-identical leaves this file alone;
+a change that alters a report on purpose re-records the digest
+(``python tests/test_report_bytes.py`` prints the current ones, both kinds)
+and says why.
 """
 
 import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -193,8 +198,115 @@ def test_report_bytes_repeat_in_process(name):
     assert hashlib.sha256(second.stdout_bytes).hexdigest() == digest
 
 
+def _swap_first_two_maps(system):
+    """The pentagon system with f_0 and f_1 exchanged: f_1 commutes with A_0
+    and fixes its projection, so some pairs are barely pushed apart."""
+    from freefactor import systems as sy
+
+    maps = (system.maps[1], system.maps[0]) + system.maps[2:]
+    return sy.AdmissibleSystem(system.collection, maps, system.power, system.restriction_hyperbolic)
+
+
+def _disjoint_pair_called_overlapping(system):
+    """The pentagon system with its first disjoint pair classified as
+    overlapping: its factors do not meet, so it has no factor shadows."""
+    from freefactor import systems as sy
+
+    coll = system.collection
+    pair = next((i, j) for i, j, kind in coll.classifications if kind == "disjoint")
+    relabelled = tuple(
+        (i, j, "overlap" if (i, j) == pair else kind) for i, j, kind in coll.classifications
+    )
+    collection = sy.AdmissibleCollection(coll.names, coll.factors, coll.gamma, relabelled)
+    return sy.AdmissibleSystem(collection, system.maps, system.power, system.restriction_hyperbolic)
+
+
+# In-process pentagon-f5 reports that reach every record status a sampled mode
+# can emit.  ``M`` and ``L`` replace the measured constants (``measure_m_emp``
+# and ``measure_l_path``) so the push powers stay small; ``system`` rebuilds
+# the loaded fixture.
+# name -> (config, replacements, record statuses, violation count, sha256 of the report)
+STATUS_CASES = {
+    # K = 2M + 1 = 15 puts the push power over the exponent budget
+    "order-audit-power-insufficient": (
+        dict(mode="order-audit", samples=3, seed=1), dict(M=7),
+        {"power-insufficient": 3}, 0,
+        "01ece883cc0bad368f1ddffe65cc4224fcfe460d4b3a215ed842e77bd4c0da17",
+    ),
+    # with M = 0 no shadow is near: every checked sample fails a check
+    "order-audit-failing-check": (
+        dict(mode="order-audit", samples=4, seed=1), dict(M=0),
+        {"checked": 4}, 4,
+        "dc26ac3a483e7a85fb3ebd912ba2de4201528a7a44139a304b2df28e99d0b191",
+    ),
+    "order-audit-pair-degenerate": (
+        dict(mode="order-audit", samples=6, seed=3), dict(M=1, system=_disjoint_pair_called_overlapping),
+        {"pair-degenerate": 1, "checked": 5}, 1,
+        "0ed92a526a793facf1cf790c300fd11739a3275d4c71783d02390ea5a0d16113",
+    ),
+    "order-audit-precondition-unmet": (
+        dict(mode="order-audit", samples=6, seed=1), dict(M=1, system=_swap_first_two_maps),
+        {"precondition-unmet": 2, "checked": 4}, 0,
+        "183dd910a8f5dd827bde2e82e7eb0234a9a52acefcb540aa146d29e2ad410aa3",
+    ),
+    # K = 5M + 3L = 18 puts the push power K + 1 over the exponent budget
+    "interval-check-power-insufficient": (
+        dict(mode="interval-check", samples=3, seed=1), dict(M=3, L=1),
+        {"power-insufficient": 3}, 0,
+        "7fcd18a84f05e6a8819ee2226c8ce555b1aa8b882971d97ea1c5b5ae2f81112b",
+    ),
+    "interval-check-threshold-unmet": (
+        dict(mode="interval-check", samples=6, seed=1), dict(M=0, L=1, system=_swap_first_two_maps),
+        {"threshold-unmet": 2, "checked": 4}, 2,
+        "25c76cf4dfa6896f253ff8bad70d669d56847d4a9b9ff15e7874a66855ae9911",
+    ),
+    # the fourth word of seed 4 normalizes to the identity
+    "theorem9-check-empty-word": (
+        dict(mode="theorem9-check", samples=4, seed=4), {},
+        {"empty-word": 1, "power-insufficient": 3}, 0,
+        "dd130e634393415d67b2f56d9cb81f8d1c4a83e103a4fc11836ec9db8bf88622",
+    ),
+    "theorem9-check-empty-word-power-1": (
+        dict(mode="theorem9-check", samples=4, seed=4, power=1), {},
+        {"empty-word": 1, "checked": 3}, 3,
+        "0adb9c80649ec16dc8285879ba86c7087306efa342595fc44e9254254bb266d1",
+    ),
+}
+
+
+def _status_report(config, replacements):
+    """The canonical report of one run with its replacements in place."""
+    from freefactor import experiments as ex, serialize as se
+
+    with ExitStack() as stack:
+        if "M" in replacements:
+            stack.enter_context(mock.patch.object(ex, "measure_m_emp", lambda *_: replacements["M"]))
+        if "L" in replacements:
+            stack.enter_context(mock.patch.object(ex, "measure_l_path", lambda *_: replacements["L"]))
+        if "system" in replacements:
+            load = se.load_fixture
+            rebuilt = lambda name: replacements["system"](load(name))  # noqa: E731
+            stack.enter_context(mock.patch.object(se, "load_fixture", rebuilt))
+        report = ex.run_experiment(ex.ExperimentConfig(fixture="pentagon-f5", **config))
+    return report, se.canonical_dumps(report).encode()
+
+
+@pytest.mark.parametrize("name", sorted(STATUS_CASES))
+def test_status_report_pinned(name):
+    config, replacements, statuses, violations, digest = STATUS_CASES[name]
+    report, out = _status_report(config, replacements)
+    assert Counter(rec["status"] for rec in report["records"]) == statuses
+    assert len(report["violations"]) == violations
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 if __name__ == "__main__":
     for name in sorted(CASES):
         args, _, _ = CASES[name]
         code, out = _run(args, HASH_SEEDS[0])
         print(f"{name}: exit {code} sha256 {hashlib.sha256(out).hexdigest()}")
+    sys.path.insert(0, str(SRC))
+    for name in sorted(STATUS_CASES):
+        config, replacements, _, _, _ = STATUS_CASES[name]
+        _, out = _status_report(config, replacements)
+        print(f"{name}: in process sha256 {hashlib.sha256(out).hexdigest()}")
