@@ -171,7 +171,7 @@ def support_graph(vertices, edges):
     G = sy.build_support_graph(_gamma(vertices, edges))
     click.echo(f"ambient rank: {G.ambient_rank}")
     click.echo(f"vertices: {len(G.vertices)}  edges: {len(G.edges)}")
-    for name, gens in zip(_gamma(vertices, edges).vertices, G.factor_words):
+    for name, gens in zip(G.gamma.vertices, G.factor_words):
         click.echo(f"  {name}: " + ", ".join(word_to_str(w) for w in gens))
 
 
@@ -239,13 +239,14 @@ def _system_json(path: Path):
 def verify_system(fixture):
     """Recompute all admissibility and support certificates of a system.
 
-    FIXTURE is a shipped fixture name or a path to a system JSON file.
+    FIXTURE is a shipped fixture name; anything else is a path to a system
+    JSON file (write ./NAME for a file named like a shipped fixture).
     """
     try:
-        if Path(fixture).exists():
-            system = se.system_from_json(_system_json(Path(fixture)), verify=True)
-        else:
+        if fixture in se.list_fixtures():
             system = se.load_fixture(fixture, verify=True)
+        else:
+            system = se.system_from_json(_system_json(Path(fixture)), verify=True)
     except FreefactorError as exc:
         click.echo(f"FAIL: {exc}")
         sys.exit(1)
@@ -254,6 +255,16 @@ def verify_system(fixture):
         f"OK: {len(coll.factors)} factors over rank {coll.factors[0].ambient.rank}, "
         f"power {system.power}"
     )
+
+
+def _write_out(out: str, text: str, mode: str):
+    """Write text to out, or end the command with one error line and exit 2."""
+    try:
+        with open(out, mode) as fh:
+            fh.write(text)
+    except OSError as exc:
+        click.echo(f"error: cannot write {out}: {exc.strerror}", err=True)
+        sys.exit(2)
 
 
 @main.command("run")
@@ -268,14 +279,12 @@ def run(mode, fixture, seed, samples, power, out):
     cfg = ex.ExperimentConfig(
         mode=mode, fixture=fixture, samples=samples, seed=seed, power=power
     )
+    if out:
+        _write_out(out, "", "a")  # refuse an unwritable path before the run
     report = ex.run_experiment(cfg)
     text = se.canonical_dumps(report)
     if out:
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            click.echo(f"error: cannot write {out}: {exc.strerror}", err=True)
-            sys.exit(2)
+        _write_out(out, text, "w")
         click.echo(f"{report['verdict']}: report written to {out}")
     else:
         click.echo(text, nl=False)

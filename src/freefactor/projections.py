@@ -33,8 +33,6 @@ from freefactor.words import (
     compose_map,
     group_map,
     identity_map,
-    letter,
-    reduce_raw,
     std_alphabet,
     verify_automorphism,
 )
@@ -47,9 +45,10 @@ class MarkedGraph:
     """Finite graph with reduced-word edge labels identifying π₁ with F_n.
 
     ``marking_hint`` maps basis loop t_i to ``marking_words()[i]`` and carries
-    its inverse, which proves that the labels generate F_n.  ``rose`` and
-    ``transform_marked`` build it with its inverse; without one, a weighted
-    fold of the marking words finds it.
+    its inverse, which proves that the labels generate F_n.  The public
+    constructor (JSON, graphs built by hand) checks the graph and the hint,
+    or finds the hint by a weighted fold; ``rose`` and ``transform_marked``
+    derive loops and hint themselves and build through ``_marked`` unchecked.
     """
 
     alphabet: Alphabet                       # ambient F_n
@@ -101,42 +100,20 @@ class MarkedGraph:
     def edge_alphabet(self) -> Alphabet:
         return std_alphabet(self.num_edges, prefix="e")
 
-    # -- spanning tree / basis loops ---------------------------------------
-
-    def _tree(self):
-        """BFS tree: parent[v] = (u, (edge_index, direction))."""
-        adj: List[List[Tuple[Tuple[int, int], int]]] = [[] for _ in range(self.num_vertices)]
-        for idx, (u, v, _w) in enumerate(self.edges):
-            adj[u].append(((idx, 1), v))
-            adj[v].append(((idx, -1), u))
-        order, parent = stallings.bfs_tree(self.base, lambda v: sorted(adj[v]))
-        if len(order) != self.num_vertices:
-            raise InvalidMarking("marked graph must be connected")
-        return parent
-
-    def _tree_path_edges(self, v: int, parent) -> List[int]:
-        """Signed edge indices (1-based) of the tree path base -> v."""
-        out: List[int] = []
-        while v != self.base:
-            u, (idx, d) = parent[v]
-            out.append(d * (idx + 1))
-            v = u
-        return list(reversed(out))
-
     @cached_property
     def _loops(self) -> Tuple[Tuple[int, ...], ...]:
-        """The basis loops as signed 1-based edge indices, derived once."""
-        parent = self._tree()
-        tree_edges = {idx for _u, (idx, _d) in parent.values()}
-        loops = []
-        for idx, (u, v, _w) in enumerate(self.edges):
-            if idx in tree_edges:
-                continue
-            pu = self._tree_path_edges(u, parent)
-            pv = self._tree_path_edges(v, parent)
-            loop = pu + [idx + 1] + [-x for x in reversed(pv)]
-            loops.append(reduce_raw(self.edge_alphabet, loop).letters)
-        return tuple(loops)
+        """The basis loops as signed 1-based edge indices, derived once: the
+        spanning-tree basis of the folded graph that reads e_k along edge k,
+        sorted by that letter."""
+        adj: List[Dict[int, int]] = [{} for _ in range(self.num_vertices)]
+        for k, (u, v, _w) in enumerate(self.edges, 1):
+            adj[u][k] = v
+            adj[v][-k] = u
+        if len(stallings._components(range(self.num_vertices), lambda v: adj[v].values())) != 1:
+            raise InvalidMarking("marked graph must be connected")
+        H = stallings.SubgroupGraph(self.edge_alphabet, tuple(adj), self.base)
+        by_letter = sorted(zip(H.basis_edges, H.basis), key=lambda p: p[0][1])
+        return tuple(w.letters for _e, w in by_letter)
 
     def basis_loops(self) -> List[List[int]]:
         """Edge-paths (signed 1-based edge indices) of the non-tree basis loops."""
@@ -172,9 +149,25 @@ def _marking_inverse(T: MarkedGraph) -> GroupMap:
     return T.marking_hint.inverse_hint
 
 
+def _marked(alphabet: Alphabet, num_vertices: int, edges, base: int, hint: GroupMap,
+            loops, edge_alphabet: Alphabet) -> MarkedGraph:
+    """A MarkedGraph whose loops and certified hint the library derived
+    itself: it fills the frozen fields without the checks."""
+    T = object.__new__(MarkedGraph)
+    T.__dict__.update(
+        alphabet=alphabet, num_vertices=num_vertices, edges=edges, base=base, marking_hint=hint,
+        _loops=loops, edge_alphabet=edge_alphabet,
+    )
+    return T
+
+
 def rose(alphabet: Alphabet) -> MarkedGraph:
-    edges = tuple((0, 0, letter(alphabet, i)) for i in range(alphabet.rank))
-    return MarkedGraph(alphabet, 1, edges, 0, identity_map(alphabet))
+    """One vertex with a loop e_i labelled x_i: the loops are the edges and
+    the marking is the identity, so nothing is left to check."""
+    hint = identity_map(alphabet)
+    edges = tuple([(0, 0, x) for x in hint.images])
+    loops = tuple([(k,) for k in range(1, alphabet.rank + 1)])
+    return _marked(alphabet, 1, edges, 0, hint, loops, std_alphabet(alphabet.rank, prefix="e"))
 
 
 def transform_marked(f: GroupMap, T: MarkedGraph) -> MarkedGraph:
@@ -193,12 +186,7 @@ def transform_marked(f: GroupMap, T: MarkedGraph) -> MarkedGraph:
         edges = tuple([(u, v, w) for (u, v, _), w in zip(T.edges, hint.images)])
     else:
         edges = tuple([(u, v, f(w)) for u, v, w in T.edges])
-    fT = object.__new__(MarkedGraph)
-    fT.__dict__.update(
-        alphabet=f.codomain, num_vertices=T.num_vertices, edges=edges, base=T.base, marking_hint=hint,
-        _loops=T._loops, edge_alphabet=T.edge_alphabet,
-    )
-    return fT
+    return _marked(f.codomain, T.num_vertices, edges, T.base, hint, T._loops, T.edge_alphabet)
 
 
 # --- the projection ---------------------------------------------------------

@@ -713,3 +713,41 @@ def cover_shape(A, T):
     else:
         shape = "theta"
     return shape, len(cover.adj[cover.base])
+
+
+# --- basis loops of a marked graph -----------------------------------------
+#
+# The derivation `projections.MarkedGraph` had before it took its loops from
+# a `SubgroupGraph` read over its edge letters.
+
+def tree_loops(T):
+    """Basis loops of a marked graph as tuples of signed 1-based edge
+    indices: a BFS tree from the base that scans each vertex's edge ends in
+    index order, then one loop per non-tree edge, in edge order, through the
+    tree paths to its two ends."""
+    ends = [[] for _ in range(T.num_vertices)]
+    for idx, (u, v, _w) in enumerate(T.edges):
+        ends[u].append(((idx, 1), v))
+        ends[v].append(((idx, -1), u))
+    parent, queue = {}, deque([T.base])
+    while queue:
+        u = queue.popleft()
+        for (idx, d), t in sorted(ends[u]):
+            if t != T.base and t not in parent:
+                parent[t] = (u, d * (idx + 1))
+                queue.append(t)
+    assert len(parent) == T.num_vertices - 1, "marked graph must be connected"
+
+    def path(v):
+        out = []
+        while v != T.base:
+            v, x = parent[v]
+            out.append(x)
+        return out[::-1]
+
+    tree_edges = {abs(x) - 1 for _u, x in parent.values()}
+    return [
+        naive_reduce(path(u) + [idx + 1] + [-x for x in reversed(path(v))])
+        for idx, (u, v, _w) in enumerate(T.edges)
+        if idx not in tree_edges
+    ]

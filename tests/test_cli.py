@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from freefactor import raag
+from freefactor import experiments as ex, raag
 from freefactor.cli import main
 
 
@@ -123,6 +123,24 @@ class TestRefusals:
         out = tmp_path / "missing" / "r.json"
         err = self.refused("run", "--mode", "qie-sandwich", "--samples", "1", "--out", str(out))
         assert err == f"error: cannot write {out}: No such file or directory\n"
+
+    def test_run_out_refused_before_the_run(self, tmp_path, monkeypatch):
+        def never(cfg):
+            raise AssertionError("the experiment started")
+
+        monkeypatch.setattr(ex, "run_experiment", never)
+        out = tmp_path / "missing" / "r.json"
+        err = self.refused("run", "--mode", "interval-check", "--samples", "20", "--out", str(out))
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+
+    def test_shipped_fixture_not_shadowed(self, tmp_path, monkeypatch):
+        # a shipped name is the fixture; ./NAME is the directory beside it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pentagon-f5").mkdir()
+        r = run("verify-system", "pentagon-f5")
+        assert r.exit_code == 0
+        assert r.stdout.startswith("OK: ") and len(r.stdout.splitlines()) == 1
+        assert "Is a directory" in self.failed_verify("./pentagon-f5")
 
     def test_meet_rank_one(self):
         assert "rank 1" in self.refused("meet", "--letters", "a,b,c", "a", "b")

@@ -31,11 +31,20 @@ from freefactor.words import (
     identity_map,
     invert_automorphism,
     map_power,
+    std_alphabet,
     transvection,
     verify_automorphism,
     word_from_str,
 )
-from oracles import cover_shape, letter_projection, loop_word_projection
+from oracles import (
+    compose_with_inverses,
+    cover_shape,
+    letter_projection,
+    loop_word_projection,
+    naive_reduce,
+    plain_substitution,
+    tree_loops,
+)
 
 A3 = abc_alphabet(3)
 
@@ -105,6 +114,37 @@ class TestMarkedGraph:
         with pytest.raises(InvalidMarking):  # right images, but no inverse
             pj.MarkedGraph(A3, 1, ROSE.edges, 0, group_map(A3, A3, [w("a"), w("b"), w("c")]))
 
+    def test_checked_refusals_survive_optimize(self, run_optimized):
+        # the public constructor keeps every check: a wrong Betti number, a
+        # valence-1 vertex, two components, labels that do not generate, and
+        # a marking that does not certify the labels
+        out = run_optimized(
+            "from freefactor import projections as pj\n"
+            "from freefactor.errors import FreefactorError\n"
+            "from freefactor.words import abc_alphabet, identity_map, word_from_str\n"
+            "A = abc_alphabet(2)\n"
+            "a, b, ab = (word_from_str(A, s) for s in ('a', 'b', 'a b'))\n"
+            "cases = [\n"
+            "    (1, ((0, 0, a),), None),\n"
+            "    (2, ((0, 0, a), (0, 0, b), (0, 1, a)), None),\n"
+            "    (2, ((0, 0, a), (0, 0, b), (1, 1, a)), None),\n"
+            "    (1, ((0, 0, a), (0, 0, a)), None),\n"
+            "    (1, ((0, 0, a), (0, 0, ab)), identity_map(A)),\n"
+            "]\n"
+            "for nv, edges, hint in cases:\n"
+            "    try:\n"
+            "        pj.MarkedGraph(A, nv, edges, 0, hint)\n"
+            "    except FreefactorError as exc:\n"
+            "        print(f'{type(exc).__name__}: {exc}')\n"
+        )
+        assert out == (
+            "InvalidMarking: first Betti number must equal the ambient rank\n"
+            "InvalidMarking: every vertex must have valence at least 2\n"
+            "InvalidMarking: marked graph must be connected\n"
+            "InvalidMarking: edge labels do not generate the ambient group\n"
+            "InvalidMarking: marking hint is not a certified map onto the marking words\n"
+        )
+
     def test_theta_graph(self):
         # two vertices, three parallel edges: betti 2 over F_2
         A2 = abc_alphabet(2)
@@ -117,6 +157,23 @@ class TestMarkedGraph:
         assert T.betti == 2
         ws = T.marking_words()
         assert len(ws) == 2
+
+
+class TestTrustedRose:
+    """``rose`` skips the checks of ``MarkedGraph``; the checked rose with
+    the identity marking is its oracle."""
+
+    @pytest.mark.parametrize("alphabet_of", [abc_alphabet, std_alphabet])
+    def test_matches_checked_rose(self, alphabet_of):
+        for rank in range(1, 7):
+            A = alphabet_of(rank)
+            R = pj.rose(A)
+            want = pj.MarkedGraph(A, 1, R.edges, 0, identity_map(A))
+            assert R == want and hash(R) == hash(want)
+            assert R._loops == want._loops and R.edge_alphabet == want.edge_alphabet
+            assert R.marking_words() == want.marking_words()
+            assert R.marking_hint.images == want.marking_hint.images
+            assert R.marking_hint.inverse_images == want.marking_hint.inverse_images
 
 
 class TestEdgeWords:
@@ -281,6 +338,14 @@ def subdivide(T, rng):
     return pj.MarkedGraph(T.alphabet, nv, tuple(edges), rng.randrange(nv))
 
 
+def shuffled(T, rng):
+    """T with its edges in a random order, each one reversed (its label
+    inverted) at random."""
+    edges = [(v, u, label.inverse()) if rng.random() < 0.5 else (u, v, label) for u, v, label in T.edges]
+    rng.shuffle(edges)
+    return pj.MarkedGraph(T.alphabet, T.num_vertices, tuple(edges), T.base)
+
+
 def checked_transform(f, T):
     """f(T) through every check of ``MarkedGraph``: f applied to each label,
     then the marking words evaluated afresh and compared with the composed
@@ -402,6 +467,43 @@ class TestLoopWordOracle:
             assert T == T0 and T.edge_alphabet.names[0] == "e0"
             for A in factors + [fa.transport(ex.random_automorphism(rng, X, 4), B) for B in factors]:
                 assert_matches_oracle(A, T)
+
+
+class TestBasisLoops:
+    """Basis loops, marking words and the marking's inverse images of
+    multi-vertex graphs match ``oracles.tree_loops``, order included."""
+
+    @staticmethod
+    def assert_matches_tree_loops(T):
+        loops = tree_loops(T)
+        assert T.basis_loops() == [list(loop) for loop in loops]
+        labels = [label.letters for _u, _v, label in T.edges]
+        words = tuple(naive_reduce(plain_substitution(loop, labels)) for loop in loops)
+        assert tuple(m.letters for m in T.marking_words()) == words
+        assert tuple(m.letters for m in T.marking_hint.images) == words
+        inverse = tuple(m.letters for m in T.marking_hint.inverse_images)
+        identity = tuple((i + 1,) for i in range(T.alphabet.rank))
+        assert compose_with_inverses(words, None, inverse, None)[0] == identity
+        assert compose_with_inverses(inverse, None, words, None)[0] == identity
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_subdivided_shuffled_graphs(self, fixture):
+        # subdivided up to three times at a random base, then shuffled so
+        # that loops in edge order differ from loops in discovery order
+        alphabet = se.load_fixture(fixture).collection.factors[0].ambient
+        rng = random.Random(89)
+        multi = 0
+        for _ in range(40):
+            T = ex.random_tree(rng, alphabet, 8)
+            for _ in range(rng.randint(1, 3)):
+                T = subdivide(T, rng)
+            T = shuffled(T, rng)
+            back = se.graph_from_json(json.loads(json.dumps(se.graph_to_json(T))))
+            assert back == T
+            for G in (T, back):
+                self.assert_matches_tree_loops(G)
+            multi += T.num_vertices > 1
+        assert multi >= 30
 
 
 class TestPreconditions:
