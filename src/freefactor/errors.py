@@ -39,10 +39,6 @@ class NotUnimodular(FreefactorError):
     """A 2x2 integer matrix has determinant other than ±1."""
 
 
-class NegativePower(FreefactorError):
-    """A power that must be nonnegative is negative."""
-
-
 class InvalidGraph(FreefactorError):
     """A defining graph repeats a vertex, has a loop, or an edge off its vertices."""
 

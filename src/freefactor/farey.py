@@ -17,7 +17,6 @@ from typing import Iterable, Tuple
 
 from freefactor.errors import (
     MalformedVertex,
-    NegativePower,
     NonPrimitiveImage,
     NotUnimodular,
     RankMismatch,
@@ -168,26 +167,6 @@ class Matrix2Z:
     def trace(self) -> int:
         return self.a + self.d
 
-    def __matmul__(self, other: "Matrix2Z") -> "Matrix2Z":
-        return Matrix2Z(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def power(self, k: int) -> "Matrix2Z":
-        if k < 0:
-            raise NegativePower(f"matrix power {k} is negative")
-        result = Matrix2Z(1, 0, 0, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
-
 
 def matrix_of_out(f: GroupMap) -> Matrix2Z:
     """Abelianization matrix of a rank-2 automorphism (columns = images)."""
@@ -195,10 +174,6 @@ def matrix_of_out(f: GroupMap) -> Matrix2Z:
         raise RankMismatch(f"matrix_of_out needs rank 2, not {f.domain.rank} -> {f.codomain.rank}")
     (a, c), (b, d) = (abelianize2(w) for w in f.images)
     return Matrix2Z(a, b, c, d)
-
-
-def act(m: Matrix2Z, v: FareyVertex) -> FareyVertex:
-    return farey_vertex(m.a * v.p + m.b * v.q, m.c * v.p + m.d * v.q)
 
 
 def is_fully_irreducible(m: Matrix2Z) -> bool:

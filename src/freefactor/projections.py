@@ -1,8 +1,8 @@
 """Marked graphs (spine points), the projection to rank-2 factor complexes,
 projection distances, the Behrstock minimum, factor ordering, and activity
-intervals along bounded-step paths.  After the fold of the A-cover of T,
-π_A(T) reads H₁ arc by arc, not letter by letter, on the cover's graph of
-arcs: its maximal chains through valence-2 vertices."""
+intervals along bounded-step paths.  π_A(T) folds A's basis paths in T
+arc by arc, not letter by letter, and the fold carries H₁(A) classes on the
+arcs of the A-cover."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from freefactor import factors as fa
 from freefactor import farey, stallings
 from freefactor._kernel import substitute
 from freefactor.errors import (
+    AlphabetMismatch,
     InvalidMarking,
     NotInOmega,
     NotOverlapping,
@@ -24,13 +25,13 @@ from freefactor.errors import (
     UnknownLetter,
 )
 from freefactor.factors import FreeFactorClass
-from freefactor.stallings import from_generators
 from freefactor.words import (
     Alphabet,
     GroupMap,
     Word,
     _word,
     compose_map,
+    fold_arcs,
     group_map,
     identity_map,
     std_alphabet,
@@ -136,12 +137,15 @@ class MarkedGraph:
         return [_word(self.alphabet, tuple(substitute(loop, labels))) for loop in self._loops]
 
     def to_edge_paths(self, words: Sequence[Word]) -> List[Word]:
-        """Rewrite ambient words as based edge-path loops (over edge letters)."""
-        inv = _marking_inverse(self)
-        loops = self._loops
-        ea = self.edge_alphabet
-        # inv(w) is a word in the basis loops t_1..t_n
-        return [_word(ea, tuple(substitute(inv(w).letters, loops))) for w in words]
+        """Rewrite ambient words as based edge-path loops (over edge letters),
+        each in one pass: x_i becomes its inverse image under the marking,
+        read along the basis loops, which on one vertex are the edges."""
+        if any(w.alphabet != self.alphabet for w in words):
+            raise AlphabetMismatch("a word is not over the marked graph's alphabet")
+        images = [w.letters for w in _marking_inverse(self).images]
+        if self.num_vertices > 1:
+            images = [substitute(im, self._loops) for im in images]
+        return [_word(self.edge_alphabet, tuple(substitute(w.letters, images))) for w in words]
 
 
 @lru_cache(maxsize=0)
@@ -205,19 +209,15 @@ class ProjectionSet:
 
 def _arcs(adj, branch: Sequence[bool]):
     """Maximal chains of a folded graph through its non-``branch`` vertices,
-    each of which has valence 2.
-
-    Returns ``arcs[k] = (u, letters, v)``, the letters read from u to v, and
-    ``step[(x, s)] = (k, ±1)`` for the first letter s of arc k read from its
-    end x: +1 from u, -1 from v.
-    """
+    each of which has valence 2, as ``(u, letters, v)`` with the letters
+    read from u to v."""
     arcs = []
-    step: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    seen = set()  # the far ends of the chains listed so far
     for b, d in enumerate(adj):
         if not branch[b]:
             continue
         for s in d:
-            if (b, s) in step:
+            if (b, s) in seen:
                 continue
             letters, u, back = [s], d[s], -s
             while not branch[u]:
@@ -227,74 +227,39 @@ def _arcs(adj, branch: Sequence[bool]):
                     t = other
                 letters.append(t)
                 u, back = nxt[t], -t
-            step[(b, s)] = (len(arcs), 1)
-            step[(u, back)] = (len(arcs), -1)
+            seen.add((u, back))
             arcs.append((b, letters, u))
-    return arcs, step
+    return arcs
 
 
 @lru_cache(maxsize=4096)
 def project_tree(A: FreeFactorClass, T: MarkedGraph) -> ProjectionSet:
     """π_A(T) via the A-cover core of T, per natural-edge 1-edge collapses.
 
-    After the fold of A's basis paths, only listing the cover's arcs, its
-    maximal chains through valence-2 vertices other than the base, reads
-    single letters.  A vertex group is kept only as its class in
-    H₁(A) = Z², which adds up along arcs and ignores conjugation: an arc
-    counts 0 on a BFS tree of the arc graph and ±e_k on its k-th other arc.
-    A reduced path that enters an arc runs to its end, so A's basis paths
-    are read arc by arc.  The trimmed arc graph chains into at most three
-    natural edges, a rose, a barbell or a theta, and each collapse leaves
-    loops, which give their classes, or two parallel edges, which give
-    their difference.
+    A vertex group is kept only as its class in H₁(A) = Z², which ignores
+    conjugation.  The fold of A's basis paths, arc by arc, carries e_1 and
+    e_2 on them, so each arc of the cover carries its class in A's basis.
+    Its unbased core chains into at most three natural edges, a rose, a
+    barbell or a theta, and each collapse leaves loops, which give their
+    classes, or two parallel edges, which give their difference.
     """
     if A.rank != 2:
         raise UndefinedProjection(f"Farey projections are for rank-2 factors, not rank {A.rank}")
     if A.ambient != T.alphabet:
         raise UndefinedProjection("the factor and the marked graph have different alphabets")
-    basis_paths = T.to_edge_paths(A.basis)
-    cover = from_generators(T.edge_alphabet, basis_paths)
-    assert cover.rank == 2, "the cover of a rank-2 factor has rank 2"
-    branch = [len(d) != 2 for d in cover.adj]
-    branch[cover.base] = True
-    arcs, step = _arcs(cover.adj, branch)
-    node = {v: i for i, v in enumerate(v for v, b in enumerate(branch) if b)}
-    arc_adj: List[Dict[int, int]] = [{} for _ in node]
-    for k, (u, _letters, v) in enumerate(arcs):
-        arc_adj[node[u]][k + 1] = node[v]
-        arc_adj[node[v]][-k - 1] = node[u]
-    _, tree = stallings.bfs_tree(node[cover.base], lambda x: arc_adj[x].items())
-    tree_arcs = {abs(s) - 1 for _x, s in tree.values()}
-    # the two arcs off the tree read e_0 and e_1
-    coord = dict(zip((k for k in range(len(arcs)) if k not in tree_arcs), ((1, 0), (0, 1))))
-
-    def h1(arc_word) -> Tuple[int, int]:
-        p = q = 0
-        for s in arc_word:
-            c = coord.get(abs(s) - 1)
-            if c is not None:
-                p, q = (p + c[0], q + c[1]) if s > 0 else (p - c[0], q - c[1])
-        return p, q
-
-    def read(path: Word) -> Tuple[int, int]:
-        """H₁ class of a based loop of the cover, one arc per jump."""
-        ls, i, u, word = path.letters, 0, cover.base, []
-        while i < len(ls):
-            k, sign = step[(u, ls[i])]
-            word.append(sign * (k + 1))
-            i += len(arcs[k][1])
-            u = arcs[k][2] if sign > 0 else arcs[k][0]
-        return h1(word)
-
-    # change of basis: columns = H₁ classes of A's basis paths in the arc
-    # tree's basis; unimodular since both are bases
-    (m00, m10), (m01, m11) = (read(path) for path in basis_paths)
-    det = m00 * m11 - m01 * m10
-    assert det in (1, -1), "basis change must be unimodular"
-    # unbased core of the arc graph, chained through its valence-2 vertices
-    core, _ = stallings._trim(arc_adj)
+    num_vertices, arcs = fold_arcs(
+        [path.letters for path in T.to_edge_paths(A.basis)], ((1, 0), (0, 1)),
+        lambda c, d: (c[0] + d[0], c[1] + d[1]), lambda c: (-c[0], -c[1]), (0, 0),
+    )
+    adj: List[Dict[int, int]] = [{} for _ in range(num_vertices)]
+    h1 = {}
+    for k, (u, _letters, v, (p, q)) in enumerate(arcs, 1):
+        adj[u][k], adj[v][-k] = v, u
+        h1[k], h1[-k] = (p, q), (-p, -q)
+    # unbased core of the cover, chained through its valence-2 vertices
+    core, _ = stallings._trim(adj)
     ends = [len(d) != 2 for d in core]
-    edges = [(x, y, h1(word)) for x, word, y in _arcs(core, ends)[0]]
+    edges = [(x, y, tuple(map(sum, zip(*(h1[k] for k in word))))) for x, word, y in _arcs(core, ends)]
     shape = (sum(ends), sum(x == y for x, y, _c in edges))
     assert shape in ((1, 2), (2, 2), (2, 0)), \
         "a rank-2 core is a rose, a barbell or a theta, so collapses leave rank-1 components"
@@ -307,10 +272,7 @@ def project_tree(A: FreeFactorClass, T: MarkedGraph) -> ProjectionSet:
         if len(links) == 2:  # two parallel edges; a lone bridge closes no loop
             (x1, (p1, q1)), (x2, (p2, q2)) = links
             cycles.append((p1 - p2, q1 - q2) if x1 == x2 else (p1 + p2, q1 + q2))
-        # back to A's basis: apply the inverse of the unimodular matrix
-        vertices.update(
-            farey.farey_vertex(det * (m11 * p - m01 * q), det * (m00 * q - m10 * p)) for p, q in cycles
-        )
+        vertices.update(farey.farey_vertex(p, q) for p, q in cycles)
     return ProjectionSet(A, frozenset(vertices))
 
 

@@ -29,6 +29,8 @@ def fold(nv: int, raw_edges: Sequence[Tuple[int, int, int]], base: int):
 
     Worklist of label conflicts with union-find vertex merging; the absorbed
     vertex's edges are re-queued, so the loop is near-linear in total edges.
+    ``from_generators`` folds here, not by ``words.fold_arcs``: this vertex
+    numbering orders ``pullback_components``' product states and bases.
     """
     parent = list(range(nv))
     adj: List[Dict[int, int]] = [dict() for _ in range(nv)]
@@ -323,7 +325,7 @@ def pullback_components(A: SubgroupGraph, B: SubgroupGraph) -> List[PullbackComp
     if A.alphabet != B.alphabet:
         raise AlphabetMismatch("the two subgroup graphs have different alphabets")
     alphabet = A.alphabet
-    # reachable product states and edges
+    # every pair of vertices is a product state; edges where both graphs read a letter
     states: Dict[Tuple[int, int], int] = {}
     edges: List[Tuple[int, int, int]] = []
     for u in range(A.num_vertices):

@@ -14,7 +14,7 @@ not check them again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from freefactor._kernel import concat, reduce_word, substitute
 from freefactor.errors import (
@@ -342,86 +342,149 @@ def transvection(alphabet: Alphabet, i: int, j: int, s: int, side: str = "right"
     )
 
 
-# --- inversion by a weighted fold -------------------------------------------
+# --- folds of whole arcs ----------------------------------------------------
 
 def _inverse_letters(w: Sequence[int]) -> List[int]:
     return [-x for x in reversed(w)]
 
 
-def _fold_inverse(f: GroupMap) -> Optional[List[List[int]]]:
-    """Letters of f^-1(x_i) for every i, or None when f is not onto.
+def _common_prefix(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
+    """Length of the longest common prefix of a and b, which share their
+    first letter, found by bisecting slices so that C compares the letters."""
+    lo, hi = 1, min(len(a), len(b)) + 1  # a[:lo] == b[:lo]; a[:hi] != b[:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
-    Folds the wedge of image loops at base 0 with edges that carry a weight
-    in F(Y) besides their letter, y_i naming the domain's letter i.  The
-    first edge of loop i carries y_i and the others the empty word, so every
-    closed path at the base reads some u in F(X) and some g in F(Y) with
-    f(g) = u.  Merging vertex v into c re-gauges v by a word h: edges into v
-    gain h on the right, edges out of v gain h^-1 on the left, and every
-    path keeps its readings.  The union-find keeps h on the parent link; the
-    base is never re-gauged.  f is onto iff the fold ends as the one-vertex
-    full rose, and then the loop x_i reads f^-1(x_i) (Stallings 1983;
-    Kapovich and Myasnikov 2002).
+
+def fold_arcs(loops: Sequence[Tuple[int, ...]], weights: Sequence, mul, inv, one):
+    """Fold reduced ``loops`` at vertex 0, loop i weighted by ``weights[i]``
+    in the group that ``mul``, ``inv`` and ``one`` give; returns
+    ``(num_vertices, arcs)``, arc ``(u, letters, v, w)`` reading its letters
+    with weight w from u to v.
+
+    Labels stay whole: two arc ends that leave a vertex with the same letter
+    are cut after their longest common prefix, and the prefixes identified,
+    so a loop P M P^-1 becomes a hair P and a loop M.  The result is the
+    Stallings graph whatever the order of the folds (Kapovich and Myasnikov
+    2002).  Merging v into c re-gauges v by a weight h on the union-find
+    link: arcs into v gain h on the right, arcs out of v h^-1 on the left,
+    and every path keeps its weight.  Vertex 0 is never re-gauged, so when
+    the loops are a free basis, a closed path at 0 carries the weight of the
+    element it reads.
     """
-    parent = [0]
-    gauge: List[List[int]] = [[]]
-    stack = []
-    for i, w in enumerate(f.images):
-        ls = w.letters
-        prev = 0
-        for k, s in enumerate(ls):
-            nxt = 0 if k == len(ls) - 1 else len(parent)
-            if nxt:
-                parent.append(nxt)
-                gauge.append([])
-            y = [i + 1] if k == 0 else []
-            stack.append((prev, s, nxt, y))
-            stack.append((nxt, -s, prev, _inverse_letters(y)))
-            prev = nxt
-    adj: List[Dict[int, Tuple[int, List[int]]]] = [{} for _ in parent]
+    parent, gauge, adj = [0], [one], [{}]
+    # arc k is [u, letters u -> v, v, letters v -> u, weight u -> v]; its
+    # end 2k leaves u and its end 2k + 1 leaves v
+    arcs: List[Optional[list]] = [
+        [0, ls, 0, tuple(_inverse_letters(ls)), w] for ls, w in zip(loops, weights) if ls
+    ]
+    stack = list(range(2 * len(arcs)))
 
     def root(v):
-        """(r, h): an edge into v with weight w enters r with weight w h."""
+        """(r, h): an arc into v with weight w enters r with weight w h."""
         path = []
         while parent[v] != v:
             path.append(v)
             v = parent[v]
-        h: List[int] = []
+        h = one
         for x in reversed(path):  # nearest the root first
-            h = concat(gauge[x], h)
+            h = mul(gauge[x], h)
             parent[x], gauge[x] = v, h
         return v, h
 
-    merges = 0
+    def view(e):
+        """(start, letters, far end) of arc end e, its ends made roots."""
+        arc = arcs[e >> 1]
+        u, v = arc[0], arc[2]
+        if parent[u] != u or parent[v] != v:
+            (u, hu), (v, hv) = root(u), root(v)
+            arc[0], arc[2], arc[4] = u, v, mul(mul(inv(hu), arc[4]), hv)
+        return (v, arc[3], u) if e & 1 else (u, arc[1], v)
+
+    def weight(e):
+        w = arcs[e >> 1][4]
+        return inv(w) if e & 1 else w
+
+    def reroot(e, y, cut, h=one):
+        """End e leaves y instead, without its first ``cut`` letters, which
+        read weight h."""
+        arc = arcs[e >> 1]
+        n = len(arc[1]) - cut
+        if e & 1:
+            arc[1], arc[2], arc[3], arc[4] = arc[1][:n], y, arc[3][cut:], mul(arc[4], h)
+        else:
+            arc[0], arc[1], arc[3], arc[4] = y, arc[1][cut:], arc[3][:n], mul(inv(h), arc[4])
+
     while stack:
-        u, s, v, w = stack.pop()
-        u, hu = root(u)
-        v, hv = root(v)
-        w = concat(concat(_inverse_letters(hu), w), hv)
-        cur = adj[u].get(s)
-        if cur is None:
-            adj[u][s] = (v, w)
+        e = stack.pop()
+        if arcs[e >> 1] is None:
             continue
-        c, hc = root(cur[0])
-        wc = concat(cur[1], hc)
-        adj[u][s] = (c, wc)
-        if c == v:
-            # the weights agree unless f has a kernel, and then f is not onto
+        x, la, fa = view(e)
+        s = la[0]
+        e2 = adj[x].get(s)
+        if e2 is None or arcs[e2 >> 1] is None:
+            adj[x][s] = e
             continue
-        if v == 0:
-            c, v, wc, w = v, c, w, wc
-        # v joins c, re-gauged so that the edge u -> v reads wc too
-        parent[v], gauge[v] = c, concat(_inverse_letters(w), wc)
-        merges += 1
-        moved, adj[v] = adj[v], {}
-        for sl, (t, wt) in moved.items():
-            stack.append((v, sl, t, wt))
-    n = f.domain.rank
-    if merges != len(parent) - 1 or len(adj[0]) != 2 * n:
-        return None
+        _, lb, fb = view(e2)
+        cut = _common_prefix(la, lb)
+        if cut < len(la) and cut < len(lb):
+            # a new arc with weight one reads the prefix to a new vertex m,
+            # where both ends go on; so do the two ends of a loop P M P^-1
+            m, k = len(parent), len(arcs)
+            parent.append(m)
+            gauge.append(one)
+            arcs.append([x, lb[:cut], m, tuple(_inverse_letters(lb[:cut])), one])
+            reroot(e2, m, cut)
+            reroot(e, m, cut)
+            adj.append({-lb[cut - 1]: 2 * k + 1, lb[cut]: e2, la[cut]: e})
+            adj[x][s] = 2 * k
+        elif cut < len(la):  # b is a prefix of a
+            reroot(e, fb, cut, weight(e2))
+            stack.append(e)
+        elif cut < len(lb):  # a is a prefix of b
+            reroot(e2, fa, cut, weight(e))
+            adj[x][s] = e
+            stack.append(e2)
+        else:  # a and b read the same letters: drop a, and merge their ends
+            wa, wb = weight(e), weight(e2)
+            arcs[e >> 1] = None
+            if fa == fb:
+                continue  # the weights agree unless the loops are not a free basis
+            if fa == 0:
+                fa, fb, wa, wb = fb, fa, wb, wa
+            parent[fa], gauge[fa] = fb, mul(inv(wa), wb)
+            stack.extend(adj[fa].values())
+            adj[fa] = {}
+    index = {0: 0}
     out = []
-    for i in range(1, n + 1):
-        t, w = adj[0][i]
-        out.append(concat(w, root(t)[1]))
+    for k, arc in enumerate(arcs):
+        if arc is not None:
+            u, ls, v = view(2 * k)
+            out.append((index.setdefault(u, len(index)), ls, index.setdefault(v, len(index)), arc[4]))
+    return len(index), out
+
+
+def _fold_inverse(f: GroupMap) -> Optional[List[List[int]]]:
+    """Letters of f^-1(x_i) for every i, or None when f is not onto.
+
+    Image loop i carries y_i in F(Y), so a closed path of the fold that
+    reads u in F(X) carries some g with f(g) = u.  f is onto iff the fold
+    ends as n one-letter loops at the base, and then the loop x_i carries
+    f^-1(x_i) (Stallings 1983).
+    """
+    n = f.domain.rank
+    loops = [w.letters for w in f.images]
+    _, arcs = fold_arcs(loops, [(i,) for i in range(1, n + 1)], concat, _inverse_letters, ())
+    if len(arcs) != n or any(u or v or len(ls) != 1 for u, ls, v, _w in arcs):
+        return None
+    out: List[List[int]] = [[]] * n
+    for _u, (x,), _v, w in arcs:
+        out[abs(x) - 1] = list(w) if x > 0 else _inverse_letters(w)
     return out
 
 

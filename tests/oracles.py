@@ -613,9 +613,9 @@ def direct_order_distances(system, i, j, T, m, M):
 # --- projections letter by letter on the whole cover ------------------------
 #
 # Not naive like the rest: it reuses the library's folds, spanning trees and
-# H₁ index.  It is the projection as the library computed it before it read
-# the cover's graph of arcs: every H₁ read walks single letters of the cover,
-# and every natural edge's collapse rebuilds the core around it.
+# H₁ index.  It is the projection as the library computed it before its fold
+# carried H₁ classes on whole arcs: every H₁ read walks single letters of the
+# cover, and every natural edge's collapse rebuilds the core around it.
 
 def _natural_edges(adj):
     """Maximal arcs through valence-2 vertices of an unbased core graph, as

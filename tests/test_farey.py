@@ -5,7 +5,6 @@ import pytest
 from freefactor import farey
 from freefactor.errors import (
     MalformedVertex,
-    NegativePower,
     NonPrimitiveImage,
     NotUnimodular,
     RankMismatch,
@@ -18,6 +17,12 @@ A2 = abc_alphabet(2)
 
 def v(p, q):
     return farey.farey_vertex(p, q)
+
+
+def act(m, u):
+    """The vertex m u, for the matrix m = (a, b, c, d) acting on columns."""
+    a, b, c, d = m
+    return v(a * u.p + b * u.q, c * u.p + d * u.q)
 
 
 class TestVertices:
@@ -93,13 +98,11 @@ class TestDistance:
 
     def test_isometry_of_action(self):
         rng = random.Random(19)
-        m = farey.Matrix2Z(2, 1, 1, 1)
+        m = (2, 1, 1, 1)
         pairs = list(primitive_pairs(20))
         for _ in range(100):
             a, b = v(*rng.choice(pairs)), v(*rng.choice(pairs))
-            assert farey.farey_distance(a, b) == farey.farey_distance(
-                farey.act(m, a), farey.act(m, b)
-            )
+            assert farey.farey_distance(a, b) == farey.farey_distance(act(m, a), act(m, b))
 
 
 class TestMatrices:
@@ -130,15 +133,13 @@ class TestMatrices:
         )
         assert out == "determinant 4: the matrix is not in GL(2, Z)\n"
 
-    def test_rank_and_power_refused(self):
+    def test_rank_refused(self):
         with pytest.raises(RankMismatch):
             farey.abelianize2(word_from_str(abc_alphabet(3), "c"))
         with pytest.raises(RankMismatch):
             farey.matrix_of_out(identity_map(abc_alphabet(3)))
-        with pytest.raises(NegativePower):
-            farey.Matrix2Z(1, 1, 0, 1).power(-1)
 
-    def test_rank_and_power_refusals_survive_optimize(self, run_optimized):
+    def test_rank_refusals_survive_optimize(self, run_optimized):
         out = run_optimized(
             "from freefactor import farey, words as W\n"
             "from freefactor.errors import FreefactorError\n"
@@ -146,7 +147,6 @@ class TestMatrices:
             "for call in (\n"
             "    lambda: farey.abelianize2(W.letter(A, 2)),\n"
             "    lambda: farey.matrix_of_out(W.identity_map(A)),\n"
-            "    lambda: farey.Matrix2Z(1, 1, 0, 1).power(-1),\n"
             "):\n"
             "    try:\n"
             "        call()\n"
@@ -156,16 +156,12 @@ class TestMatrices:
         assert out == (
             "RankMismatch: abelianize2 needs a rank-2 word, not rank 3\n"
             "RankMismatch: matrix_of_out needs rank 2, not 3 -> 3\n"
-            "NegativePower: matrix power -1 is negative\n"
         )
 
-    def test_act(self):
-        assert farey.act(farey.Matrix2Z(1, 1, 1, 2), v(1, 0)) == v(1, 1)
-
     def test_matches_bfs_small_powers(self):
-        m = farey.Matrix2Z(2, 1, 1, 1)
+        m = (2, 1, 1, 1)
         dist = farey_bfs_distances((1, 0), 120)
-        base = v(1, 0)
-        for k in range(1, 6):
-            u = farey.act(m.power(k), base)
+        base = u = v(1, 0)
+        for _ in range(5):
+            u = act(m, u)
             assert farey.farey_distance(base, u) == dist[(u.p, u.q)]

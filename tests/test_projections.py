@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import sys
@@ -259,25 +260,24 @@ class TestProjectTree:
             assert farey.diameter(P.vertices) <= pj.PROJECTION_DIAMETER_BOUND
 
     def test_reads_h1_without_membership_rewrites(self, monkeypatch):
-        # the cover gets no spanning tree, basis edges or H₁ index and no
-        # letter-by-letter H₁ read; the one BFS tree is on its graph of arcs
+        # the weighted arc fold carries H₁(A) on the cover's arcs: no letter
+        # fold, no BFS tree, no SubgroupGraph basis or H₁ index
         T = pj.transform_marked(map_power(HYP, 4), ROSE)
-        # the factor's basis is built here, before the spies go in
-        cover = stallings.from_generators(T.edge_alphabet, T.to_edge_paths(FACTOR_BC.basis))
-        want = letter_projection(FACTOR_BC, T)
-        built, trees = [], []
-        for name in ("spanning_tree", "basis_edges", "_h1_index"):
-            prop = stallings.SubgroupGraph.__dict__[name]
-            monkeypatch.setattr(prop, "func", lambda H, f=prop.func, n=name: built.append(n) or f(H))
-        monkeypatch.setattr(stallings, "_h1_read", lambda *args: built.append("_h1_read"))
-        bfs_tree = stallings.bfs_tree
-        monkeypatch.setattr(stallings, "bfs_tree", lambda *args: trees.append(bfs_tree(*args)) or trees[-1])
-        P = pj.project_tree.__wrapped__(FACTOR_BC, T)
-        assert P.vertices == want
-        assert built == []
-        # its nodes: the base and the at most two vertices of valence 3 or more
-        assert len(trees) == 1
-        assert len(trees[0][0]) <= 3 < cover.num_vertices
+        T2 = subdivide(T, random.Random(3))
+        assert T2.num_vertices > 1
+        # the factor's basis and the graphs' loops are built here, before the
+        # spies go in
+        want = [letter_projection(FACTOR_BC, X) for X in (T, T2)]
+        called = []
+        for name, prop in vars(stallings.SubgroupGraph).items():
+            if isinstance(prop, functools.cached_property):
+                monkeypatch.setattr(prop, "func", lambda H, f=prop.func, n=name: called.append(n) or f(H))
+        for name in ("from_generators", "fold", "bfs_tree", "_h1_read"):
+            fn = getattr(stallings, name)
+            monkeypatch.setattr(stallings, name, lambda *args, f=fn, n=name: called.append(n) or f(*args))
+        got = [pj.project_tree.__wrapped__(FACTOR_BC, X).vertices for X in (T, T2)]
+        assert got == want
+        assert called == []
 
     def test_invariant_under_inner(self):
         inner = auto("c a c^-1", "c b c^-1", "c")
@@ -391,8 +391,8 @@ LOOP_WORD_POWER = {"overlap-chain-f3": 4, "pentagon-f5": 6, "pentagon-support-f6
 
 
 class TestLoopWordOracle:
-    """The arc-graph projection agrees with the letter-by-letter projection
-    and with conjugated loop words rewritten in the cover."""
+    """The projection by the weighted arc fold agrees with the letter-by-letter
+    projection and with conjugated loop words rewritten in the cover."""
 
     def test_rose_transforms(self):
         system = se.load_fixture("pentagon-f5")

@@ -300,6 +300,23 @@ def test_status_report_pinned(name):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
+# the interval-check report of acceptance criterion 8, whose paths fold the
+# longest labels any report builds
+CRITERION8_INTERVALS = (
+    dict(mode="interval-check", fixture="pentagon-f5", samples=20, seed=8),
+    "9a161dda1d1636a5fbbd4b9469ac453f73ad55e74fc747dcdfbc974449067aeb",
+)
+
+
+def test_criterion8_interval_report_pinned():
+    from freefactor import experiments as ex, serialize as se
+
+    config, digest = CRITERION8_INTERVALS
+    report = ex.run_experiment(ex.ExperimentConfig(**config))
+    assert report["verdict"] == "pass"
+    assert hashlib.sha256(se.canonical_dumps(report).encode()).hexdigest() == digest
+
+
 if __name__ == "__main__":
     for name in sorted(CASES):
         args, _, _ = CASES[name]

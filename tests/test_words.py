@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freefactor import experiments as ex, projections as pj, words
+from freefactor import experiments as ex, projections as pj, stallings, words
 from freefactor._kernel import concat, reduce_word, substitute
 from freefactor.errors import InvalidAlphabet, MalformedWord, NotSurjective, UnknownLetter
 from freefactor.words import (
@@ -363,6 +363,87 @@ class TestFoldInverse:
             "        print('refused')\n"
         )
         assert out == "True\nrefused\nrefused\n"
+
+
+def _spelled_out(num_vertices, arcs, alphabet):
+    """The based core of a ``fold_arcs`` result, its arcs read one letter per
+    edge, as a SubgroupGraph."""
+    adj = [{} for _ in range(num_vertices)]
+    for u, ls, v, _w in arcs:
+        path = [u] + [len(adj) + i for i in range(len(ls) - 1)] + [v]
+        adj.extend({} for _ in ls[1:])
+        for x, s, y in zip(path, ls, path[1:]):
+            assert s not in adj[x] and -s not in adj[y], "the fold left a clash"
+            adj[x][s], adj[y][-s] = y, x
+    core, index = stallings._trim(adj, 0)
+    return stallings.SubgroupGraph(alphabet, tuple(core), index[0])
+
+
+def _generator_set(rng, alphabet):
+    """Up to five generators: plain words, P M P^-1 words, proper powers and
+    empty words, some repeated or inverted."""
+    gens = []
+    for _ in range(rng.randrange(0, 5)):
+        g = rand_word(rng, alphabet, rng.randrange(0, 8))
+        kind = rng.random()
+        if kind < 0.25:
+            g = g.conjugate_by(rand_word(rng, alphabet, rng.randrange(1, 5)))
+        elif kind < 0.4:
+            g = g ** rng.randrange(2, 5)
+        gens.append(g)
+        if rng.random() < 0.2:
+            gens.append(rng.choice((g, g.inverse())))
+    return gens
+
+
+def _trivial(*_):
+    return None
+
+
+class TestFoldArcs:
+    """The weighted fold of whole arcs against the letter fold."""
+
+    def test_trivial_weights_match_letter_fold(self):
+        rng = random.Random(43)
+        ranks = set()
+        for _ in range(1500):
+            alphabet = std_alphabet(rng.randrange(1, 5))
+            gens = _generator_set(rng, alphabet)
+            H = stallings.from_generators(alphabet, gens)
+            num, arcs = words.fold_arcs([g.letters for g in gens], [None] * len(gens), _trivial, _trivial, None)
+            G = _spelled_out(num, arcs, alphabet)
+            assert (G.num_vertices, G.num_edges) == (H.num_vertices, H.num_edges)
+            assert G.basis == H.basis
+            if H.rank:
+                assert stallings.canonical_core(G) == stallings.canonical_core(H)
+            ranks.add(H.rank)
+        assert ranks >= {0, 1, 2, 3, 4}
+
+    def test_long_transvection_products_invert(self):
+        rng = random.Random(47)
+        alphabet = std_alphabet(6)
+        for _ in range(60):
+            f = identity_map(alphabet)
+            for _ in range(rng.randrange(20, 31)):
+                i, j = rng.sample(range(6), 2)
+                t = transvection(alphabet, i, j, rng.choice((1, -1)), rng.choice(("right", "left")))
+                f = compose_map(t, f)
+            fresh = group_map(alphabet, alphabet, f.images)
+            assert invert_automorphism(fresh).images == f.inverse_hint.images
+
+    def test_squared_or_repeated_images_refused(self):
+        rng = random.Random(53)
+        alphabet = std_alphabet(6)
+        for _ in range(60):
+            f = ex.random_automorphism(rng, alphabet, 20)
+            images = list(f.images)
+            i, j = rng.sample(range(6), 2)
+            if rng.random() < 0.5:
+                images[i] = images[i] ** 2
+            else:
+                images[i] = rng.choice((images[j], images[j].inverse()))
+            with pytest.raises(NotSurjective):
+                invert_automorphism(group_map(alphabet, alphabet, images))
 
 
 def _linked_product(rng, alphabet):
