@@ -751,3 +751,74 @@ def tree_loops(T):
         for idx, (u, v, _w) in enumerate(T.edges)
         if idx not in tree_edges
     ]
+
+
+# --- spanning trees, bases and codes of a Stallings graph --------------------
+#
+# The traversals `stallings` had before one sorted BFS served them all: its
+# own BFS for canonical codes, a seen set that keeps one direction of each
+# non-tree edge, and basis words built as reduced products of tree paths.
+# Graphs are adjacency lists ``adj[v][s] = t`` of folded graphs.
+
+def _letter_key(s):
+    return abs(s), s < 0
+
+
+def bfs_code(adj, start):
+    """BFS code of ``adj`` from ``start``: each vertex's (letter, number)
+    row in discovery order, numbering vertices as they are found."""
+    order = [start]
+    number = {start: 0}
+    qi = 0
+    code = []
+    while qi < len(order):
+        v = order[qi]
+        qi += 1
+        row = []
+        for s in sorted(adj[v], key=_letter_key):
+            t = adj[v][s]
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+            row.append((s, number[t]))
+        code.append(tuple(row))
+    return tuple(code)
+
+
+def tree_basis(adj, base):
+    """Spanning-tree free basis from a BFS tree at ``base`` that scans each
+    vertex's letters as a, a^-1, b, b^-1, ...: (paths, edges, words) with
+    ``paths[v]`` the tree path's letters, ``edges`` the non-tree edges
+    (u, s, v) oriented by their positive letter and listed where the scan
+    first meets them, and ``words`` the reduced products path(u) s path(v)^-1."""
+    parent = {base: None}
+    queue = deque([base])
+    order = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for s in sorted(adj[v], key=_letter_key):
+            t = adj[v][s]
+            if t not in parent:
+                parent[t] = (v, s)
+                queue.append(t)
+
+    def path(v):
+        out = []
+        while parent[v] is not None:
+            v, s = parent[v]
+            out.append(s)
+        return tuple(reversed(out))
+
+    edges, seen = [], set()
+    for v in order:
+        for s in sorted(adj[v], key=_letter_key):
+            t = adj[v][s]
+            if parent[t] == (v, s) or parent[v] == (t, -s):
+                continue  # tree edge
+            if (v, s, t) in seen or (t, -s, v) in seen:
+                continue
+            seen.add((v, s, t))
+            edges.append((v, s, t) if s > 0 else (t, -s, v))
+    words = [naive_reduce(path(u) + (s,) + tuple(-x for x in reversed(path(v)))) for u, s, v in edges]
+    return {v: path(v) for v in order}, edges, words

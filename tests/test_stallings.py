@@ -8,8 +8,8 @@ from hypothesis import strategies as hst
 
 from freefactor import stallings as st
 from freefactor.errors import AlphabetMismatch, TrivialSubgroup
-from freefactor.words import abc_alphabet, reduce_raw, std_alphabet, word_from_str
-from oracles import rewrite_class, subgroup_ball
+from freefactor.words import Word, abc_alphabet, identity, reduce_raw, std_alphabet, word_from_str
+from oracles import bfs_code, rewrite_class, subgroup_ball, tree_basis
 
 A3 = abc_alphabet(3)
 
@@ -219,3 +219,95 @@ class TestComponents:
         nbrs = {0: [3], 3: [0], 1: [4], 4: [1, 2], 2: [4], 5: []}
         got = st._components([5, 4, 3, 2, 1, 0], nbrs.__getitem__)
         assert got == [[5], [4, 2, 1], [3, 0]]
+
+
+def generator_sets(seed, count):
+    """Seeded generator lists over ranks 1-5 that mix random words with
+    proper powers, conjugates, repeats and empty words."""
+    rng = random.Random(seed)
+    for rank in range(1, 6):
+        alphabet = std_alphabet(rank)
+
+        def word(n):
+            return reduce_raw(alphabet, [rng.choice((1, -1)) * rng.randrange(1, rank + 1)
+                                         for _ in range(rng.randrange(n + 1))])
+
+        for _ in range(count):
+            gens = [word(6) for _ in range(rng.randrange(1, 4))]
+            extras = [gens[0] ** rng.randrange(2, 4), gens[-1].conjugate_by(word(3)),
+                      rng.choice(gens), identity(alphabet)]
+            gens += rng.sample(extras, rng.randrange(len(extras) + 1))
+            rng.shuffle(gens)
+            yield alphabet, gens
+
+
+@hst.composite
+def graphs(draw):
+    """A subgroup graph of a free group of rank 1-4; single letters give loops
+    and two-letter words parallel edges."""
+    rank = draw(hst.integers(1, 4))
+    alphabet = std_alphabet(rank)
+    letter = hst.integers(1, rank).flatmap(lambda x: hst.sampled_from((x, -x)))
+    gens = draw(hst.lists(hst.lists(letter, max_size=6), max_size=4))
+    return st.from_generators(alphabet, [reduce_raw(alphabet, g) for g in gens])
+
+
+def has_loop(H):
+    return any(v in d.values() for v, d in enumerate(H.adj))
+
+
+def has_parallel_edges(H):
+    return any(len(set(d.values()) - {v}) < len([t for t in d.values() if t != v])
+               for v, d in enumerate(H.adj))
+
+
+class TestOneSortedTraversal:
+    """Vertex numbering, bases and canonical keys: pinned, and read against
+    the traversals the one sorted BFS replaced (``oracles.bfs_code`` and
+    ``oracles.tree_basis``)."""
+
+    def test_numbering_bases_and_keys_pinned(self):
+        # the digest was taken before one sorted BFS served the spanning
+        # tree, the basis and the canonical key
+        lines = []
+        for alphabet, gens in generator_sets(22, 30):
+            H = st.from_generators(alphabet, gens)
+            try:
+                key = st.canonical_core(H)
+            except TrivialSubgroup:
+                key = "trivial"
+            adj = [sorted(d.items()) for d in H.adj]
+            lines.append(f"{H.base} {adj} {[b.letters for b in H.basis]} {key}")
+        assert len(lines) == 150
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "ca366b69853a563eb804d6ef99c3ccf9ee204b8c44907bdd7f2422eb73371306"
+        )
+
+    def check(self, H):
+        paths, edges, words = tree_basis([dict(d) for d in H.adj], H.base)
+        assert [H.path_word(v).letters for v in range(H.num_vertices)] == [paths[v] for v in range(H.num_vertices)]
+        assert list(H.basis_edges) == edges
+        assert [b.letters for b in H.basis] == words
+        # every trusted word is one the checked constructor accepts
+        for v in range(H.num_vertices):
+            p = H.path_word(v)
+            assert Word(H.alphabet, p.letters) == p and H.trace(p) == v
+        for b in H.basis:
+            assert Word(H.alphabet, b.letters) == b and H.trace(b) == H.base
+        if H.rank:
+            core = st._unbased_core(H)
+            assert st.canonical_core(H) == repr(min(bfs_code(core, v) for v in range(len(core))))
+
+    def test_seeded_graphs(self):
+        loops = parallel = 0
+        for alphabet, gens in generator_sets(5, 20):
+            H = st.from_generators(alphabet, gens)
+            self.check(H)
+            loops += has_loop(H)
+            parallel += has_parallel_edges(H)
+        assert loops > 10 and parallel > 10
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(graphs())
+    def test_hypothesis_graphs(self, H):
+        self.check(H)
