@@ -17,6 +17,10 @@ class UnknownMode(FreefactorError):
     """An experiment mode that is not one of ``experiments.MODES``."""
 
 
+class NegativeSamples(FreefactorError):
+    """An experiment asks for fewer than zero samples."""
+
+
 class MalformedWord(FreefactorError):
     """A word token is not ``name`` or ``name^exp`` with an integer exponent,
     a word is not freely reduced, or a letter or syllable has no sign."""

@@ -37,7 +37,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from freefactor import farey, projections as pj, raag, serialize as se
 from freefactor import systems as sy
-from freefactor.errors import FreefactorError, UnknownMode
+from freefactor.errors import FreefactorError, NegativeSamples, UnknownMode
 from freefactor.raag import RaagWord
 from freefactor.words import (
     Alphabet,
@@ -77,6 +77,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise UnknownMode(f"unknown mode {self.mode!r}; expected one of {', '.join(MODES)}")
+        if self.samples < 0:
+            raise NegativeSamples(f"samples must be >= 0, not {self.samples}")
 
 
 # --- random trees -----------------------------------------------------------

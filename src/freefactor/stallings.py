@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from freefactor.errors import AlphabetMismatch, TrivialSubgroup
-from freefactor.words import Alphabet, Word, reduce_raw
+from freefactor.words import Alphabet, Word, _word
 
 
 def _find(parent: List[int], x: int) -> int:
@@ -29,8 +29,11 @@ def fold(nv: int, raw_edges: Sequence[Tuple[int, int, int]], base: int):
 
     Worklist of label conflicts with union-find vertex merging; the absorbed
     vertex's edges are re-queued, so the loop is near-linear in total edges.
-    ``from_generators`` folds here, not by ``words.fold_arcs``: this vertex
-    numbering orders ``pullback_components``' product states and bases.
+    ``from_generators`` folds here, not by ``words.fold_arcs``: the pinned
+    report bytes survive a BFS renumbering, but this numbering (roots in
+    order) picks each pullback component's base, its least product state,
+    and so the classes ``TestH1Classes`` pins; ``TestOneSortedTraversal``
+    pins the numbering itself.
     """
     parent = list(range(nv))
     adj: List[Dict[int, int]] = [dict() for _ in range(nv)]
@@ -53,18 +56,17 @@ def fold(nv: int, raw_edges: Sequence[Tuple[int, int, int]], base: int):
             adj[v] = {}
             for sl, t in moved.items():
                 stack.append((cur, sl, t))
-    reps = sorted({_find(parent, v) for v in range(nv) if adj[_find(parent, v)] or _find(parent, v) == _find(parent, base)})
+    root = [_find(parent, v) for v in range(nv)]
+    reps = [v for v in range(nv) if root[v] == v and (adj[v] or v == root[base])]
     index = {r: i for i, r in enumerate(reps)}
-    out = [
-        {s: index[_find(parent, t)] for s, t in adj[r].items()}
-        for r in reps
-    ]
-    return out, index[_find(parent, base)]
+    out = [{s: index[root[t]] for s, t in adj[r].items()} for r in reps]
+    return out, index[root[base]]
 
 
-def _letter_order(s: int) -> Tuple[int, bool]:
-    """Sort key putting each letter before its inverse: a, a^-1, b, b^-1, ..."""
-    return abs(s), s < 0
+def _letter_order(adj: Sequence[Dict[int, int]]) -> List[List[Tuple[int, int]]]:
+    """Each vertex's (letter, target) pairs, each letter before its inverse:
+    a, a^-1, b, b^-1, ..."""
+    return [sorted(d.items(), key=lambda e: (abs(e[0]), e[0] < 0)) for d in adj]
 
 
 def bfs_tree(root: int, neighbours: Callable[[int], Iterable[Tuple[Hashable, int]]]):
@@ -126,12 +128,9 @@ def _trim(adj: List[Dict[int, int]], keep: Optional[int] = None):
                 if degree[t] <= 1 and t != keep:
                     queue.append(t)
         adj[v] = {}
-    index = {}
-    for v in range(len(adj)):
-        if alive[v]:
-            index[v] = len(index)
-    out = [{s: index[t] for s, t in adj[v].items()} for v in range(len(adj)) if alive[v]]
-    return out, index
+    kept = [v for v in range(len(adj)) if alive[v]]
+    index = {v: i for i, v in enumerate(kept)}
+    return [{s: index[t] for s, t in adj[v].items()} for v in kept], index
 
 
 @dataclass(frozen=True)
@@ -168,49 +167,50 @@ class SubgroupGraph:
         return v
 
     @cached_property
+    def _rows(self) -> List[List[Tuple[int, int]]]:
+        """``_letter_order`` rows, sorted once for every traversal."""
+        return _letter_order(self.adj)
+
+    @cached_property
     def spanning_tree(self):
         """The one BFS tree from base, built on first use: (order, parent_edge)
         with parent_edge[v] = (u, s)."""
-        adj = self.adj
-        order, parent_edge = bfs_tree(
-            self.base, lambda v: ((s, adj[v][s]) for s in sorted(adj[v], key=_letter_order))
-        )
+        order, parent_edge = bfs_tree(self.base, self._rows.__getitem__)
         assert len(order) == self.num_vertices, "graph must be connected"
         return order, parent_edge
 
     def path_word(self, v: int) -> Word:
-        """Label word of the BFS-tree path base -> v."""
+        """Label word of the BFS-tree path base -> v, reduced since a tree
+        path never backtracks."""
         parent_edge = self.spanning_tree[1]
         letters: List[int] = []
         while v != self.base:
-            u, s = parent_edge[v]
+            v, s = parent_edge[v]
             letters.append(s)
-            v = u
-        return reduce_raw(self.alphabet, list(reversed(letters)))
+        return _word(self.alphabet, tuple(reversed(letters)))
 
     @cached_property
     def basis_edges(self) -> Tuple[Tuple[int, int, int], ...]:
-        """Non-tree directed edges (u, s, v) with a deterministic orientation."""
+        """Non-tree edges (u, s, v) oriented by their positive letter, each met
+        from its earlier end in BFS order, a loop at its positive letter."""
         order, parent_edge = self.spanning_tree
+        position = {v: i for i, v in enumerate(order)}
         out = []
-        seen = set()
         for v in order:
-            for s in sorted(self.adj[v], key=_letter_order):
-                t = self.adj[v][s]
+            for s, t in self._rows[v]:
                 if parent_edge.get(t) == (v, s) or parent_edge.get(v) == (t, -s):
                     continue  # tree edge
-                if (v, s, t) in seen or (t, -s, v) in seen:
-                    continue
-                seen.add((v, s, t))
-                # orient the recorded edge by its positive letter
-                out.append((v, s, t) if s > 0 else (t, -s, v))
+                if position[v] < position[t] or (v == t and s > 0):
+                    out.append((v, s, t) if s > 0 else (t, -s, v))
         return tuple(out)
 
     @cached_property
     def basis(self) -> Tuple[Word, ...]:
-        """Spanning-tree free basis, as words in the ambient alphabet."""
+        """Spanning-tree free basis, as words in the ambient alphabet; each
+        path(u) s path(v)^-1 is reduced, or (u, s, v) would be a tree edge."""
+        p = self.path_word
         return tuple(
-            self.path_word(u) * Word(self.alphabet, (s,)) * self.path_word(v).inverse()
+            _word(self.alphabet, p(u).letters + (s,) + p(v).inverse().letters)
             for u, s, v in self.basis_edges
         )
 
@@ -271,25 +271,6 @@ def _unbased_core(H: SubgroupGraph) -> List[Dict[int, int]]:
     return adj
 
 
-def _bfs_code(adj: List[Dict[int, int]], start: int) -> Tuple:
-    order = [start]
-    number = {start: 0}
-    qi = 0
-    code = []
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        row = []
-        for s in sorted(adj[v], key=_letter_order):
-            t = adj[v][s]
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-            row.append((s, number[t]))
-        code.append(tuple(row))
-    return tuple(code)
-
-
 def canonical_core(H: SubgroupGraph) -> str:
     """Stable conjugacy-class key: minimal BFS code of the unbased core.
 
@@ -300,8 +281,15 @@ def canonical_core(H: SubgroupGraph) -> str:
     adj = _unbased_core(H)
     if not adj or not any(adj):
         raise TrivialSubgroup("trivial subgroup has no core")
-    best = min(_bfs_code(adj, v) for v in range(len(adj)))
-    return repr(best)
+    rows = _letter_order(adj)
+
+    def code(start):
+        # each vertex's row, its targets numbered in discovery order
+        order, _ = bfs_tree(start, rows.__getitem__)
+        number = {v: i for i, v in enumerate(order)}
+        return tuple(tuple((s, number[t]) for s, t in rows[v]) for v in order)
+
+    return repr(min(code(v) for v in range(len(adj))))
 
 
 # --- fiber products ---------------------------------------------------------
@@ -324,20 +312,10 @@ def pullback_components(A: SubgroupGraph, B: SubgroupGraph) -> List[PullbackComp
     """
     if A.alphabet != B.alphabet:
         raise AlphabetMismatch("the two subgroup graphs have different alphabets")
-    alphabet = A.alphabet
-    # every pair of vertices is a product state; edges where both graphs read a letter
-    states: Dict[Tuple[int, int], int] = {}
-    edges: List[Tuple[int, int, int]] = []
-    for u in range(A.num_vertices):
-        for v in range(B.num_vertices):
-            states[(u, v)] = len(states)
-    state_list = list(states)
-    adj: List[Dict[int, int]] = [dict() for _ in states]
-    for (u, v), i in states.items():
-        for s, tu in A.adj[u].items():
-            tv = B.adj[v].get(s)
-            if tv is not None:
-                adj[i][s] = states[(tu, tv)]
+    # product state (u, v) is u * |B| + v; edges where both graphs read a letter
+    nb = B.num_vertices
+    adj = [{s: tu * nb + B.adj[v][s] for s, tu in A.adj[u].items() if s in B.adj[v]}
+           for u in range(A.num_vertices) for v in range(nb)]
     out = []
     # connected components (undirected; adj is already symmetric)
     for verts in _components(range(len(adj)), lambda i: adj[i].values()):
@@ -345,20 +323,15 @@ def pullback_components(A: SubgroupGraph, B: SubgroupGraph) -> List[PullbackComp
         sub_adj = [{s: local[t] for s, t in adj[i].items()} for i in verts]
         core_adj, core_index = _trim(sub_adj)
         if not core_adj:
-            continue
-        rank = sum(len(d) for d in core_adj) // 2 - len(core_adj) + 1
-        if rank < 1:
-            continue
-        # deterministic base inside the core
-        base_local = min(core_index, key=lambda k: state_list[verts[k]])
-        u0, v0 = state_list[verts[base_local]]
-        graph = SubgroupGraph(alphabet, tuple(core_adj), core_index[base_local])
+            continue  # a tree; a non-empty core has no leaves, so rank >= 1
+        # base: the core's least product state (verts ascend)
+        base_local = min(core_index)
+        u0, v0 = divmod(verts[base_local], nb)
+        graph = SubgroupGraph(A.alphabet, tuple(core_adj), core_index[base_local])
         pA = A.path_word(u0)
-        pB = B.path_word(v0)
-        g = pA * pB.inverse()
+        g = pA * B.path_word(v0).inverse()
         loops = graph.basis
-        gens_ambient = [loop.conjugate_by(pA) for loop in loops]
-        sub = from_generators(alphabet, gens_ambient)
+        sub = from_generators(A.alphabet, [loop.conjugate_by(pA) for loop in loops])
         classes = tuple(_h1_read(A, u0, loop) for loop in loops)
-        out.append(PullbackComponent(sub, classes, g, rank))
+        out.append(PullbackComponent(sub, classes, g, graph.rank))
     return out

@@ -522,7 +522,8 @@ def is_inner(f: GroupMap, basis: Optional[Sequence[Word]] = None) -> Optional[Wo
     generators), or None.
 
     Solves the first basis word by a conjugacy search, then resolves the coset
-    ambiguity w in w0<b1> by a bounded exponent scan.
+    ambiguity w in w0<r> by a bounded exponent scan; r is b1's root, b1 = r^k
+    with k maximal, whose powers are b1's centralizer.
     """
     if f.domain != f.codomain:
         raise AlphabetMismatch("is_inner needs an endomorphism")
@@ -533,9 +534,13 @@ def is_inner(f: GroupMap, basis: Optional[Sequence[Word]] = None) -> Optional[Wo
     w0 = conjugacy_witness(b1, images[0])
     if w0 is None or len(basis) == 1:
         return w0
+    core, c = b1.cyclic_reduce()
+    n = len(core)
+    p = next((p for p in range(1, n) if n % p == 0 and core.letters[p:] == core.letters[:-p]), n)
+    root = _word(b1.alphabet, core.letters[:p]).conjugate_by(c)
     bound = max(map(len, images)) + 2
     for t in range(-bound, bound + 1):
-        w = w0 * (b1 ** t)
+        w = w0 * (root ** t)
         if all(img == b.conjugate_by(w) for b, img in zip(basis[1:], images[1:])):
             return w
     return None

@@ -620,11 +620,9 @@ def direct_order_distances(system, i, j, T, m, M):
 def _natural_edges(adj):
     """Maximal arcs through valence-2 vertices of an unbased core graph, as
     lists of directed (u, s, v) steps; each natural edge appears once."""
-    from freefactor import stallings
-
     arcs, used = [], set()
     for b in (v for v in range(len(adj)) if len(adj[v]) != 2):
-        for s in sorted(adj[b], key=stallings._letter_order):
+        for s in sorted(adj[b], key=_letter_key):
             if (b, s) in used:
                 continue
             arc, u, sl = [], b, s

@@ -133,6 +133,14 @@ class TestRefusals:
         err = self.refused("run", "--mode", "interval-check", "--samples", "20", "--out", str(out))
         assert err == f"error: cannot write {out}: No such file or directory\n"
 
+    def test_run_negative_samples(self, monkeypatch):
+        def never(cfg):
+            raise AssertionError("the experiment started")
+
+        monkeypatch.setattr(ex, "run_experiment", never)
+        err = self.refused("run", "--mode", "qie-sandwich", "--samples", "-3")
+        assert err == "error: samples must be >= 0, not -3\n"
+
     def test_shipped_fixture_not_shadowed(self, tmp_path, monkeypatch):
         # a shipped name is the fixture; ./NAME is the directory beside it
         monkeypatch.chdir(tmp_path)

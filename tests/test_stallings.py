@@ -284,7 +284,7 @@ class TestOneSortedTraversal:
         )
 
     def check(self, H):
-        paths, edges, words = tree_basis([dict(d) for d in H.adj], H.base)
+        paths, edges, words = tree_basis(H.adj, H.base)
         assert [H.path_word(v).letters for v in range(H.num_vertices)] == [paths[v] for v in range(H.num_vertices)]
         assert list(H.basis_edges) == edges
         assert [b.letters for b in H.basis] == words

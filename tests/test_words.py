@@ -534,6 +534,26 @@ class TestIsInner:
                 u = rand_word(rng, alphabet, rng.randrange(0, 12))
                 assert is_inner(conjugation_by(u), basis) == u
 
+    def test_first_basis_word_a_proper_power(self):
+        # the centralizer of a^2 is <a>, not <a^2>: the scan must reach odd
+        # powers of the root, whichever order the basis comes in
+        A2 = abc_alphabet(2)
+        a, aa, b = (word_from_str(A2, t) for t in ("a", "a a", "b"))
+        assert is_inner(conjugation_by(a), [aa, b]) == a
+        assert is_inner(conjugation_by(a), [b, aa]) == a
+        rng = random.Random(37)
+        for rank in range(2, 5):
+            alphabet = std_alphabet(rank)
+            for _ in range(30):
+                r = rand_word(rng, alphabet, rng.randrange(1, 5))
+                if r.is_identity():
+                    continue
+                basis = [r ** rng.randrange(2, 5), rand_word(rng, alphabet, rng.randrange(1, 5))]
+                u = rand_word(rng, alphabet, rng.randrange(0, 8))
+                w = is_inner(conjugation_by(u), basis)
+                assert w is not None
+                assert all(b.conjugate_by(w) == b.conjugate_by(u) for b in basis)
+
     def test_inverse_agreement(self):
         rng = random.Random(13)
         for _ in range(25):
