@@ -539,6 +539,28 @@ def _compose(f, g):
     return tuple(out)
 
 
+def left_multiplied_automorphism(rng, n, max_len):
+    """Images and inverse images of t_m o ... o t_1, with the right
+    transvections t drawn from ``rng`` as ``random_automorphism`` draws them:
+    the length first, then each move in turn from the n(n - 1) pairs (i, j),
+    each with s = 1 and s = -1.  Each draw is multiplied in on the left, so
+    every image of the product is rewritten at every step."""
+    identity = tuple((k + 1,) for k in range(n))
+    moves = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                for s in (1, -1):
+                    t, t_inv = list(identity), list(identity)
+                    t[i], t_inv[i] = (i + 1, s * (j + 1)), (i + 1, -s * (j + 1))
+                    moves.append((tuple(t), tuple(t_inv)))
+    f, f_inv = identity, identity
+    for _ in range(rng.randint(0, max_len)):
+        t, t_inv = rng.choice(moves)
+        f, f_inv = _compose(t, f), _compose(f_inv, t_inv)
+    return f, f_inv
+
+
 def plain_substitution(word, pieces):
     """The unreduced concatenation of pieces[x - 1] (x > 0) or of its
     inverse (x < 0) over the letters x of word."""

@@ -8,7 +8,7 @@ from freefactor import experiments as ex, factors as fc, projections as pj, seri
 from freefactor import systems as sy
 from freefactor.errors import NotPositive, UndefinedProjection, UnknownMode
 from freefactor.words import abc_alphabet, map_power, std_alphabet, transvection
-from oracles import direct_order_distances
+from oracles import direct_order_distances, left_multiplied_automorphism
 
 FIXTURES = ("overlap-chain-f3", "pentagon-f5", "pentagon-support-f6")
 
@@ -31,6 +31,21 @@ class TestRandomSampling:
         assert list(gens) == fresh
         assert [g.inverse_images for g in gens] == [f.inverse_images for f in fresh]
         assert ex.nielsen_generators(std_alphabet(4)) is gens
+
+    @pytest.mark.parametrize("make_alphabet", [abc_alphabet, std_alphabet])
+    def test_random_automorphism_matches_left_multiplication(self, make_alphabet):
+        # same images, same inverse images, and the rng left in the same state
+        for n in range(2, 7):
+            alphabet = make_alphabet(n)
+            for max_len in range(21):
+                for seed in range(3):
+                    rng, oracle_rng = random.Random(seed), random.Random(seed)
+                    f = ex.random_automorphism(rng, alphabet, max_len)
+                    images, inverse_images = left_multiplied_automorphism(oracle_rng, n, max_len)
+                    assert f.domain == f.codomain == alphabet
+                    assert tuple(w.letters for w in f.images) == images
+                    assert tuple(w.letters for w in f.inverse_images) == inverse_images
+                    assert rng.random() == oracle_rng.random()
 
     def test_random_tree_reproducible(self):
         import random

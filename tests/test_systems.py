@@ -5,6 +5,7 @@ import pytest
 
 from freefactor import factors as fc, farey, projections as pj, raag, serialize as se, stallings, systems as sy
 from freefactor.errors import (
+    CommutationViolation,
     LengthMismatch,
     NotAdmissible,
     NotHyperbolicSeed,
@@ -17,10 +18,12 @@ from freefactor.words import (
     abc_alphabet,
     compose_map,
     group_map,
+    identity_map,
     invert_automorphism,
     is_inner,
     letter,
     std_alphabet,
+    transvection,
     word_from_str,
 )
 from oracles import is_onto
@@ -259,6 +262,45 @@ class TestBuildGenerators:
         bad[0] = [letter(F5, 0), letter(F5, 3), letter(F5, 4)]  # not a basis
         with pytest.raises((NotSurjective, AssertionError)):
             sy.build_generators(coll, [SEED] * 5, 1, bad)
+
+
+class TestCertifySupport:
+    """Refusals of ``certify_support`` on two linked (disjoint) factors
+    A = <x0, x1> and B = <x2, x3> of F_5; x4 lies in neither."""
+
+    @staticmethod
+    def linked_pair():
+        coll = sy.verify_admissible([
+            fc.free_factor_class(F5, [letter(F5, 0), letter(F5, 1)]),
+            fc.free_factor_class(F5, [letter(F5, 2), letter(F5, 3)]),
+        ])
+        assert coll.gamma.adjacent("v0", "v1")
+        return coll
+
+    def test_both_identities_pass(self):
+        sy.certify_support(self.linked_pair(), [identity_map(F5)] * 2)
+
+    def test_map_moving_its_own_factor(self):
+        moves_a = transvection(F5, 0, 4, 1)  # x0 -> x0 x4
+        with pytest.raises(SupportViolation, match="does not stabilize its own factor"):
+            sy.certify_support(self.linked_pair(), [moves_a, identity_map(F5)])
+
+    def test_map_moving_a_linked_factor(self):
+        moves_b = transvection(F5, 2, 4, 1)  # x2 -> x2 x4 fixes A
+        with pytest.raises(SupportViolation, match="does not stabilize linked factor v1"):
+            sy.certify_support(self.linked_pair(), [moves_b, identity_map(F5)])
+
+    def test_map_acting_on_a_linked_factor(self):
+        acts_on_b = transvection(F5, 2, 3, 1)  # x2 -> x2 x3 keeps B, not inner-trivially
+        with pytest.raises(SupportViolation, match="not inner-trivial on linked factor v1"):
+            sy.certify_support(self.linked_pair(), [acts_on_b, identity_map(F5)])
+
+    def test_linked_maps_whose_commutator_is_not_inner(self):
+        # x4 -> x4 x0 and x4 -> x4 x2 each fix A and B pointwise, but their
+        # commutator sends x4 to x4 x0 x2 x0^-1 x2^-1 and fixes x0, ..., x3
+        f, g = transvection(F5, 4, 0, 1), transvection(F5, 4, 2, 1)
+        with pytest.raises(CommutationViolation, match=r"\[f_v0, f_v1\] is not inner"):
+            sy.certify_support(self.linked_pair(), [f, g])
 
 
 class TestShadows:
