@@ -36,13 +36,15 @@ from math import ceil, floor, gcd
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from freefactor import farey, projections as pj, raag, serialize as se
+from freefactor._kernel import substitute
 from freefactor import systems as sy
 from freefactor.errors import FreefactorError, NotPositive, UnknownMode
 from freefactor.raag import RaagWord
 from freefactor.words import (
     Alphabet,
     GroupMap,
-    compose_map,
+    Word,
+    _word,
     identity_map,
     invert_automorphism,
     map_power,
@@ -95,11 +97,31 @@ def nielsen_generators(alphabet: Alphabet) -> Tuple[GroupMap, ...]:
     return tuple(transvection(alphabet, i, j, s) for i, j in pairs for s in (1, -1))
 
 def random_automorphism(rng: random.Random, alphabet: Alphabet, max_len: int) -> GroupMap:
+    """f = t_m o ... o t_1 for up to ``max_len`` moves t drawn from the
+    Nielsen generators, carrying its inverse t_1^-1 o ... o t_m^-1.
+
+    Each chain is built by right multiplication, P <- P o g, so a step only
+    substitutes P's images into g's images of one or two letters: the long
+    images are copied whole, not rewritten letter by letter as multiplying
+    on the left would.
+    """
     gens = nielsen_generators(alphabet)
-    f = identity_map(alphabet)
-    for _ in range(rng.randint(0, max_len)):
-        f = compose_map(rng.choice(gens), f)
-    return f
+    draws = [rng.choice(gens) for _ in range(rng.randint(0, max_len))]
+    if not draws:
+        return identity_map(alphabet)
+    return GroupMap(
+        alphabet, alphabet,
+        _product(alphabet, [t.images for t in reversed(draws)]),
+        _product(alphabet, [t.inverse_images for t in draws]),
+    )
+
+
+def _product(alphabet: Alphabet, factors: List[Tuple[Word, ...]]) -> Tuple[Word, ...]:
+    """Images of the product g_1 o g_2 o ... of maps given by their images."""
+    letters = [w.letters for w in factors[0]]
+    for images in factors[1:]:
+        letters = [substitute(w.letters, letters) for w in images]
+    return tuple([_word(alphabet, tuple(ls)) for ls in letters])
 
 
 def random_tree(rng: random.Random, alphabet: Alphabet, max_len: int) -> pj.MarkedGraph:
