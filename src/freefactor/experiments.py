@@ -36,8 +36,8 @@ from math import ceil, floor, gcd
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from freefactor import farey, projections as pj, raag, serialize as se
-from freefactor._kernel import substitute
 from freefactor import systems as sy
+from freefactor._kernel import substitute
 from freefactor.errors import FreefactorError, NotPositive, UnknownMode
 from freefactor.raag import RaagWord
 from freefactor.words import (
@@ -98,7 +98,7 @@ def nielsen_generators(alphabet: Alphabet) -> Tuple[GroupMap, ...]:
 
 def random_automorphism(rng: random.Random, alphabet: Alphabet, max_len: int) -> GroupMap:
     """f = t_m o ... o t_1 for up to ``max_len`` moves t drawn from the
-    Nielsen generators, carrying its inverse t_1^-1 o ... o t_m^-1.
+    Nielsen generators, t_1 first, carrying its inverse t_1^-1 o ... o t_m^-1.
 
     Each chain is built by right multiplication, P <- P o g, so a step only
     substitutes P's images into g's images of one or two letters: the long
