@@ -359,14 +359,17 @@ def certify_support(collection: AdmissibleCollection, maps: Sequence[GroupMap]) 
         for j, name_j in enumerate(collection.names):
             if i == j or not gamma.adjacent(name_i, name_j):
                 continue
+            # f_i(b) = w b w^-1 on A_j's basis gives f_i(A_j) = w A_j w^-1,
+            # the same class, so the transport runs only to name a refusal
+            if restricts_inner_trivially(fi, factors[j]):
+                continue
             if fa.transport(fi, factors[j]) != factors[j]:
                 raise SupportViolation(
                     f"f_{name_i} does not stabilize linked factor {name_j}"
                 )
-            if not restricts_inner_trivially(fi, factors[j]):
-                raise SupportViolation(
-                    f"f_{name_i} is not inner-trivial on linked factor {name_j}"
-                )
+            raise SupportViolation(
+                f"f_{name_i} is not inner-trivial on linked factor {name_j}"
+            )
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             if not gamma.adjacent(collection.names[i], collection.names[j]):

@@ -128,12 +128,12 @@ class Word:
 
     def cyclic_reduce(self) -> Tuple["Word", "Word"]:
         """Return (core, c) with self = c * core * c^-1 and core cyclically reduced."""
-        ls = list(self.letters)
-        prefix = []
-        while len(ls) >= 2 and ls[0] == -ls[-1]:
-            prefix.append(ls[0])
-            ls = ls[1:-1]
-        return _word(self.alphabet, tuple(ls)), _word(self.alphabet, tuple(prefix))
+        ls = self.letters
+        i, j = 0, len(ls) - 1
+        while i < j and ls[i] == -ls[j]:
+            i += 1
+            j -= 1
+        return _word(self.alphabet, ls[i:j + 1]), _word(self.alphabet, ls[:i])
 
     def __str__(self) -> str:
         return word_to_str(self)
@@ -520,30 +520,58 @@ def verify_automorphism(f: GroupMap) -> GroupMap:
     return f
 
 
+def _conjugating_power(q: Word, B: Word, C: Word) -> Optional[int]:
+    """The t with q^t B q^-t = C, or None, for q cyclically reduced and B
+    not commuting with q (so t is unique).
+
+    |q^t B q^-t| is B's translation length plus twice the distance from
+    q^-t to B's axis, and q^-t runs along q's axis, so the length is convex
+    in t: each direction is walked until the length grows past |C|.
+    """
+    if B == C:
+        return 0
+    for g, step in ((q, 1), (q.inverse(), -1)):
+        gi, X, t = g.inverse(), B, 0
+        while True:
+            prev, X, t = len(X), g * X * gi, t + step
+            if X == C:
+                return t
+            if len(X) > len(C) and len(X) >= prev:
+                break
+    return None
+
+
 def is_inner(f: GroupMap, basis: Optional[Sequence[Word]] = None) -> Optional[Word]:
     """Witness w with f(b) = w b w^-1 for every b in ``basis`` (by default the
-    generators), or None.
+    generators), or None.  Trivial basis words impose nothing, so a basis of
+    trivial words only, or none, gives the identity.
 
-    Solves the first basis word by a conjugacy search, then resolves the coset
-    ambiguity w in w0<r> by a bounded exponent scan; r is b1's root, b1 = r^k
-    with k maximal, whose powers are b1's centralizer.
+    The first word b1 is solved by a conjugacy search, w0; every witness is
+    then w0 r^t, r = c q c^-1 the root of b1 with q cyclically reduced and
+    not a proper power.  In the frame x = w0 c a pair (b, f(b)) reads
+    q^t B q^-t = C: a B in <q> needs B = C, and the first other B fixes t
+    by a walk along q's axis.
     """
     if f.domain != f.codomain:
         raise AlphabetMismatch("is_inner needs an endomorphism")
     if basis is None:
         basis = [letter(f.domain, i) for i in range(f.domain.rank)]
-    images = [f(b) for b in basis]
-    b1 = basis[0]
-    w0 = conjugacy_witness(b1, images[0])
-    if w0 is None or len(basis) == 1:
+    pairs = [(b, f(b)) for b in basis if b.letters]
+    if not pairs:
+        return identity(f.domain)
+    (b1, image1), rest = pairs[0], pairs[1:]
+    w0 = conjugacy_witness(b1, image1)
+    if w0 is None or all(b.conjugate_by(w0) == image for b, image in rest):
         return w0
     core, c = b1.cyclic_reduce()
     n = len(core)
     p = next((p for p in range(1, n) if n % p == 0 and core.letters[p:] == core.letters[:-p]), n)
-    root = _word(b1.alphabet, core.letters[:p]).conjugate_by(c)
-    bound = max(map(len, images)) + 2
-    for t in range(-bound, bound + 1):
-        w = w0 * (root ** t)
-        if all(img == b.conjugate_by(w) for b, img in zip(basis[1:], images[1:])):
-            return w
-    return None
+    q, x = _word(b1.alphabet, core.letters[:p]), w0 * c
+    ci, xi = c.inverse(), x.inverse()
+    frame = ((b.conjugate_by(ci), image.conjugate_by(xi)) for b, image in rest)
+    pair = next(((B, C) for B, C in frame if B * q != q * B), None)
+    t = None if pair is None else _conjugating_power(q, *pair)
+    if t is None:
+        return None
+    w = x * q ** t * ci
+    return w if all(b.conjugate_by(w) == image for b, image in rest) else None

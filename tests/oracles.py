@@ -656,6 +656,74 @@ def nielsen_inverse(n, images, budget=200_000):
     return _compose(inverse, tuple(sigma_inverse))
 
 
+# --- inner automorphisms by exponent scan ------------------------------------
+
+def peeled_cyclic_reduce(w):
+    """(core, c) with w = c core c^-1 and core cyclically reduced, peeling
+    one letter off each end per step."""
+    ls, prefix = list(w), []
+    while len(ls) >= 2 and ls[0] == -ls[-1]:
+        prefix.append(ls[0])
+        ls = ls[1:-1]
+    return tuple(ls), tuple(prefix)
+
+
+def _conjugate(w, u):
+    """w u w^-1."""
+    return _cat(_cat(w, u), _inv(w))
+
+
+def _conjugator(u, v):
+    """Some w with w u w^-1 = v, or None, by trying every rotation of u's
+    cyclic core against v's."""
+    cu, a = peeled_cyclic_reduce(u)
+    cv, b = peeled_cyclic_reduce(v)
+    if len(cu) != len(cv):
+        return None
+    for k in range(max(len(cu), 1)):
+        if cu[k:] + cu[:k] == cv:  # cv = p^-1 cu p with p = cu[:k]
+            return _cat(_cat(b, _inv(cu[:k])), _inv(a))
+    return None
+
+
+def inner_witness_scan(basis, images):
+    """(w, unique) with w b w^-1 = images[k] for every non-trivial b =
+    basis[k], or (None, None); ``unique`` says whether w is the only witness.
+
+    The witnesses of the first pair are w0 c q^t c^-1, where b1 = c q^k c^-1
+    with q cyclically reduced and not a proper power.  In the frame x = w0 c
+    a pair reads q^t B q^-t = C with B = c^-1 b c and C = x^-1 f(b) x, and
+    t is scanned over |t| <= 1 + (2|B| + |C|) // |q| for every pair.  The
+    bound: the base vertex 1 lies on q's axis, so q^-t lies on it at
+    distance |t||q| from 1.  |g B g^-1| = l(B) + 2 d(g^-1, axis(B)), with l
+    the translation length, so d(1, axis(B)) <= |B|/2 and a solution has
+    d(q^-t, axis(B)) <= |C|/2.  The points of q's axis within D =
+    max(|B|, |C|)/2 of B's axis form a segment of length below
+    l(q) + l(B) + 2D, because axes that share a segment of length
+    l(q) + l(B) belong to commuting elements (Culler and Morgan 1987), and
+    a B that commutes with q allows every t.  So |t||q| < |q| + 2|B| + |C|.
+    """
+    pairs = [(b, im) for b, im in zip(basis, images) if b]
+    if not pairs:
+        return (), False
+    (b1, im1), rest = pairs[0], pairs[1:]
+    w0 = _conjugator(b1, im1)
+    if w0 is None:
+        return None, None
+    core, c = peeled_cyclic_reduce(b1)
+    p = next(p for p in range(1, len(core) + 1) if core == core[:p] * (len(core) // p))
+    q, x = core[:p], _cat(w0, c)
+    frame = [(_conjugate(_inv(c), b), _conjugate(_inv(x), im)) for b, im in rest]
+    unique = any(_cat(B, q) != _cat(q, B) for B, _ in frame)
+    bound = max([1 + (2 * len(B) + len(C)) // len(q) for B, C in frame], default=0)
+    for t in range(-bound, bound + 1):
+        qt = q * t if t >= 0 else _inv(q) * -t
+        w = _cat(_cat(x, qt), _inv(c))
+        if all(_conjugate(w, b) == im for b, im in rest):
+            return w, unique
+    return None, None
+
+
 # --- coset representatives --------------------------------------------------
 
 def short_words(n, max_len):

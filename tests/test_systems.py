@@ -24,6 +24,7 @@ from freefactor.words import (
     letter,
     std_alphabet,
     transvection,
+    verify_automorphism,
     word_from_str,
 )
 from oracles import is_onto
@@ -279,6 +280,25 @@ class TestCertifySupport:
 
     def test_both_identities_pass(self):
         sy.certify_support(self.linked_pair(), [identity_map(F5)] * 2)
+
+    def test_partial_conjugation_passes_without_a_linked_transport(self, monkeypatch):
+        # x2 -> x4 x2 x4^-1, x3 -> x4 x3 x4^-1 fixes A and conjugates B by x4:
+        # the inner witness on B stands in for B's transport
+        x4 = letter(F5, 4)
+        images = [letter(F5, k) for k in range(5)]
+        images[2], images[3] = images[2].conjugate_by(x4), images[3].conjugate_by(x4)
+        partial = verify_automorphism(group_map(F5, F5, images))
+        coll = self.linked_pair()
+        transported = []
+
+        def transport(f, A):
+            transported.append(coll.factors.index(A))
+            return real_transport(f, A)
+
+        real_transport = fc.transport
+        monkeypatch.setattr(fc, "transport", transport)
+        sy.certify_support(coll, [partial, identity_map(F5)])
+        assert transported == [0, 1]  # each map's own factor only
 
     def test_map_moving_its_own_factor(self):
         moves_a = transvection(F5, 0, 4, 1)  # x0 -> x0 x4

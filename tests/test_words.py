@@ -27,9 +27,11 @@ from freefactor.words import (
 )
 from oracles import (
     compose_with_inverses,
+    inner_witness_scan,
     is_onto,
     naive_reduce,
     nielsen_inverse,
+    peeled_cyclic_reduce,
     plain_substitution,
 )
 
@@ -205,6 +207,24 @@ class TestConjugacy:
             got = conjugacy_witness(u, v)
             assert got is not None
             assert u.conjugate_by(got) == v
+
+
+class TestCyclicReduce:
+    def test_agrees_with_peeling(self):
+        # the core is found by index and sliced once; the oracle peels one
+        # letter off each end per step
+        rng = random.Random(43)
+        for rank in (1, 2, 3):
+            alphabet = std_alphabet(rank)
+            for length in (0, 1, 2, 5, 40, 1000, 2000):
+                u = rand_word(rng, alphabet, length)
+                w = rand_word(rng, alphabet, rng.randrange(0, length + 2))
+                for x in (u, u.conjugate_by(w), w * w.inverse()):
+                    core, c = x.cyclic_reduce()
+                    assert (core.letters, c.letters) == peeled_cyclic_reduce(x.letters)
+                    assert core.conjugate_by(c) == x
+                    checked(core)
+                    checked(c)
 
 
 class TestCompose:
@@ -514,7 +534,7 @@ class TestIsInner:
         assert is_inner(identity_map(A3)).is_identity()
 
     def test_witness_is_the_conjugator(self):
-        # for rank >= 2 the witness is unique, so the scan must reach u itself
+        # for rank >= 2 the witness is unique, so it is u itself
         rng = random.Random(29)
         for rank in range(2, 6):
             alphabet = std_alphabet(rank)
@@ -535,8 +555,8 @@ class TestIsInner:
                 assert is_inner(conjugation_by(u), basis) == u
 
     def test_first_basis_word_a_proper_power(self):
-        # the centralizer of a^2 is <a>, not <a^2>: the scan must reach odd
-        # powers of the root, whichever order the basis comes in
+        # the centralizer of a^2 is <a>, not <a^2>: the witness may be an odd
+        # power of the root, whichever order the basis comes in
         A2 = abc_alphabet(2)
         a, aa, b = (word_from_str(A2, t) for t in ("a", "a a", "b"))
         assert is_inner(conjugation_by(a), [aa, b]) == a
@@ -554,6 +574,49 @@ class TestIsInner:
                 assert w is not None
                 assert all(b.conjugate_by(w) == b.conjugate_by(u) for b in basis)
 
+    def test_conjugating_power_beyond_the_image_lengths(self):
+        # the images a and b are short, but a^-5 is the only witness, and
+        # both orders of the basis find it
+        A2 = abc_alphabet(2)
+        a, conjugated_b = word_from_str(A2, "a"), word_from_str(A2, "a^5 b a^-5")
+        want = word_from_str(A2, "a^-5")
+        assert is_inner(conjugation_by(want), [a, conjugated_b]) == want
+        assert is_inner(conjugation_by(want), [conjugated_b, a]) == want
+
+    def test_trivial_basis_words_impose_nothing(self):
+        A2 = abc_alphabet(2)
+        a, b, one = word_from_str(A2, "a"), word_from_str(A2, "b"), word_from_str(A2, "")
+        swap = group_map(A2, A2, [b, a])
+        assert is_inner(conjugation_by(a), [one, b]) == a
+        assert is_inner(conjugation_by(a), [b, one, a * b]) == a
+        for f in (conjugation_by(a), swap):
+            assert is_inner(f, []).is_identity()
+            assert is_inner(f, [one, one]).is_identity()
+        assert is_inner(swap, [one, a]) is None
+
+    def test_agrees_with_exponent_scan(self):
+        # 2,500 seeded cases, 500 of each kind.  Where the witness is unique
+        # the scan's must be is_inner's; otherwise is_inner's only has to hold.
+        rng = random.Random(41)
+        mismatches, answers = [], {True: 0, False: 0}
+        for case in range(2500):
+            kind = INNER_KINDS[case % len(INNER_KINDS)]
+            alphabet = std_alphabet(rng.randrange(2, 5))
+            f, basis = inner_case(rng, alphabet, kind)
+            got = is_inner(f, basis)
+            want, unique = inner_witness_scan([b.letters for b in basis], [f(b).letters for b in basis])
+            if want is None:
+                ok = got is None
+            elif unique:
+                ok = got is not None and got.letters == want
+            else:
+                ok = got is not None and all(b.conjugate_by(got) == f(b) for b in basis)
+            answers[want is not None] += 1
+            if not ok:
+                mismatches.append((kind, f, basis, got, want))
+        assert mismatches == []
+        assert min(answers.values()) > 300
+
     def test_inverse_agreement(self):
         rng = random.Random(13)
         for _ in range(25):
@@ -561,6 +624,41 @@ class TestIsInner:
             f = conjugation_by(w)
             finv = invert_automorphism(f)
             assert (is_inner(f) is None) == (is_inner(finv) is None)
+
+
+INNER_KINDS = ("power-first", "root-conjugate", "commuting", "trivial", "non-inner")
+
+
+def inner_case(rng, alphabet, kind):
+    """(f, basis) of one kind for the is_inner oracle.  f is conjugation by
+    v r^k, r a short word and |k| <= 6, so the witness lies far along the
+    coset of the first conjugacy search's.  For "non-inner" a transvection
+    follows it, and the basis gets a third word, which the transvection may
+    move when it moves no other."""
+    def word(lo, hi):
+        return rand_word(rng, alphabet, rng.randrange(lo, hi))
+
+    r = word(1, 4)
+    while r.is_identity():
+        r = word(1, 4)
+    s = word(1, 5)
+    power = r ** rng.randrange(1, 4)
+    if kind == "power-first":
+        basis = [r ** rng.randrange(2, 5), s]
+    elif kind == "commuting":
+        basis = [power, r ** rng.randrange(-3, 4)] + [s] * rng.randrange(0, 2)
+    elif kind == "trivial":
+        basis = [power, s.conjugate_by(r ** rng.randrange(-6, 7))][: rng.randrange(0, 3)]
+        for _ in range(rng.randrange(1, 3)):
+            basis.insert(rng.randrange(0, len(basis) + 1), words.identity(alphabet))
+    else:
+        basis = [power, s.conjugate_by(r ** rng.randrange(-6, 7)), word(1, 4)][: 2 + (kind == "non-inner")]
+        rng.shuffle(basis)
+    f = conjugation_by(word(0, 4) * r ** rng.randrange(-6, 7))
+    if kind == "non-inner":
+        i, j = rng.sample(range(alphabet.rank), 2)
+        f = compose_map(transvection(alphabet, i, j, rng.choice([1, -1])), f)
+    return f, basis
 
 
 # each public entry point with a typed precondition: (statement, error line)
