@@ -53,13 +53,15 @@ def _projection_factor(alphabet: Alphabet, text: str) -> fc.FreeFactorClass:
 
 
 class _Main(click.Group):
-    """A library error ends the command with one line on stderr and exit code 2."""
+    """A library error or a command line click cannot parse ends the command
+    with one line on stderr and exit code 2."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except FreefactorError as exc:
-            click.echo(f"error: {exc}", err=True)
+        except (FreefactorError, click.UsageError) as exc:
+            text = exc.format_message() if isinstance(exc, click.UsageError) else exc
+            click.echo(f"error: {text}", err=True)
             sys.exit(2)
 
 

@@ -10,7 +10,8 @@ class UnknownLetter(FreefactorError):
 
 
 class InvalidAlphabet(FreefactorError):
-    """An alphabet is empty or repeats a letter name."""
+    """An alphabet is empty, repeats a letter name, or has a name that a word
+    cannot spell: an empty one, or one holding whitespace or ``^``."""
 
 
 class UnknownMode(FreefactorError):
@@ -44,7 +45,9 @@ class NotUnimodular(FreefactorError):
 
 
 class InvalidGraph(FreefactorError):
-    """A defining graph repeats a vertex, has a loop, or an edge off its vertices."""
+    """A defining graph repeats a vertex, has a loop, or an edge off its
+    vertices, or has a vertex name that a word cannot spell or that prints as
+    the identity (``1``)."""
 
 
 class NotSurjective(FreefactorError):
@@ -77,16 +80,8 @@ class InvalidTransport(FreefactorError):
     """``transport`` needs a verified automorphism of the factor's ambient group."""
 
 
-class TooLong(FreefactorError):
-    """Syllable length exceeds the desk-scale bound of ``raag.min_set``."""
-
-
 class TooLarge(FreefactorError):
     """A graph has more vertices than ``raag.clique_number`` takes."""
-
-
-class OrbitBudgetExceeded(FreefactorError):
-    """``raag.min_set`` found more members of Min(g) than its explicit budget."""
 
 
 class NonPrimitiveImage(FreefactorError):

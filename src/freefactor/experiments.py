@@ -179,11 +179,9 @@ def measure_m_emp(system: sy.AdmissibleSystem, seed: int, samples: int) -> int:
 
 
 def _power_path(f: GroupMap, steps: int) -> List[pj.MarkedGraph]:
-    """[R, f R, ..., f^steps R] from the rose R, one relabelling per step."""
-    trees = [pj.rose(f.domain)]
-    for _ in range(steps):
-        trees.append(pj.transform_marked(f, trees[-1]))
-    return trees
+    """[R, f R, ..., f^steps R] from the rose R, each tree marked by f^k."""
+    R = pj.rose(f.domain)
+    return [pj.transform_marked(map_power(f, k), R) for k in range(steps + 1)]
 
 
 def measure_l_path(system: sy.AdmissibleSystem, steps: int = 4) -> int:

@@ -125,19 +125,11 @@ def _short_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
         frontier = nxt
 
 
-def disjoint_check(A: FreeFactorClass, B: FreeFactorClass) -> bool:
-    """True iff A and B can be seen as vertex groups of a common splitting.
-
-    Requires every double coset to intersect trivially, then searches short
-    coset representatives g for a certificate: rank additivity of the join
-    plus the join being a free factor.
-    """
-    _require_rank2(A, B)
-    return not pullback_components(A.graph, B.graph) and _common_splitting(A, B)
-
-
 def _common_splitting(A: FreeFactorClass, B: FreeFactorClass) -> bool:
-    """The coset search of ``disjoint_check``, for an empty pullback."""
+    """The disjoint branch of ``classify_pair``, for an empty pullback: true
+    iff some short coset representative g makes A and gBg⁻¹ vertex groups of
+    a common splitting, certified by rank additivity of the join plus the
+    join being a free factor."""
     for g in _short_words(A.ambient, DOUBLE_COSET_SEARCH_LENGTH):
         # the pullback is empty, so A ∩ gBg⁻¹ = 1 for every g
         H = from_generators(A.ambient, A.basis + tuple(w.conjugate_by(g) for w in B.basis))

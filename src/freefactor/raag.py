@@ -9,8 +9,8 @@ the minimal forms of g constitute Min(g), a single move-(3) orbit.
 A minimal word fixes a dependence order on its syllables: two depend on each
 other when they share a generator or their generators do not commute.  Min(g)
 is exactly the set of linear extensions of that order (Green's normal form
-theorem; Hermiller-Meier, J. Algebra 1995), so the normal form, the syllable
-order and Min(g) are all read off one order instead of an orbit enumeration.
+theorem; Hermiller-Meier, J. Algebra 1995), so the normal form and the
+syllable order are both read off one order, and Min(g) is never listed.
 """
 
 from __future__ import annotations
@@ -18,18 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from freefactor.errors import (
-    InvalidGraph,
-    MalformedWord,
-    OrbitBudgetExceeded,
-    TooLarge,
-    TooLong,
-    UnknownLetter,
-)
-from freefactor.words import parse_power
+from freefactor.errors import InvalidGraph, MalformedWord, TooLarge, UnknownLetter
+from freefactor.words import parse_power, unreadable_name
 
-ORBIT_BUDGET = 10 ** 6
-MAX_SYLLABLES = 12
 MAX_CLIQUE_VERTICES = 40
 
 
@@ -43,6 +34,11 @@ class SimplicialGraph:
     def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
             raise InvalidGraph(f"duplicate vertex in {self.vertices}")
+        if "1" in self.vertices:
+            raise InvalidGraph("vertex name '1' prints as the identity")
+        bad = unreadable_name(self.vertices)
+        if bad is not None:
+            raise InvalidGraph(f"vertex name {bad!r} is empty or holds whitespace or '^'")
         norm = set()
         for a, b in self.edges:
             if a == b:
@@ -150,29 +146,6 @@ def normalize(graph: SimplicialGraph, w: RaagWord) -> RaagWord:
         placed |= 1 << k
         order.append(k)
     return RaagWord(graph, tuple(Syllable(*sylls[k], sid) for sid, k in enumerate(order)))
-
-
-def min_set(graph: SimplicialGraph, g: RaagWord) -> List[RaagWord]:
-    """Complete Min(g): the linear extensions of the dependence order of the
-    normalized form, listed depth first."""
-    if len(g) > MAX_SYLLABLES:
-        raise TooLong(f"syllable length {len(g)} exceeds {MAX_SYLLABLES}")
-    norm = normalize(graph, g)
-    _, deps = _dependence(graph, norm.key())
-    members: List[RaagWord] = []
-
-    def extend(placed: int, prefix: List[Syllable]):
-        if len(prefix) == len(deps):
-            if len(members) >= ORBIT_BUDGET:
-                raise OrbitBudgetExceeded(f"move-(3) orbit exceeds {ORBIT_BUDGET} words")
-            members.append(RaagWord(graph, tuple(prefix)))
-            return
-        for i, d in enumerate(deps):
-            if not placed >> i & 1 and not d & ~placed:
-                extend(placed | 1 << i, prefix + [norm.syllables[i]])
-
-    extend(0, [])
-    return members
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from importlib import resources
 from typing import Any, Dict, List, Sequence
 
 from freefactor import projections as pj, systems as sy
-from freefactor.errors import InvalidAlphabet, SchemaError
+from freefactor.errors import InvalidAlphabet, InvalidGraph, SchemaError
 from freefactor.factors import free_factor_class
 from freefactor.raag import SimplicialGraph, simplicial_graph
 from freefactor.words import (
@@ -118,7 +118,10 @@ def gamma_from_json(obj: Any, path: str = "gamma") -> SimplicialGraph:
             if x not in vs:
                 raise SchemaError(f"{ep}: unknown vertex {x!r}")
         edges.append((u, v))
-    return simplicial_graph(vs, edges)
+    try:
+        return simplicial_graph(vs, edges)
+    except InvalidGraph as exc:
+        raise SchemaError(f"{path}: {exc}")
 
 
 def system_to_json(system: sy.AdmissibleSystem) -> Dict:

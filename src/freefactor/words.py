@@ -27,6 +27,12 @@ from freefactor.errors import (
 )
 
 
+def unreadable_name(names: Iterable[str]) -> Optional[str]:
+    """The first name that ``word_from_str`` would not read back as that one
+    letter: an empty one, or one holding whitespace or ``^``."""
+    return next((n for n in names if n.split() != [n] or "^" in n), None)
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ranked alphabet of distinct letter names."""
@@ -36,6 +42,9 @@ class Alphabet:
     def __post_init__(self):
         if not self.names:
             raise InvalidAlphabet("rank must be >= 1")
+        bad = unreadable_name(self.names)
+        if bad is not None:
+            raise InvalidAlphabet(f"letter name {bad!r} is empty or holds whitespace or '^'")
         if len(set(self.names)) != len(self.names):
             repeated = next(n for i, n in enumerate(self.names) if n in self.names[:i])
             raise InvalidAlphabet(f"letter name {repeated!r} repeats in {self.names}")

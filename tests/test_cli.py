@@ -203,6 +203,34 @@ class TestRefusals:
         err = self.refused("meet", "--letters", "a,b,a", "a,b", "a")
         assert "letter name 'a' repeats" in err
 
+    def test_empty_vertex_name(self):
+        err = self.refused("complexity", "--vertices", "a,,b", "--edges", "")
+        assert err == "error: vertex name '' is empty or holds whitespace or '^'\n"
+
+    def test_empty_letter_name(self):
+        err = self.refused("fold", "--letters", "a,,b", "a")
+        assert err == "error: letter name '' is empty or holds whitespace or '^'\n"
+
+    def test_letter_name_with_space(self):
+        err = self.refused("fold", "--letters", "a b,c", "c")
+        assert err == "error: letter name 'a b' is empty or holds whitespace or '^'\n"
+
+    def test_vertex_named_one(self):
+        err = self.refused("normal-form", "--vertices", "1,b", "--edges", "", "1")
+        assert err == "error: vertex name '1' prints as the identity\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["farey-dist", "-1/2", "1/1"], "No such option '-1'."),
+            (["fold", "--letters", "a"], "Missing argument 'GENS'."),
+            (["run", "--mode", "qie-sandwich", "--seed", "x"],
+             "Invalid value for '--seed': 'x' is not a valid integer."),
+        ],
+    )
+    def test_usage_error(self, args, message):
+        assert self.refused(*args) == f"error: {message}\n"
+
     def test_support_graph_one_vertex(self):
         err = self.refused("support-graph", "--vertices", "a")
         assert err == "error: a support graph needs at least two vertices\n"

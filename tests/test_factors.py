@@ -105,12 +105,12 @@ class TestDisjoint:
     def test_complementary_factors(self):
         A = fa.free_factor_class(A4, [w4("a"), w4("b")])
         B = fa.free_factor_class(A4, [w4("c"), w4("d")])
-        assert fa.disjoint_check(A, B)
+        assert fa.classify_pair(A, B)[0] == "disjoint"
 
     def test_sharing_a_generator(self):
         A = fa.free_factor_class(A3, [w3("a"), w3("b")])
         B = fa.free_factor_class(A3, [w3("b"), w3("c")])
-        assert not fa.disjoint_check(A, B)
+        assert fa.classify_pair(A, B)[0] != "disjoint"
 
     def test_classify_trichotomy(self):
         A = fa.free_factor_class(A4, [w4("a"), w4("b")])
@@ -205,7 +205,7 @@ class TestPreconditions:
         with pytest.raises(RankTooSmall):
             fa.free_factor_class(A3, [w3("a a^-1")])
 
-    @pytest.mark.parametrize("check", [fa.overlap_check, fa.disjoint_check])
+    @pytest.mark.parametrize("check", [fa.overlap_check, fa.classify_pair])
     def test_pair_checks_need_rank_two(self, check):
         with pytest.raises(RankTooSmall):
             check(self.A, self.C)
@@ -234,7 +234,7 @@ class TestPreconditions:
             "C = fa.free_factor_class(A3, [w('c')])\n"
             "f = group_map(A3, A3, [w('a c'), w('b'), w('c')])\n"
             "calls = [lambda: fa.free_factor_class(A3, []), lambda: fa.meet_projection(C, A),\n"
-            "         lambda: fa.overlap_check(A, C), lambda: fa.disjoint_check(C, A),\n"
+            "         lambda: fa.overlap_check(A, C), lambda: fa.classify_pair(C, A),\n"
             "         lambda: fa.transport(f, A)]\n"
             "for call in calls:\n"
             "    try:\n"

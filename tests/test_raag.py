@@ -7,9 +7,7 @@ from freefactor import raag
 from freefactor.errors import (
     InvalidGraph,
     MalformedWord,
-    OrbitBudgetExceeded,
     TooLarge,
-    TooLong,
     UnknownLetter,
 )
 from oracles import raag_canonical, raag_min_forms, raag_syllable_order
@@ -36,6 +34,19 @@ ORACLE_GRAPHS = {
 
 def rw(graph, s):
     return raag.raag_word_from_str(graph, s)
+
+
+def linear_extensions(graph, w):
+    """Min(g) read off ``syllable_order`` by brute force: every ordering of
+    the normal form's syllables that keeps each forced pair in order."""
+    order = raag.syllable_order(graph, w)
+    sylls = order.word.key()
+    out = set()
+    for perm in itertools.permutations(order.sids):
+        at = {sid: k for k, sid in enumerate(perm)}
+        if all(at[i] < at[j] for i, j in order.precedes):
+            out.add(tuple(sylls[sid] for sid in perm))
+    return out
 
 
 class TestNormalize:
@@ -81,7 +92,7 @@ class TestNormalize:
 
 
 class TestDependenceOrder:
-    """normalize, min_set and syllable_order against the move-closure oracles."""
+    """normalize and syllable_order against the move-closure oracles."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
     def test_matches_oracles(self, name):
@@ -94,7 +105,6 @@ class TestDependenceOrder:
             w = raag.raag_word(g, word)
             norm = raag.normalize(g, w)
             assert norm.key() == raag_canonical(adj, word, g.vertices)
-            assert {m.key() for m in raag.min_set(g, w)} == raag_min_forms(adj, word)
             order = raag.syllable_order(g, w)
             assert order.sids == tuple(s.sid for s in norm.syllables)
             precedes, adjacent = raag_syllable_order(adj, word, g.vertices)
@@ -102,7 +112,7 @@ class TestDependenceOrder:
             assert order.precedes_adjacent == adjacent
 
     def test_clique_of_ten_needs_no_enumeration(self):
-        # Min(g) has 10! members here, far beyond ORBIT_BUDGET
+        # Min(g) has 10! members here; nothing lists them
         g = complete(10)
         w = raag.raag_word(g, [(v, 1) for v in reversed(g.vertices)])
         assert raag.normalize(g, w).key() == tuple((v, 1) for v in sorted(g.vertices))
@@ -110,32 +120,22 @@ class TestDependenceOrder:
         assert order.sids == tuple(range(10))
         assert order.precedes == order.precedes_adjacent == frozenset()
 
-    def test_min_set_budget(self, monkeypatch):
-        g = complete(4)
-        w = raag.raag_word(g, [(v, 1) for v in g.vertices])
-        monkeypatch.setattr(raag, "ORBIT_BUDGET", 24)
-        assert len(raag.min_set(g, w)) == 24
-        monkeypatch.setattr(raag, "ORBIT_BUDGET", 23)
-        with pytest.raises(OrbitBudgetExceeded, match="exceeds 23 words"):
-            raag.min_set(g, w)
-
 
 class TestMinSet:
+    """Min(g) is the set of linear extensions of the syllable order."""
+
     def test_commuting_pair(self):
         g = raag.simplicial_graph(["a", "b"], [("a", "b")])
-        keys = {m.key() for m in raag.min_set(g, rw(g, "a b"))}
-        assert keys == {(("a", 1), ("b", 1)), (("b", 1), ("a", 1))}
+        assert linear_extensions(g, rw(g, "a b")) == {(("a", 1), ("b", 1)), (("b", 1), ("a", 1))}
 
     def test_free_pair(self):
         g = raag.simplicial_graph(["a", "b"], [])
-        keys = {m.key() for m in raag.min_set(g, rw(g, "a b"))}
-        assert keys == {(("a", 1), ("b", 1))}
+        assert linear_extensions(g, rw(g, "a b")) == {(("a", 1), ("b", 1))}
 
     def test_three_orbit(self):
         # chain v0-v2-v4 of commutations: orbit of v0 v2 v4 has 3 members
         g = raag.simplicial_graph(["v0", "v2", "v4"], [("v0", "v2"), ("v2", "v4")])
-        keys = {m.key() for m in raag.min_set(g, rw(g, "v0 v2 v4"))}
-        assert keys == {
+        assert linear_extensions(g, rw(g, "v0 v2 v4")) == {
             (("v0", 1), ("v2", 1), ("v4", 1)),
             (("v2", 1), ("v0", 1), ("v4", 1)),
             (("v0", 1), ("v4", 1), ("v2", 1)),
@@ -146,22 +146,22 @@ class TestMinSet:
         for _ in range(100):
             n = rng.randrange(1, 7)
             word = [(rng.choice(PENT.vertices), rng.choice([-1, 1])) for _ in range(n)]
-            got = {m.key() for m in raag.min_set(PENT, raag.raag_word(PENT, word))}
+            got = linear_extensions(PENT, raag.raag_word(PENT, word))
             assert got == raag_min_forms(PENT_ADJ, word)
 
     def test_equal_syllable_multisets(self):
-        rng = random.Random(37)
-        for _ in range(50):
-            word = [(rng.choice(PENT.vertices), rng.choice([-2, -1, 1, 2])) for _ in range(6)]
-            members = raag.min_set(PENT, raag.raag_word(PENT, word))
-            multisets = {tuple(sorted(m.key())) for m in members}
-            assert len(multisets) == 1
-            assert len({len(m) for m in members}) == 1
-
-    def test_too_long(self):
-        word = [("v0", 1), ("v1", 1)] * 7
-        with pytest.raises(TooLong):
-            raag.min_set(PENT, raag.raag_word(PENT, word))
+        # every member of the oracle's Min(g) names g: same normal form, same syllables
+        for name, g in sorted(ORACLE_GRAPHS.items()):
+            adj = {frozenset(e) for e in g.edges}
+            rng = random.Random(f"min-forms-{name}")
+            for _ in range(50):
+                word = [(rng.choice(g.vertices), rng.choice([-2, -1, 1, 2])) for _ in range(6)]
+                norm = raag.normalize(g, raag.raag_word(g, word)).key()
+                members = raag_min_forms(adj, word)
+                assert norm in members
+                for m in members:
+                    assert raag.normalize(g, raag.raag_word(g, m)).key() == norm
+                    assert sorted(m) == sorted(norm)
 
 
 class TestSyllableOrder:
@@ -219,7 +219,10 @@ class TestSyllableOrder:
 class TestSimplicialGraph:
     @pytest.mark.parametrize(
         "vertices, edges",
-        [(["a", "a"], []), (["a", "b"], [("a", "a")]), (["a", "b"], [("a", "z")])],
+        [
+            (["a", "a"], []), (["a", "b"], [("a", "a")]), (["a", "b"], [("a", "z")]),
+            (["a", ""], []), (["a b"], []), (["a^2"], []), (["1", "b"], []),
+        ],
     )
     def test_invalid_graph(self, vertices, edges):
         with pytest.raises(InvalidGraph):

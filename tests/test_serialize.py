@@ -157,6 +157,16 @@ class TestFixtures:
         assert verified is se.load_fixture("overlap-chain-f3", verify=True)
         assert verified is not se.load_fixture("overlap-chain-f3")
 
+    def test_unreadable_names(self):
+        obj = json.loads(se.fixture_path("overlap-chain-f3").read_text())
+        obj["ambient_alphabet"][1] = "x 1"
+        with pytest.raises(SchemaError, match=r"system\.ambient_alphabet: letter name 'x 1'"):
+            se.system_from_json(obj)
+        obj = json.loads(se.fixture_path("overlap-chain-f3").read_text())
+        obj["gamma"]["vertices"][0] = "1"
+        with pytest.raises(SchemaError, match=r"system\.gamma: vertex name '1'"):
+            se.system_from_json(obj)
+
     def test_repeated_ambient_letter(self, run_optimized):
         obj = json.loads(se.fixture_path("overlap-chain-f3").read_text())
         obj["ambient_alphabet"][2] = obj["ambient_alphabet"][0]

@@ -96,6 +96,14 @@ class TestReduce:
             Alphabet(())
         with pytest.raises(InvalidAlphabet, match="letter name 'b' repeats"):
             Alphabet(("a", "b", "c", "b"))
+        for name in ("", " ", "a b", "\ta", "a^-1", "x^2", "^"):
+            with pytest.raises(InvalidAlphabet, match="is empty or holds whitespace or '\\^'"):
+                Alphabet(("a", name))
+
+    def test_names_read_back(self):
+        A = Alphabet(("a", "1", "b-c", "x,y", "é"))
+        for name in A.names:
+            assert word_from_str(A, f"{name}^-1 {name}^2").letters == (A.index(name) + 1,)
 
     def test_alphabet_equality_by_names(self):
         ab = Alphabet(("a", "b"))
