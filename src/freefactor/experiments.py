@@ -37,14 +37,14 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from freefactor import farey, projections as pj, raag, serialize as se
 from freefactor import systems as sy
-from freefactor._kernel import substitute
 from freefactor.errors import FreefactorError, NotPositive, UnknownMode
 from freefactor.raag import RaagWord
 from freefactor.words import (
     Alphabet,
     GroupMap,
-    Word,
-    _word,
+    _compose_letters,
+    _letters,
+    _words,
     identity_map,
     invert_automorphism,
     map_power,
@@ -111,17 +111,9 @@ def random_automorphism(rng: random.Random, alphabet: Alphabet, max_len: int) ->
         return identity_map(alphabet)
     return GroupMap(
         alphabet, alphabet,
-        _product(alphabet, [t.images for t in reversed(draws)]),
-        _product(alphabet, [t.inverse_images for t in draws]),
+        _words(alphabet, _compose_letters([_letters(t.images) for t in reversed(draws)])),
+        _words(alphabet, _compose_letters([_letters(t.inverse_images) for t in draws])),
     )
-
-
-def _product(alphabet: Alphabet, factors: List[Tuple[Word, ...]]) -> Tuple[Word, ...]:
-    """Images of the product g_1 o g_2 o ... of maps given by their images."""
-    letters = [w.letters for w in factors[0]]
-    for images in factors[1:]:
-        letters = [substitute(w.letters, letters) for w in images]
-    return tuple([_word(alphabet, tuple(ls)) for ls in letters])
 
 
 def random_tree(rng: random.Random, alphabet: Alphabet, max_len: int) -> pj.MarkedGraph:

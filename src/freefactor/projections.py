@@ -29,7 +29,10 @@ from freefactor.words import (
     Alphabet,
     GroupMap,
     Word,
+    _compose_letters,
+    _letters,
     _word,
+    _words,
     compose_map,
     fold_arcs,
     group_map,
@@ -189,7 +192,8 @@ def transform_marked(f: GroupMap, T: MarkedGraph) -> MarkedGraph:
     if T.num_vertices == 1:
         edges = tuple([(u, v, w) for (u, v, _), w in zip(T.edges, hint.images)])
     else:
-        edges = tuple([(u, v, f(w)) for u, v, w in T.edges])
+        labels = _compose_letters([_letters(f.images), [w.letters for *_, w in T.edges]])
+        edges = tuple([(u, v, w) for (u, v, _), w in zip(T.edges, _words(f.codomain, labels))])
     return _marked(f.codomain, T.num_vertices, edges, T.base, hint, T._loops, T.edge_alphabet)
 
 

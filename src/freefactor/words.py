@@ -124,8 +124,9 @@ class Word:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def conjugate_by(self, w: "Word") -> "Word":
@@ -299,6 +300,24 @@ def conjugation_by(w: Word) -> GroupMap:
     )
 
 
+def _compose_letters(factors: Sequence[Sequence[Sequence[int]]]) -> Sequence[Sequence[int]]:
+    """Letters of the images of g_1 o g_2 o ... for maps g_k given by the
+    letters of their images, multiplied on the right: each step substitutes
+    the product so far, copied whole, into the next factor's images."""
+    letters = factors[0]
+    for images in factors[1:]:
+        letters = [substitute(w, letters) for w in images]
+    return letters
+
+
+def _words(alphabet: Alphabet, letters: Iterable[Sequence[int]]) -> Tuple[Word, ...]:
+    return tuple([_word(alphabet, tuple(ls)) for ls in letters])
+
+
+def _letters(images: Sequence[Word]) -> List[Tuple[int, ...]]:
+    return [w.letters for w in images]
+
+
 def compose_map(f: GroupMap, g: GroupMap) -> GroupMap:
     """(f o g)(x) = f(g(x)).
 
@@ -314,25 +333,49 @@ def compose_map(f: GroupMap, g: GroupMap) -> GroupMap:
         return f
     inverse = None
     if f.inverse_images is not None and g.inverse_images is not None:
-        gi = g.inverse_hint
-        inverse = tuple([gi(w) for w in f.inverse_images])
-    return GroupMap(g.domain, f.codomain, tuple([f(w) for w in g.images]), inverse)
+        letters = _compose_letters([_letters(g.inverse_images), _letters(f.inverse_images)])
+        inverse = _words(g.domain, letters)
+    images = _compose_letters([_letters(f.images), _letters(g.images)])
+    return GroupMap(g.domain, f.codomain, _words(f.codomain, images), inverse)
+
+
+def _power_letters(images: Sequence[Sequence[int]], n: int) -> Sequence[Sequence[int]]:
+    """Letters of the images of g^n, n >= 1, for g given by its images'
+    letters, by square-and-multiply.  Powers of g commute, so each multiply
+    substitutes the shorter product so far into the longer square."""
+    result, base = None, images
+    while True:
+        if n & 1:
+            result = base if result is None else _compose_letters([base, result])
+        n >>= 1
+        if not n:
+            return result
+        base = _compose_letters([base, base])
 
 
 def map_power(f: GroupMap, n: int) -> GroupMap:
+    """f^n for an endomorphism f.
+
+    n < 0 gives (f^-1)^-n, certifying f in place when it does not yet carry
+    its inverse; n = 0 gives the certified identity, and n = 1 f itself.
+    Otherwise f's images are squared and multiplied on plain letter lists,
+    and, when f is certified, so are its inverse images, since (f^-1)^n is
+    the inverse of f^n.  One map is built at the end, certified exactly
+    when f is.
+    """
     if f.domain != f.codomain:
         raise AlphabetMismatch("map_power needs an endomorphism")
     if n < 0:
         return map_power(invert_automorphism(f), -n)
-    result = identity_map(f.domain)
-    base = f
-    while n:
-        if n & 1:
-            result = compose_map(result, base)
-        n >>= 1
-        if n:
-            base = compose_map(base, base)
-    return result
+    if n == 0:
+        return identity_map(f.domain)
+    if n == 1:
+        return f
+    inverse = None
+    if f.inverse_images is not None:
+        inverse = _words(f.domain, _power_letters(_letters(f.inverse_images), n))
+    images = _words(f.domain, _power_letters(_letters(f.images), n))
+    return GroupMap(f.domain, f.domain, images, inverse)
 
 
 def _transvection_images(alphabet: Alphabet, i: int, j: int, s: int, side: str) -> Tuple[Word, ...]:
@@ -513,7 +556,7 @@ def invert_automorphism(f: GroupMap) -> GroupMap:
     letters = _fold_inverse(f)
     if letters is None:
         raise NotSurjective(f"images of {f!r} generate a proper subgroup")
-    object.__setattr__(f, "inverse_images", tuple([_word(f.domain, tuple(ls)) for ls in letters]))
+    object.__setattr__(f, "inverse_images", _words(f.domain, letters))
     inv = f.inverse_hint
     assert all(
         f(y).letters == inv(x).letters == (i + 1,)

@@ -737,6 +737,42 @@ def short_words(n, max_len):
     return out
 
 
+# --- powers of maps, one composed map per step ------------------------------
+#
+# Not naive like the rest: it reuses the library's maps and their
+# application.  It is ``words.map_power`` as it was before it squared on
+# letter lists: every squaring and every multiply builds a composed map,
+# applying the outer map to each image of the inner one.
+
+def _compose_by_application(f, g):
+    """f o g, applying f to each image of g, and g^-1 to each inverse image
+    of f when both carry their inverses."""
+    from freefactor.words import GroupMap
+
+    inverse = None
+    if f.inverse_images is not None and g.inverse_images is not None:
+        gi = g.inverse_hint
+        inverse = tuple([gi(w) for w in f.inverse_images])
+    return GroupMap(g.domain, f.codomain, tuple([f(w) for w in g.images]), inverse)
+
+
+def map_power_by_composition(f, n):
+    """f^n by squaring, one composed map per step; n < 0 inverts f first."""
+    from freefactor.words import identity_map, invert_automorphism
+
+    if n < 0:
+        return map_power_by_composition(invert_automorphism(f), -n)
+    result = identity_map(f.domain)
+    base = f
+    while n:
+        if n & 1:
+            result = _compose_by_application(result, base)
+        n >>= 1
+        if n:
+            base = _compose_by_application(base, base)
+    return result
+
+
 # --- order audit in the frame where it is defined ---------------------------
 #
 # Not naive like the rest: it reuses the library's projections.  It keeps the

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+from freefactor import serialize, words
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "freefactor"
 
 # internal invariants only: a precondition on input raises a typed
@@ -18,3 +20,20 @@ def test_assert_count():
         if isinstance(node, ast.Assert)
     ]
     assert len(found) <= MAX_ASSERTS, f"{len(found)} asserts in src/freefactor: {found}"
+
+
+def test_map_power_builds_one_map(monkeypatch):
+    # squaring on letter lists: a map built per squaring or multiply would
+    # show here as more constructions
+    f = serialize.load_fixture("pentagon-f5").maps[0]
+    built = []
+    post_init = words.GroupMap.__post_init__
+
+    def counting(g):
+        built.append(g)
+        post_init(g)
+
+    monkeypatch.setattr(words.GroupMap, "__post_init__", counting)
+    power = words.map_power(f, 12)
+    assert len(built) == 1 and built[0] is power
+    assert power.inverse_images is not None

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freefactor import experiments as ex, projections as pj, stallings, words
+from freefactor import experiments as ex, projections as pj, serialize as se, stallings, words
 from freefactor._kernel import concat, reduce_word, substitute
-from freefactor.errors import InvalidAlphabet, MalformedWord, NotSurjective, UnknownLetter
+from freefactor.errors import AlphabetMismatch, InvalidAlphabet, MalformedWord, NotSurjective, UnknownLetter
 from freefactor.words import (
     Alphabet,
     abc_alphabet,
@@ -29,6 +29,7 @@ from oracles import (
     compose_with_inverses,
     inner_witness_scan,
     is_onto,
+    map_power_by_composition,
     naive_reduce,
     nielsen_inverse,
     peeled_cyclic_reduce,
@@ -199,6 +200,29 @@ class TestTrustedConstruction:
                 checked(w)
 
 
+class TestWordPower:
+    @pytest.mark.parametrize("text", ["", "a", "a b^-1", "b a c a^-1", "a b a^-1"])
+    def test_matches_repeated_product(self, monkeypatch, text):
+        built = []
+        mul = words.Word.__mul__
+
+        def recording(u, v):
+            built.append(mul(u, v))
+            return built[-1]
+
+        monkeypatch.setattr(words.Word, "__mul__", recording)
+        w = word_from_str(A3, text)
+        for n in range(-9, 10):
+            built.clear()
+            got = w ** n
+            # no square past the last bit: nothing longer than |w| |n| is built
+            assert max(map(len, built), default=0) <= len(w) * abs(n)
+            want = words.identity(A3)
+            for _ in range(abs(n)):
+                want = want * (w if n > 0 else w.inverse())
+            assert got == want
+
+
 class TestConjugacy:
     def test_examples(self):
         a, b = word_from_str(A3, "a"), word_from_str(A3, "b")
@@ -294,13 +318,50 @@ class TestNoIdentityWork:
         assert not any(g.is_identity() for g in calls)
         calls.clear()
         map_power(f, 8)
-        # three squarings, each applying the base to n images and its
-        # inverse to n inverse images
-        assert len(calls) == 6 * rank
-        assert not any(g.is_identity() for g in calls)
-        calls.clear()
+        # the powers are squared on letter lists, so no map is applied
+        assert calls == []
         map_power(f, 0)
         assert calls == []
+
+
+class TestMapPower:
+    """Square-and-multiply on letter lists agrees with one composed map per step."""
+
+    def test_agrees_with_composition_oracle(self):
+        for fixture in se.list_fixtures():
+            for f in se.load_fixture(fixture).maps:
+                for g in (f, f.inverse_hint):
+                    for k in range(-12, 13):
+                        got, want = map_power(g, k), map_power_by_composition(g, k)
+                        assert _letters(got) == _letters(want), (fixture, k)
+                        assert _inverse_letters(got) == _inverse_letters(want), (fixture, k)
+
+    def test_uncertified_stays_uncertified(self):
+        # a -> a^2 is not onto, so no inverse exists to carry
+        f = group_map(A3, A3, [word_from_str(A3, "a a"), word_from_str(A3, "b"), word_from_str(A3, "c a")])
+        for n in range(2, 6):
+            p = map_power(f, n)
+            assert p.inverse_images is None and p.kind == "endomorphism"
+            assert _letters(p) == _letters(map_power_by_composition(f, n))
+        assert f.inverse_images is None
+
+    def test_power_one_is_the_map(self):
+        f = group_map(A3, A3, [word_from_str(A3, "a b"), word_from_str(A3, "b"), word_from_str(A3, "c")])
+        assert map_power(f, 1) is f
+        t = transvection(A3, 0, 2, -1)
+        assert map_power(t, 1) is t
+
+    def test_power_zero_is_the_certified_identity(self):
+        f = group_map(A3, A3, [word_from_str(A3, "a a"), word_from_str(A3, "b"), word_from_str(A3, "c")])
+        p = map_power(f, 0)
+        assert p.is_identity() and p.kind == "verified-automorphism"
+        assert _inverse_letters(p) == ((1,), (2,), (3,))
+
+    def test_refuses_a_non_endomorphism(self):
+        f = group_map(A3, abc_alphabet(2), [letter(abc_alphabet(2), 0)] * 3)
+        for n in (-2, 0, 1, 2):
+            with pytest.raises(AlphabetMismatch, match="map_power needs an endomorphism"):
+                map_power(f, n)
 
 
 class TestInvert:
