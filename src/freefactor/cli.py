@@ -20,7 +20,7 @@ from freefactor import (
     systems as sy,
 )
 from freefactor.errors import FreefactorError, SchemaError, UndefinedProjection
-from freefactor.words import Alphabet, group_map, verify_automorphism, word_from_str, word_to_str
+from freefactor.words import Alphabet, automorphism, word_from_str, word_to_str
 
 
 def _alphabet(letters: str) -> Alphabet:
@@ -198,7 +198,7 @@ def _marked_graph(letters: str, marking: str) -> pj.MarkedGraph:
     T = pj.rose(alphabet)
     if marking:
         images = _words(alphabet, marking)
-        f = verify_automorphism(group_map(alphabet, alphabet, images))
+        f = automorphism(alphabet, images)
         T = pj.transform_marked(f, T)
     return T
 

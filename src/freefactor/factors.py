@@ -9,7 +9,7 @@ from typing import Dict, Iterator, List, Sequence, Set, Tuple
 from freefactor import stallings
 from freefactor.errors import InvalidTransport, RankTooSmall
 from freefactor.stallings import SubgroupGraph, from_generators, pullback_components
-from freefactor.words import Alphabet, GroupMap, Word, group_map, identity, reduce_raw
+from freefactor.words import Alphabet, GroupMap, Word, identity, reduce_raw
 
 DOUBLE_COSET_SEARCH_LENGTH = 3
 
@@ -223,7 +223,7 @@ def _whitehead_map(alphabet: Alphabet, v: int, Y: int) -> GroupMap:
         pre = (-v,) if x != abs(v) and Y >> _bit(-x) & 1 else ()
         post = (v,) if x != abs(v) and Y >> _bit(x) & 1 else ()
         images.append(reduce_raw(alphabet, pre + (x,) + post))
-    return group_map(alphabet, alphabet, images)
+    return GroupMap(alphabet, alphabet, tuple(images))
 
 
 def is_free_factor(H: SubgroupGraph) -> bool:

@@ -33,12 +33,11 @@ from freefactor.words import (
     _letters,
     _word,
     _words,
+    automorphism,
     compose_map,
     fold_arcs,
-    group_map,
     identity_map,
     std_alphabet,
-    verify_automorphism,
 )
 
 PROJECTION_DIAMETER_BOUND = 4
@@ -76,7 +75,7 @@ class MarkedGraph:
         hint = self.marking_hint
         if hint is None:
             try:
-                hint = verify_automorphism(group_map(self.alphabet, self.alphabet, words))
+                hint = automorphism(self.alphabet, words)
             except NotSurjective as exc:
                 raise InvalidMarking("edge labels do not generate the ambient group") from exc
             object.__setattr__(self, "marking_hint", hint)

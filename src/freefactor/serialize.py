@@ -16,8 +16,7 @@ from freefactor.words import (
     Alphabet,
     GroupMap,
     Word,
-    group_map,
-    verify_automorphism,
+    automorphism,
     word_from_str,
     word_to_str,
 )
@@ -28,7 +27,8 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def _expect(obj: Any, kind: type, path: str):
-    if not isinstance(obj, kind):
+    # JSON true and false load as bool, which Python counts as an int
+    if not isinstance(obj, kind) or (kind is int and isinstance(obj, bool)):
         raise SchemaError(f"{path}: expected {kind.__name__}, got {type(obj).__name__}")
     return obj
 
@@ -178,7 +178,7 @@ def system_from_json(obj: Any, verify: bool = False, path: str = "system") -> sy
             raise SchemaError(f"{gp}.images: expected {ambient.rank} images")
         ws = [_parse_word(ambient, im, f"{gp}.images[{i}]") for i, im in enumerate(images)]
         try:
-            maps.append(verify_automorphism(group_map(ambient, ambient, ws)))
+            maps.append(automorphism(ambient, ws))
         except Exception as exc:
             raise SchemaError(f"{gp}: images are not an automorphism ({exc})")
     if gen_names != names:

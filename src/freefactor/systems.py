@@ -28,15 +28,14 @@ from freefactor.words import (
     Alphabet,
     GroupMap,
     Word,
+    automorphism,
     compose_map,
-    group_map,
     identity_map,
     invert_automorphism,
     is_inner,
     letter,
     map_power,
     std_alphabet,
-    verify_automorphism,
 )
 
 
@@ -290,21 +289,23 @@ def _extend_seed(
     """Automorphism acting by seed^power on the pair, fixing the complement.
 
     The pair plus complement must form a basis; the action is conjugated back
-    to the standard letters through that basis change.
+    to the standard letters through that basis change.  The block map S is
+    built with its inverse, the block of seed^-power, so the product is
+    certified by composition.
     """
     n = ambient.rank
     full = list(basis_pair) + list(complement)
     if len(full) != n:
         raise LengthMismatch(f"a factor basis and complement of {len(full)} words in rank {n}")
-    C = verify_automorphism(group_map(ambient, ambient, full))
-    sp = map_power(seed, power)
-    block = [Word(ambient, w.letters) for w in sp.images] + [
-        letter(ambient, k) for k in range(2, n)
+    C = automorphism(ambient, full)
+    fixed = [letter(ambient, k) for k in range(2, n)]
+    block, inverse = [
+        tuple([Word(ambient, w.letters) for w in map_power(seed, p).images] + fixed)
+        for p in (power, -power)
     ]
     # rewrite the block through the basis: x_k -> C(block_k(C^{-1} coords))
-    S = group_map(ambient, ambient, block)
-    out = compose_map(compose_map(C, S), invert_automorphism(C))
-    return verify_automorphism(out)
+    S = GroupMap(ambient, ambient, block, inverse)
+    return compose_map(compose_map(C, S), C.inverse_hint)
 
 
 def build_generators(
@@ -345,7 +346,7 @@ def _commutator(f: GroupMap, g: GroupMap) -> GroupMap:
     """[f, g] = f o g o f^-1 o g^-1, as its images only: ``is_inner`` reads
     nothing else."""
     f_inv, g_inv = invert_automorphism(f), invert_automorphism(g)
-    return group_map(f.domain, f.domain, [f(g(f_inv(w))) for w in g_inv.images])
+    return GroupMap(f.domain, f.domain, tuple([f(g(f_inv(w))) for w in g_inv.images]))
 
 
 def certify_support(collection: AdmissibleCollection, maps: Sequence[GroupMap]) -> None:

@@ -236,9 +236,10 @@ def conjugacy_witness(u: Word, v: Word) -> Optional[Word]:
 class GroupMap:
     """Endomorphism of a free group given by generator images.
 
-    It is a certified automorphism exactly when ``inverse_images`` holds the
-    images of its inverse: the library builds its own maps with them, and
-    ``invert_automorphism`` certifies maps that come from outside.
+    It is a certified automorphism exactly when it is built with
+    ``inverse_images``, the images of its inverse; no map gains them later.
+    This constructor checks their count and alphabet but trusts that they
+    invert ``images``: images from outside are certified by ``automorphism``.
     """
 
     domain: Alphabet
@@ -252,6 +253,15 @@ class GroupMap:
         for w in self.images:
             if w.alphabet != self.codomain:
                 raise AlphabetMismatch("an image is not over the map's codomain")
+        inverse = self.inverse_images
+        if inverse is not None:
+            if len(inverse) != self.codomain.rank:
+                raise ImageCountMismatch(
+                    f"{len(inverse)} inverse images for a rank-{self.codomain.rank} codomain"
+                )
+            for w in inverse:
+                if w.alphabet != self.domain:
+                    raise AlphabetMismatch("an inverse image is not over the map's domain")
 
     @property
     def inverse_hint(self) -> Optional["GroupMap"]:
@@ -259,10 +269,6 @@ class GroupMap:
         if self.inverse_images is None:
             return None
         return GroupMap(self.codomain, self.domain, self.inverse_images, self.images)
-
-    @property
-    def kind(self) -> str:
-        return "endomorphism" if self.inverse_images is None else "verified-automorphism"
 
     def __call__(self, w: Word) -> Word:
         if w.alphabet != self.domain:
@@ -284,10 +290,6 @@ class GroupMap:
 def identity_map(alphabet: Alphabet) -> GroupMap:
     images = tuple([_word(alphabet, (i + 1,)) for i in range(alphabet.rank)])
     return GroupMap(alphabet, alphabet, images, images)
-
-
-def group_map(domain: Alphabet, codomain: Alphabet, images: Sequence[Word]) -> GroupMap:
-    return GroupMap(domain, codomain, tuple(images))
 
 
 def conjugation_by(w: Word) -> GroupMap:
@@ -356,8 +358,8 @@ def _power_letters(images: Sequence[Sequence[int]], n: int) -> Sequence[Sequence
 def map_power(f: GroupMap, n: int) -> GroupMap:
     """f^n for an endomorphism f.
 
-    n < 0 gives (f^-1)^-n, certifying f in place when it does not yet carry
-    its inverse; n = 0 gives the certified identity, and n = 1 f itself.
+    n < 0 gives (f^-1)^-n, with f^-1 from ``invert_automorphism``; n = 0
+    gives the certified identity, and n = 1 f itself.
     Otherwise f's images are squared and multiplied on plain letter lists,
     and, when f is certified, so are its inverse images, since (f^-1)^n is
     the inverse of f^n.  One map is built at the end, certified exactly
@@ -521,55 +523,42 @@ def fold_arcs(loops: Sequence[Tuple[int, ...]], weights: Sequence, mul, inv, one
     return len(index), out
 
 
-def _fold_inverse(f: GroupMap) -> Optional[List[List[int]]]:
-    """Letters of f^-1(x_i) for every i, or None when f is not onto.
+def automorphism(alphabet: Alphabet, images: Sequence[Word]) -> GroupMap:
+    """The automorphism x_i -> images[i], certified by one weighted fold of
+    the images: the one way to certify images from outside the library.
 
     Image loop i carries y_i in F(Y), so a closed path of the fold that
     reads u in F(X) carries some g with f(g) = u.  f is onto iff the fold
     ends as n one-letter loops at the base, and then the loop x_i carries
-    f^-1(x_i) (Stallings 1983).
+    f^-1(x_i) (Stallings 1983); an onto endomorphism of F_n is an
+    automorphism (Hopficity).  Raises NotSurjective when the images
+    generate a proper subgroup.
     """
-    n = f.domain.rank
+    f = GroupMap(alphabet, alphabet, tuple(images))
+    n = alphabet.rank
     loops = [w.letters for w in f.images]
     _, arcs = fold_arcs(loops, [(i,) for i in range(1, n + 1)], concat, _inverse_letters, ())
     if len(arcs) != n or any(u or v or len(ls) != 1 for u, ls, v, _w in arcs):
-        return None
-    out: List[List[int]] = [[]] * n
-    for _u, (x,), _v, w in arcs:
-        out[abs(x) - 1] = list(w) if x > 0 else _inverse_letters(w)
-    return out
-
-
-def invert_automorphism(f: GroupMap) -> GroupMap:
-    """Inverse of f, certifying f as an automorphism.
-
-    A map that carries its inverse returns it at once.  Otherwise one
-    weighted fold of the image words both decides surjectivity (Hopficity:
-    a surjective endomorphism of F_n is an automorphism) and reads off the
-    inverse images; it raises NotSurjective when the images generate a
-    proper subgroup.
-    """
-    if f.domain != f.codomain:
-        raise AlphabetMismatch("inversion needs an endomorphism")
-    if f.inverse_images is not None:
-        return f.inverse_hint
-    letters = _fold_inverse(f)
-    if letters is None:
         raise NotSurjective(f"images of {f!r} generate a proper subgroup")
-    object.__setattr__(f, "inverse_images", _words(f.domain, letters))
+    inverse: List[Sequence[int]] = [()] * n
+    for _u, (x,), _v, w in arcs:
+        inverse[abs(x) - 1] = w if x > 0 else _inverse_letters(w)
+    f = GroupMap(alphabet, alphabet, f.images, _words(alphabet, inverse))
     inv = f.inverse_hint
     assert all(
         f(y).letters == inv(x).letters == (i + 1,)
         for i, (x, y) in enumerate(zip(f.images, inv.images))
     ), "f and its folded inverse do not compose to the identity"
-    return inv
-
-
-def verify_automorphism(f: GroupMap) -> GroupMap:
-    """Return f once it carries its inverse, folding its images only when it
-    does not; raises NotSurjective when f is not an automorphism."""
-    invert_automorphism(f)
     return f
+
+
+def invert_automorphism(f: GroupMap) -> GroupMap:
+    """Inverse of the automorphism f: the one it carries, or else one that
+    ``automorphism`` folds from its images; f itself stays as it was built.
+    """
+    if f.domain != f.codomain:
+        raise AlphabetMismatch("inversion needs an endomorphism")
+    return f.inverse_hint or automorphism(f.domain, f.images).inverse_hint
 
 
 def _conjugating_power(q: Word, B: Word, C: Word) -> Optional[int]:

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from freefactor import experiments as ex, raag
+from freefactor import experiments as ex, raag, serialize as se
 from freefactor.cli import main
 
 
@@ -125,6 +125,13 @@ class TestRefusals:
 
     def test_verify_system_directory(self, tmp_path):
         assert "Is a directory" in self.failed_verify(tmp_path)
+
+    def test_verify_system_boolean_power(self, tmp_path):
+        obj = json.loads(se.fixture_path("overlap-chain-f3").read_text())
+        obj["power"] = True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert self.failed_verify(bad) == "FAIL: system.power: expected int, got bool\n"
 
     def test_run_out_unwritable(self, tmp_path):
         out = tmp_path / "missing" / "r.json"
@@ -298,8 +305,6 @@ class TestSystemCommands:
 
     def test_verify_bad_file(self, tmp_path):
         bad = tmp_path / "bad.json"
-        from freefactor import serialize as se
-
         obj = json.loads(se.fixture_path("overlap-chain-f3").read_text())
         obj["generators"][0]["images"][0] = "a a"  # not injective with the rest
         bad.write_text(json.dumps(obj))

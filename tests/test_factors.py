@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from freefactor import factors as fa, stallings
 from freefactor.errors import InvalidTransport, RankTooSmall
 from freefactor.words import (
+    GroupMap,
     abc_alphabet,
-    group_map,
+    automorphism,
     reduce_raw,
     std_alphabet,
-    verify_automorphism,
     word_from_str,
 )
 from oracles import (
@@ -168,21 +168,19 @@ class TestIsFreeFactor:
 class TestTransport:
     def test_inner_fixes_class(self):
         A = fa.free_factor_class(A3, [w3("a"), w3("b")])
-        inner = verify_automorphism(
-            group_map(A3, A3, [w3("c a c^-1"), w3("c b c^-1"), w3("c")])
-        )
+        inner = automorphism(A3, [w3("c a c^-1"), w3("c b c^-1"), w3("c")])
         assert fa.transport(inner, A) == A
 
     def test_moves_class(self):
         A = fa.free_factor_class(A3, [w3("a"), w3("b")])
-        f = verify_automorphism(group_map(A3, A3, [w3("a c"), w3("b"), w3("c")]))
+        f = automorphism(A3, [w3("a c"), w3("b"), w3("c")])
         assert fa.transport(f, A) != A
 
     def test_functorial_on_meets(self):
         # transported factors have transported meet classes
         A = fa.free_factor_class(A3, [w3("a"), w3("b")])
         B = fa.free_factor_class(A3, [w3("a"), w3("c")])
-        f = verify_automorphism(group_map(A3, A3, [w3("a b"), w3("b"), w3("c a")]))
+        f = automorphism(A3, [w3("a b"), w3("b"), w3("c a")])
         before = {mc.in_ambient.key for mc in fa.meet_projection(A, B)}
         after = {
             mc.in_ambient.key
@@ -218,8 +216,8 @@ class TestPreconditions:
 
     def test_transport_needs_verified_automorphism(self):
         with pytest.raises(InvalidTransport):
-            fa.transport(group_map(A3, A3, [w3("a c"), w3("b"), w3("c")]), self.A)
-        f = verify_automorphism(group_map(A4, A4, [w4("a d"), w4("b"), w4("c"), w4("d")]))
+            fa.transport(GroupMap(A3, A3, (w3("a c"), w3("b"), w3("c"))), self.A)
+        f = automorphism(A4, [w4("a d"), w4("b"), w4("c"), w4("d")])
         with pytest.raises(InvalidTransport):
             fa.transport(f, self.A)
 
@@ -227,12 +225,12 @@ class TestPreconditions:
         out = run_optimized(
             "from freefactor import factors as fa\n"
             "from freefactor.errors import FreefactorError\n"
-            "from freefactor.words import abc_alphabet, group_map, word_from_str\n"
+            "from freefactor.words import GroupMap, abc_alphabet, word_from_str\n"
             "A3 = abc_alphabet(3)\n"
             "w = lambda s: word_from_str(A3, s)\n"
             "A = fa.free_factor_class(A3, [w('a'), w('b')])\n"
             "C = fa.free_factor_class(A3, [w('c')])\n"
-            "f = group_map(A3, A3, [w('a c'), w('b'), w('c')])\n"
+            "f = GroupMap(A3, A3, (w('a c'), w('b'), w('c')))\n"
             "calls = [lambda: fa.free_factor_class(A3, []), lambda: fa.meet_projection(C, A),\n"
             "         lambda: fa.overlap_check(A, C), lambda: fa.classify_pair(C, A),\n"
             "         lambda: fa.transport(f, A)]\n"
@@ -368,7 +366,7 @@ class TestWhiteheadOracle:
 
     def test_descent_from_a_long_primitive(self):
         A4 = abc_alphabet(4)
-        f = verify_automorphism(group_map(A4, A4, [w4("a b c"), w4("b c"), w4("c d"), w4("d")]))
+        f = automorphism(A4, [w4("a b c"), w4("b c"), w4("c d"), w4("d")])
         H = stallings.from_generators(A4, [f(w4("a b a^-1 d")), f(w4("c c d"))])
         assert fa.is_free_factor(H) == trial_fold_is_free_factor(4, [w.letters for w in H.basis])
 

@@ -9,7 +9,7 @@ from freefactor.errors import (
     NotUnimodular,
     RankMismatch,
 )
-from freefactor.words import abc_alphabet, group_map, identity_map, word_from_str
+from freefactor.words import GroupMap, abc_alphabet, identity_map, word_from_str
 from oracles import farey_bfs_distances, farey_norm, primitive_pairs
 
 A2 = abc_alphabet(2)
@@ -107,13 +107,13 @@ class TestDistance:
 
 class TestMatrices:
     def test_parabolic(self):
-        f = group_map(A2, A2, [word_from_str(A2, "a b"), word_from_str(A2, "b")])
+        f = GroupMap(A2, A2, (word_from_str(A2, "a b"), word_from_str(A2, "b")))
         m = farey.matrix_of_out(f)
         assert (m.a, m.b, m.c, m.d) == (1, 0, 1, 1)
         assert not farey.is_fully_irreducible(m)
 
     def test_hyperbolic(self):
-        f = group_map(A2, A2, [word_from_str(A2, "a b"), word_from_str(A2, "b a b")])
+        f = GroupMap(A2, A2, (word_from_str(A2, "a b"), word_from_str(A2, "b a b")))
         m = farey.matrix_of_out(f)
         assert (m.a, m.b, m.c, m.d) == (1, 1, 1, 2)
         assert farey.is_fully_irreducible(m)

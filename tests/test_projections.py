@@ -25,16 +25,16 @@ from freefactor.errors import (
 )
 from freefactor.words import (
     Alphabet,
+    GroupMap,
     Word,
     abc_alphabet,
+    automorphism,
     compose_map,
-    group_map,
     identity_map,
     invert_automorphism,
     map_power,
     std_alphabet,
     transvection,
-    verify_automorphism,
     word_from_str,
 )
 from oracles import (
@@ -55,7 +55,7 @@ def w(s):
 
 
 def auto(*images):
-    return verify_automorphism(group_map(A3, A3, [w(s) for s in images]))
+    return automorphism(A3, [w(s) for s in images])
 
 
 ROSE = pj.rose(A3)
@@ -65,14 +65,14 @@ HYP = auto("a a b", "a b", "c")  # hyperbolic on <a, b>, fixes c
 
 
 def rand_auto(rng, steps=8):
-    f = verify_automorphism(group_map(A3, A3, [w("a"), w("b"), w("c")]))
+    f = automorphism(A3, [w("a"), w("b"), w("c")])
     names = ["a", "b", "c"]
     for _ in range(steps):
         i, j = rng.sample(range(3), 2)
         imgs = [w(n) for n in names]
         imgs[i] = w(names[i]) * (w(names[j]) if rng.random() < 0.5 else w(names[j]).inverse())
-        f = verify_automorphism(group_map(A3, A3, imgs)) if f is None else f
-        g = verify_automorphism(group_map(A3, A3, imgs))
+        f = automorphism(A3, imgs) if f is None else f
+        g = automorphism(A3, imgs)
         from freefactor.words import compose_map
 
         f = compose_map(g, f)
@@ -113,7 +113,7 @@ class TestMarkedGraph:
         with pytest.raises(InvalidMarking):  # images differ from the labels
             pj.MarkedGraph(A3, 1, ROSE.edges, 0, auto("a b", "b", "c"))
         with pytest.raises(InvalidMarking):  # right images, but no inverse
-            pj.MarkedGraph(A3, 1, ROSE.edges, 0, group_map(A3, A3, [w("a"), w("b"), w("c")]))
+            pj.MarkedGraph(A3, 1, ROSE.edges, 0, GroupMap(A3, A3, (w("a"), w("b"), w("c"))))
 
     def test_checked_refusals_survive_optimize(self, run_optimized):
         # the public constructor keeps every check: a wrong Betti number, a

@@ -22,6 +22,35 @@ def test_assert_count():
     assert len(found) <= MAX_ASSERTS, f"{len(found)} asserts in src/freefactor: {found}"
 
 
+def _is_object_setattr(node) -> bool:
+    func = node.func
+    return (
+        isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+        and isinstance(func.value, ast.Name) and func.value.id == "object"
+    )
+
+
+def test_frozen_fields_set_only_while_built():
+    # a frozen object written after it is built changes under every holder:
+    # a map certified in place is or is not an automorphism depending on
+    # which calls ran first
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        building = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _is_object_setattr(node) and id(node) not in building
+        ]
+    assert found == [], f"object.__setattr__ outside __post_init__: {found}"
+
+
 def test_map_power_builds_one_map(monkeypatch):
     # squaring on letter lists: a map built per squaring or multiply would
     # show here as more constructions

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -114,6 +115,27 @@ class TestGraphRoundTrip:
         with pytest.raises(SchemaError) as e:
             se.graph_from_json({"alphabet": ["a"]})
         assert "vertices" in str(e.value)
+
+
+class TestBooleansAreNotIntegers:
+    """JSON true and false load as bool, which Python counts as an int: a
+    rose read with them would be written back with them."""
+
+    @pytest.mark.parametrize("field, value", [("vertices", True), ("base", False), ("edges[0].from", False)])
+    def test_graph_field(self, field, value):
+        obj = se.graph_to_json(pj.rose(abc_alphabet(2)))
+        if field == "edges[0].from":
+            obj["edges"][0]["from"] = value
+        else:
+            obj[field] = value
+        with pytest.raises(SchemaError, match=rf"^graph\.{re.escape(field)}: expected int, got bool$"):
+            se.graph_from_json(obj)
+
+    def test_system_power(self):
+        obj = json.loads(se.fixture_path("overlap-chain-f3").read_text())
+        obj["power"] = True
+        with pytest.raises(SchemaError, match=r"^system\.power: expected int, got bool$"):
+            se.system_from_json(obj, verify=True)
 
 
 class TestFixtures:

@@ -9,22 +9,23 @@ from freefactor.errors import (
     LengthMismatch,
     NotAdmissible,
     NotHyperbolicSeed,
+    NotSurjective,
     RankMismatch,
     RankTooSmall,
     SupportViolation,
     UndefinedProjection,
 )
 from freefactor.words import (
+    GroupMap,
     abc_alphabet,
+    automorphism,
     compose_map,
-    group_map,
     identity_map,
     invert_automorphism,
     is_inner,
     letter,
     std_alphabet,
     transvection,
-    verify_automorphism,
     word_from_str,
 )
 from oracles import is_onto, raag_min_forms
@@ -32,7 +33,7 @@ from oracles import is_onto, raag_min_forms
 PENT = raag.pentagon()
 F5 = std_alphabet(5)
 A2 = std_alphabet(2)
-SEED = group_map(A2, A2, [word_from_str(A2, "x0 x0 x1"), word_from_str(A2, "x0 x1")])
+SEED = GroupMap(A2, A2, (word_from_str(A2, "x0 x0 x1"), word_from_str(A2, "x0 x1")))
 
 
 def pentagon_factors():
@@ -177,6 +178,13 @@ class TestBuildGenerators:
         for k in range(2, 5):
             assert f0(letter(F5, k)) == letter(F5, k)
 
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_inverses_match_the_fold(self, power):
+        # each map is certified by composition; folding its images is the
+        # oracle for the inverse it was built with
+        for f in pentagon_system(power).maps:
+            assert f.inverse_images == automorphism(F5, f.images).inverse_images
+
     def test_power_zero_identity(self):
         system = pentagon_system(power=0)
         assert not any(system.restriction_hyperbolic)
@@ -184,7 +192,7 @@ class TestBuildGenerators:
 
     def test_parabolic_seed_rejected(self):
         coll = sy.verify_admissible(pentagon_factors())
-        parab = group_map(A2, A2, [word_from_str(A2, "x0 x1"), word_from_str(A2, "x1")])
+        parab = GroupMap(A2, A2, (word_from_str(A2, "x0 x1"), word_from_str(A2, "x1")))
         with pytest.raises(NotHyperbolicSeed):
             sy.build_generators(coll, [parab] * 5, 1, pentagon_complements())
 
@@ -237,9 +245,9 @@ class TestBuildGenerators:
         out = run_optimized(
             "from freefactor import factors as fc, raag, systems as sy\n"
             "from freefactor.errors import FreefactorError\n"
-            "from freefactor.words import group_map, letter, std_alphabet, word_from_str\n"
+            "from freefactor.words import GroupMap, letter, std_alphabet, word_from_str\n"
             "F5, A2 = std_alphabet(5), std_alphabet(2)\n"
-            "seed = group_map(A2, A2, [word_from_str(A2, 'x0 x0 x1'), word_from_str(A2, 'x0 x1')])\n"
+            "seed = GroupMap(A2, A2, (word_from_str(A2, 'x0 x0 x1'), word_from_str(A2, 'x0 x1')))\n"
             "A = fc.free_factor_class(F5, [letter(F5, 0), letter(F5, 1)])\n"
             "B = fc.free_factor_class(F5, [letter(F5, 0), letter(F5, 1), letter(F5, 2)])\n"
             "one = lambda X: sy.AdmissibleCollection(('v0',), (X,), raag.simplicial_graph(['v0'], []), ())\n"
@@ -257,12 +265,19 @@ class TestBuildGenerators:
 
     def test_bad_complement_raises(self):
         coll = sy.verify_admissible(pentagon_factors())
-        from freefactor.errors import NotSurjective
-
         bad = pentagon_complements()
         bad[0] = [letter(F5, 0), letter(F5, 3), letter(F5, 4)]  # not a basis
-        with pytest.raises((NotSurjective, AssertionError)):
+        with pytest.raises(NotSurjective):
             sy.build_generators(coll, [SEED] * 5, 1, bad)
+
+    def test_seed_not_onto_raises(self):
+        # trace 3 passes the seed check, but the images generate a proper subgroup
+        images = ("x0 x1 x0 x1 x0^-1 x1^-1 x0", "x1 x0")
+        seed = GroupMap(A2, A2, tuple([word_from_str(A2, s) for s in images]))
+        assert farey.is_fully_irreducible(farey.matrix_of_out(seed))
+        coll = sy.verify_admissible(pentagon_factors())
+        with pytest.raises(NotSurjective):
+            sy.build_generators(coll, [seed] * 5, 1, pentagon_complements())
 
 
 class TestCertifySupport:
@@ -287,7 +302,7 @@ class TestCertifySupport:
         x4 = letter(F5, 4)
         images = [letter(F5, k) for k in range(5)]
         images[2], images[3] = images[2].conjugate_by(x4), images[3].conjugate_by(x4)
-        partial = verify_automorphism(group_map(F5, F5, images))
+        partial = automorphism(F5, images)
         coll = self.linked_pair()
         transported = []
 

@@ -6,14 +6,22 @@ from hypothesis import strategies as st
 
 from freefactor import experiments as ex, projections as pj, serialize as se, stallings, words
 from freefactor._kernel import concat, reduce_word, substitute
-from freefactor.errors import AlphabetMismatch, InvalidAlphabet, MalformedWord, NotSurjective, UnknownLetter
+from freefactor.errors import (
+    AlphabetMismatch,
+    InvalidAlphabet,
+    InvalidMarking,
+    MalformedWord,
+    NotSurjective,
+    UnknownLetter,
+)
 from freefactor.words import (
     Alphabet,
+    GroupMap,
     abc_alphabet,
+    automorphism,
     compose_map,
     conjugacy_witness,
     conjugation_by,
-    group_map,
     identity_map,
     invert_automorphism,
     is_inner,
@@ -59,7 +67,7 @@ def rand_nielsen_auto(rng, alphabet, steps):
         else:
             j = rng.choice([k for k in range(n) if k != i]) if n >= 2 else i
             images[i], images[j] = images[j], images[i]
-        f = compose_map(group_map(alphabet, alphabet, images), f)
+        f = compose_map(GroupMap(alphabet, alphabet, tuple(images)), f)
     return f
 
 
@@ -194,7 +202,7 @@ class TestTrustedConstruction:
         words.Word(alphabet, tuple(substitute(v.letters + u.letters, images)))
         for w in (u * v, u.inverse() * v, v * u.inverse(), u.inverse(), f(u), f(v.inverse() * u)):
             checked(w)
-        unmarked = group_map(alphabet, alphabet, f.images)
+        unmarked = GroupMap(alphabet, alphabet, f.images)
         for h in (compose_map(f, g), map_power(f, 3), map_power(g, -2), invert_automorphism(unmarked)):
             for w in h.images + h.inverse_images:
                 checked(w)
@@ -261,12 +269,12 @@ class TestCyclicReduce:
 
 class TestCompose:
     def test_identity_neutral(self):
-        f = group_map(A3, A3, [word_from_str(A3, "a b"), word_from_str(A3, "b"), word_from_str(A3, "c")])
+        f = GroupMap(A3, A3, (word_from_str(A3, "a b"), word_from_str(A3, "b"), word_from_str(A3, "c")))
         assert compose_map(identity_map(A3), f).images == f.images
         assert compose_map(f, identity_map(A3)).images == f.images
 
     def test_self_composition(self):
-        f = group_map(A3, A3, [word_from_str(A3, "a b"), word_from_str(A3, "b"), word_from_str(A3, "c")])
+        f = GroupMap(A3, A3, (word_from_str(A3, "a b"), word_from_str(A3, "b"), word_from_str(A3, "c")))
         ff = compose_map(f, f)
         assert word_to_str(ff.images[0]) == "a b b"
 
@@ -274,17 +282,17 @@ class TestCompose:
     @pytest.mark.parametrize("other_certified", [True, False])
     def test_identity_operand_matches_full_composition(self, id_certified, other_certified):
         # an identity operand is skipped only where the full composition
-        # gives the same images, inverse images and kind
+        # gives the same images and inverse images
         rng = random.Random(29)
         for rank in (2, 3, 4):
             alphabet = std_alphabet(rank)
             ident = identity_map(alphabet)
             if not id_certified:
-                ident = group_map(alphabet, alphabet, ident.images)
+                ident = GroupMap(alphabet, alphabet, ident.images)
             for _ in range(4):
                 other = _linked_product(rng, alphabet)
                 if not other_certified:
-                    other = group_map(alphabet, alphabet, other.images)
+                    other = GroupMap(alphabet, alphabet, other.images)
                 for f, g in ((ident, other), (other, ident)):
                     got = compose_map(f, g)
                     images, inverse = compose_with_inverses(
@@ -292,7 +300,6 @@ class TestCompose:
                     )
                     assert _letters(got) == images
                     assert _inverse_letters(got) == inverse
-                    assert got.kind == ("endomorphism" if inverse is None else "verified-automorphism")
 
 
 class TestNoIdentityWork:
@@ -338,27 +345,27 @@ class TestMapPower:
 
     def test_uncertified_stays_uncertified(self):
         # a -> a^2 is not onto, so no inverse exists to carry
-        f = group_map(A3, A3, [word_from_str(A3, "a a"), word_from_str(A3, "b"), word_from_str(A3, "c a")])
+        f = GroupMap(A3, A3, (word_from_str(A3, "a a"), word_from_str(A3, "b"), word_from_str(A3, "c a")))
         for n in range(2, 6):
             p = map_power(f, n)
-            assert p.inverse_images is None and p.kind == "endomorphism"
+            assert p.inverse_images is None
             assert _letters(p) == _letters(map_power_by_composition(f, n))
         assert f.inverse_images is None
 
     def test_power_one_is_the_map(self):
-        f = group_map(A3, A3, [word_from_str(A3, "a b"), word_from_str(A3, "b"), word_from_str(A3, "c")])
+        f = GroupMap(A3, A3, (word_from_str(A3, "a b"), word_from_str(A3, "b"), word_from_str(A3, "c")))
         assert map_power(f, 1) is f
         t = transvection(A3, 0, 2, -1)
         assert map_power(t, 1) is t
 
     def test_power_zero_is_the_certified_identity(self):
-        f = group_map(A3, A3, [word_from_str(A3, "a a"), word_from_str(A3, "b"), word_from_str(A3, "c")])
+        f = GroupMap(A3, A3, (word_from_str(A3, "a a"), word_from_str(A3, "b"), word_from_str(A3, "c")))
         p = map_power(f, 0)
-        assert p.is_identity() and p.kind == "verified-automorphism"
+        assert p.is_identity()
         assert _inverse_letters(p) == ((1,), (2,), (3,))
 
     def test_refuses_a_non_endomorphism(self):
-        f = group_map(A3, abc_alphabet(2), [letter(abc_alphabet(2), 0)] * 3)
+        f = GroupMap(A3, abc_alphabet(2), (letter(abc_alphabet(2), 0),) * 3)
         for n in (-2, 0, 1, 2):
             with pytest.raises(AlphabetMismatch, match="map_power needs an endomorphism"):
                 map_power(f, n)
@@ -366,7 +373,7 @@ class TestMapPower:
 
 class TestInvert:
     def test_nielsen_example(self):
-        f = group_map(A3, A3, [word_from_str(A3, "a b"), word_from_str(A3, "b"), word_from_str(A3, "c")])
+        f = GroupMap(A3, A3, (word_from_str(A3, "a b"), word_from_str(A3, "b"), word_from_str(A3, "c")))
         finv = invert_automorphism(f)
         assert word_to_str(finv.images[0]) == "a b^-1"
         assert compose_map(f, finv).is_identity()
@@ -375,7 +382,7 @@ class TestInvert:
         assert invert_automorphism(identity_map(A3)).is_identity()
 
     def test_not_surjective(self):
-        g = group_map(A3, A3, [word_from_str(A3, "a a"), word_from_str(A3, "b"), word_from_str(A3, "c")])
+        g = GroupMap(A3, A3, (word_from_str(A3, "a a"), word_from_str(A3, "b"), word_from_str(A3, "c")))
         with pytest.raises(NotSurjective):
             invert_automorphism(g)
 
@@ -386,6 +393,33 @@ class TestInvert:
             finv = invert_automorphism(f)
             assert compose_map(f, finv).is_identity()
             assert compose_map(finv, f).is_identity()
+
+    def test_uncertified_map_stays_uncertified(self):
+        # an automorphism built without its inverse is never certified
+        # later, whatever is computed from it
+        rng = random.Random(59)
+        for rank in (2, 3, 4):
+            alphabet = std_alphabet(rank)
+            g = ex.random_automorphism(rng, alphabet, 5)
+            f = GroupMap(alphabet, alphabet, ex.random_automorphism(rng, alphabet, 5).images)
+            assert invert_automorphism(f).inverse_images == f.images
+            assert map_power(f, -2).inverse_images is not None
+            assert compose_map(f, g).inverse_images is None
+            assert f.inverse_images is None
+            with pytest.raises(InvalidMarking, match="needs a verified automorphism"):
+                pj.transform_marked(f, pj.rose(alphabet))
+
+    def test_automorphism_certifies_a_new_map(self):
+        rng = random.Random(61)
+        for rank in (2, 3, 4):
+            alphabet = std_alphabet(rank)
+            f = ex.random_automorphism(rng, alphabet, 6)
+            images = list(f.images)
+            got = automorphism(alphabet, images)
+            assert got.images == f.images and got.inverse_images == f.inverse_images
+            images[0] = images[0] ** 2
+            with pytest.raises(NotSurjective):
+                automorphism(alphabet, images)
 
 
 # descends to a length plateau, which the Nielsen search widens breadth-first
@@ -406,7 +440,7 @@ class TestFoldInverse:
     """One weighted fold inverts what the Nielsen search of the oracles does."""
 
     def test_plateau_map_inverts(self):
-        f = group_map(A3, A3, [word_from_str(A3, s) for s in PLATEAU_IMAGES])
+        f = GroupMap(A3, A3, tuple([word_from_str(A3, s) for s in PLATEAU_IMAGES]))
         finv = invert_automorphism(f)
         assert _letters(finv) == nielsen_inverse(3, _letters(f))
         assert compose_map(f, finv).is_identity() and compose_map(finv, f).is_identity()
@@ -417,9 +451,10 @@ class TestFoldInverse:
             alphabet = std_alphabet(rank)
             for _ in range(15):
                 f = ex.random_automorphism(rng, alphabet, 6)
-                fresh = group_map(alphabet, alphabet, f.images)
-                assert _letters(invert_automorphism(fresh)) == nielsen_inverse(rank, _letters(f))
-                assert fresh.inverse_images == f.inverse_images
+                fresh = GroupMap(alphabet, alphabet, f.images)
+                inverse = invert_automorphism(fresh)
+                assert _letters(inverse) == nielsen_inverse(rank, _letters(f))
+                assert inverse.images == f.inverse_images
 
     def test_not_surjective_agrees_with_search(self):
         rng = random.Random(41)
@@ -428,7 +463,7 @@ class TestFoldInverse:
             alphabet = std_alphabet(rank)
             for _ in range(40):
                 images = [rand_word(rng, alphabet, rng.randrange(0, 4)) for _ in range(rank)]
-                f = group_map(alphabet, alphabet, images)
+                f = GroupMap(alphabet, alphabet, tuple(images))
                 expected = nielsen_inverse(rank, _letters(f))
                 if expected is None:
                     with pytest.raises(NotSurjective):
@@ -445,7 +480,7 @@ class TestFoldInverse:
             "from freefactor.errors import NotSurjective\n"
             "A = W.abc_alphabet(3)\n"
             f"for images in ({PLATEAU_IMAGES!r}, ('a b', 'a b', 'c'), ('a a', 'b', 'c')):\n"
-            "    f = W.group_map(A, A, [W.word_from_str(A, s) for s in images])\n"
+            "    f = W.GroupMap(A, A, tuple([W.word_from_str(A, s) for s in images]))\n"
             "    try:\n"
             "        print(W.compose_map(f, W.invert_automorphism(f)).is_identity())\n"
             "    except NotSurjective:\n"
@@ -517,7 +552,7 @@ class TestFoldArcs:
                 i, j = rng.sample(range(6), 2)
                 t = transvection(alphabet, i, j, rng.choice((1, -1)), rng.choice(("right", "left")))
                 f = compose_map(t, f)
-            fresh = group_map(alphabet, alphabet, f.images)
+            fresh = GroupMap(alphabet, alphabet, f.images)
             assert invert_automorphism(fresh).images == f.inverse_hint.images
 
     def test_squared_or_repeated_images_refused(self):
@@ -532,7 +567,7 @@ class TestFoldArcs:
             else:
                 images[i] = rng.choice((images[j], images[j].inverse()))
             with pytest.raises(NotSurjective):
-                invert_automorphism(group_map(alphabet, alphabet, images))
+                invert_automorphism(GroupMap(alphabet, alphabet, tuple(images)))
 
 
 def _linked_product(rng, alphabet):
@@ -562,7 +597,7 @@ class TestInversesByConstruction:
             for _ in range(8):
                 f = _linked_product(rng, alphabet)
                 assert f.inverse_hint is not None
-                folded = invert_automorphism(group_map(alphabet, alphabet, f.images))
+                folded = invert_automorphism(GroupMap(alphabet, alphabet, f.images))
                 assert f.inverse_hint.images == folded.images
                 assert compose_map(f, f.inverse_hint).is_identity()
                 assert compose_map(f.inverse_hint, f).is_identity()
@@ -596,7 +631,7 @@ class TestIsInner:
         assert got == w
 
     def test_swap_not_inner(self):
-        sw = group_map(A3, A3, [word_from_str(A3, "b"), word_from_str(A3, "a"), word_from_str(A3, "c")])
+        sw = GroupMap(A3, A3, (word_from_str(A3, "b"), word_from_str(A3, "a"), word_from_str(A3, "c")))
         assert is_inner(sw) is None
 
     def test_identity_inner(self):
@@ -655,7 +690,7 @@ class TestIsInner:
     def test_trivial_basis_words_impose_nothing(self):
         A2 = abc_alphabet(2)
         a, b, one = word_from_str(A2, "a"), word_from_str(A2, "b"), word_from_str(A2, "")
-        swap = group_map(A2, A2, [b, a])
+        swap = GroupMap(A2, A2, (b, a))
         assert is_inner(conjugation_by(a), [one, b]) == a
         assert is_inner(conjugation_by(a), [b, one, a * b]) == a
         for f in (conjugation_by(a), swap):
@@ -745,12 +780,20 @@ PRECONDITIONS = {
         "AlphabetMismatch: the inner map's codomain is not the outer map's domain",
     ),
     "map-image-count": (
-        "W.group_map(A, A, [W.letter(A, 0)] * 2)",
+        "W.GroupMap(A, A, (W.letter(A, 0),) * 2)",
         "ImageCountMismatch: 2 images for a rank-3 domain",
     ),
     "map-image-alphabet": (
-        "W.group_map(A, A, [W.letter(B, 0)] * 3)",
+        "W.GroupMap(A, A, (W.letter(B, 0),) * 3)",
         "AlphabetMismatch: an image is not over the map's codomain",
+    ),
+    "map-inverse-count": (
+        "W.GroupMap(A, A, W.identity_map(A).images, (W.letter(A, 0),))",
+        "ImageCountMismatch: 1 inverse images for a rank-3 codomain",
+    ),
+    "map-inverse-alphabet": (
+        "W.GroupMap(A, A, W.identity_map(A).images, (W.letter(B, 0),) * 3)",
+        "AlphabetMismatch: an inverse image is not over the map's domain",
     ),
     "map-power": ("W.map_power(P, 2)", "AlphabetMismatch: map_power needs an endomorphism"),
     "invert": ("W.invert_automorphism(P)", "AlphabetMismatch: inversion needs an endomorphism"),
@@ -766,7 +809,7 @@ PRECONDITIONS = {
     "unreduced-word": ("W.Word(B, (1, -1))", "MalformedWord: word not freely reduced: (1, -1)"),
     "letter-sign": ("W.letter(A, 0, 2)", "MalformedWord: a letter's sign is 1 or -1, not 2"),
     "transform-marked": (
-        "pj.transform_marked(W.group_map(A, A, W.identity_map(A).images), pj.rose(A))",
+        "pj.transform_marked(W.GroupMap(A, A, W.identity_map(A).images), pj.rose(A))",
         "InvalidMarking: transform_marked needs a verified automorphism",
     ),
 }
@@ -780,7 +823,7 @@ class TestTypedPreconditions:
             "from freefactor import projections as pj, words as W\n"
             "from freefactor.errors import FreefactorError\n"
             "A, B = W.abc_alphabet(3), W.abc_alphabet(2)\n"
-            "P = W.group_map(A, B, [W.letter(B, 0)] * 3)\n"
+            "P = W.GroupMap(A, B, (W.letter(B, 0),) * 3)\n"
             "try:\n"
             f"    {statement}\n"
             "except FreefactorError as exc:\n"
