@@ -1,5 +1,5 @@
 """Marked graphs (spine points), the projection to rank-2 factor complexes,
-projection distances, the Behrstock minimum, factor ordering, and activity
+factor shadows, projection distances, factor ordering, and activity
 intervals along bounded-step paths.  π_A(T) folds A's basis paths in T
 arc by arc, not letter by letter, and the fold carries H₁(A) classes on the
 arcs of the A-cover."""
@@ -48,17 +48,18 @@ class MarkedGraph:
     """Finite graph with reduced-word edge labels identifying π₁ with F_n.
 
     ``marking_hint`` maps basis loop t_i to ``marking_words()[i]`` and carries
-    its inverse, which proves that the labels generate F_n.  The public
-    constructor (JSON, graphs built by hand) checks the graph and the hint,
-    or finds the hint by a weighted fold; ``rose`` and ``transform_marked``
-    derive loops and hint themselves and build through ``_marked`` unchecked.
+    its inverse, which proves that the labels generate F_n.  It is not a
+    constructor argument: the public constructor (JSON, graphs built by
+    hand) checks the graph and always finds the hint by the weighted fold of
+    ``automorphism``; ``rose`` and ``transform_marked`` derive loops and hint
+    themselves and build through ``_marked`` unchecked.
     """
 
     alphabet: Alphabet                       # ambient F_n
     num_vertices: int
     edges: Tuple[Tuple[int, int, Word], ...]  # (u, v, label)
     base: int
-    marking_hint: Optional[GroupMap] = dc_field(default=None, compare=False, repr=False)
+    marking_hint: GroupMap = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.betti != self.alphabet.rank:
@@ -71,16 +72,11 @@ class MarkedGraph:
             deg[v] += 1
         if not all(d >= 2 for d in deg):
             raise InvalidMarking("every vertex must have valence at least 2")
-        words = tuple(self.marking_words())
-        hint = self.marking_hint
-        if hint is None:
-            try:
-                hint = automorphism(self.alphabet, words)
-            except NotSurjective as exc:
-                raise InvalidMarking("edge labels do not generate the ambient group") from exc
-            object.__setattr__(self, "marking_hint", hint)
-        elif hint.inverse_images is None or hint.images != words:
-            raise InvalidMarking("marking hint is not a certified map onto the marking words")
+        try:
+            hint = automorphism(self.alphabet, self.marking_words())
+        except NotSurjective as exc:
+            raise InvalidMarking("edge labels do not generate the ambient group") from exc
+        object.__setattr__(self, "marking_hint", hint)
 
     def __hash__(self) -> int:
         return self._hash
@@ -292,32 +288,19 @@ def factor_shadow(A: FreeFactorClass, B: FreeFactorClass) -> Optional[Projection
     return ProjectionSet(A, frozenset(verts)) if verts else None
 
 
-def factor_projection_vertices(A: FreeFactorClass, B: FreeFactorClass) -> FrozenSet[farey.FareyVertex]:
-    """π_A(B) as Farey vertices (A rank 2)."""
-    shadow = factor_shadow(A, B)
-    if shadow is None:
-        raise UndefinedProjection("factors do not meet")
-    return shadow.vertices
-
-
 def _vertices_of(A: FreeFactorClass, X) -> FrozenSet[farey.FareyVertex]:
     if isinstance(X, MarkedGraph):
         return project_tree(A, X).vertices
-    if isinstance(X, FreeFactorClass):
-        return factor_projection_vertices(A, X)
     if isinstance(X, ProjectionSet):
         return X.vertices
     raise UndefinedProjection(f"cannot project {type(X).__name__}")
 
 
 def projection_distance(A: FreeFactorClass, X, Y) -> int:
-    """d_A(X, Y): Farey diameter of π_A(X) ∪ π_A(Y)."""
+    """d_A(X, Y): Farey diameter of π_A(X) ∪ π_A(Y) for marked graphs and
+    projections; a factor's shadow comes from ``factor_shadow`` or the
+    collection that holds it, and a factor itself is refused."""
     return farey.diameter(_vertices_of(A, X) | _vertices_of(A, Y))
-
-
-def behrstock_min(A: FreeFactorClass, B: FreeFactorClass, T: MarkedGraph) -> int:
-    """min{d_A(B, T), d_B(A, T)} for overlapping factors."""
-    return min(projection_distance(A, B, T), projection_distance(B, A, T))
 
 
 # --- factor order (the five diagnostic quantities) -------------------------
@@ -335,17 +318,16 @@ class OrderVerdict:
 
 def factor_order(
     A: FreeFactorClass, B: FreeFactorClass, T: MarkedGraph, T2: MarkedGraph, M: int,
-    shadows: Optional[Tuple[ProjectionSet, ProjectionSet]] = None,
+    shadows: Tuple[Optional[ProjectionSet], Optional[ProjectionSet]],
 ) -> OrderVerdict:
     """Order two overlapping factors at distance >= K = 2M + 1 from both
     trees: A ≺ B iff d_A(T, B) >= M + 1.  Returns every diagnostic quantity.
 
-    ``shadows`` is (π_A(B), π_B(A)) when the caller holds them, as an
-    ``AdmissibleCollection`` does; without it, both are projected here.
+    ``shadows`` is (π_A(B), π_B(A)), as ``factor_shadow`` gives them or an
+    ``AdmissibleCollection`` holds them; a None in it means the factors do
+    not meet.
     """
     K = 2 * M + 1
-    if shadows is None:
-        shadows = (factor_shadow(A, B), factor_shadow(B, A))
     if None in shadows:
         raise NotOverlapping("factors do not meet")
     dA = projection_distance(A, T, T2)

@@ -65,7 +65,6 @@ def pentagon() -> SimplicialGraph:
 class Syllable:
     gen: str
     exp: int
-    sid: int  # stable id, preserved across moves
 
     def __post_init__(self):
         if self.exp == 0:
@@ -95,7 +94,7 @@ class RaagWord:
 
 
 def raag_word(graph: SimplicialGraph, pairs: Sequence[Tuple[str, int]]) -> RaagWord:
-    sylls = [Syllable(g, e, i) for i, (g, e) in enumerate(pairs) if e != 0]
+    sylls = [Syllable(g, e) for g, e in pairs if e != 0]
     return RaagWord(graph, tuple(sylls))
 
 
@@ -145,7 +144,7 @@ def normalize(graph: SimplicialGraph, w: RaagWord) -> RaagWord:
         )
         placed |= 1 << k
         order.append(k)
-    return RaagWord(graph, tuple(Syllable(*sylls[k], sid) for sid, k in enumerate(order)))
+    return RaagWord(graph, tuple(Syllable(*sylls[k]) for k in order))
 
 
 @dataclass(frozen=True)
@@ -155,8 +154,8 @@ class SyllableOrder:
     ``precedes`` holds (i, j) iff syllable i comes before j in every member of
     Min(g); ``precedes_adjacent`` additionally requires adjacency in some
     member, so it holds the covering pairs.  The transitive closure of the
-    latter equals the former.  ``word`` is the normal form of g, whose k-th
-    syllable has sid k.
+    latter equals the former.  ``word`` is the normal form of g, and ``sids``
+    are the positions of its syllables.
     """
 
     word: RaagWord

@@ -32,8 +32,9 @@ def fold(nv: int, raw_edges: Sequence[Tuple[int, int, int]], base: int):
     ``from_generators`` folds here, not by ``words.fold_arcs``: the pinned
     report bytes survive a BFS renumbering, but this numbering (roots in
     order) picks each pullback component's base, its least product state,
-    and so the classes ``TestH1Classes`` pins; ``TestOneSortedTraversal``
-    pins the numbering itself.
+    and so the bases the CLI's ``intersect``, ``meet`` and ``overlap`` print
+    and the classes ``TestH1Classes`` pins; ``TestFoldNumberingOutputs``
+    pins those outputs and ``TestOneSortedTraversal`` the numbering itself.
     """
     parent = list(range(nv))
     adj: List[Dict[int, int]] = [dict() for _ in range(nv)]

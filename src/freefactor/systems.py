@@ -291,7 +291,8 @@ def _extend_seed(
     The pair plus complement must form a basis; the action is conjugated back
     to the standard letters through that basis change.  The block map S is
     built with its inverse, the block of seed^-power, so the product is
-    certified by composition.
+    certified by composition; seed^power is squared once and carries that
+    inverse when the seed is certified.
     """
     n = ambient.rank
     full = list(basis_pair) + list(complement)
@@ -299,9 +300,10 @@ def _extend_seed(
         raise LengthMismatch(f"a factor basis and complement of {len(full)} words in rank {n}")
     C = automorphism(ambient, full)
     fixed = [letter(ambient, k) for k in range(2, n)]
+    P = map_power(seed, power)
     block, inverse = [
-        tuple([Word(ambient, w.letters) for w in map_power(seed, p).images] + fixed)
-        for p in (power, -power)
+        tuple([Word(ambient, w.letters) for w in g.images] + fixed)
+        for g in (P, invert_automorphism(P))
     ]
     # rewrite the block through the basis: x_k -> C(block_k(C^{-1} coords))
     S = GroupMap(ambient, ambient, block, inverse)

@@ -792,16 +792,17 @@ def direct_order_distances(system, i, j, T, m, M):
     T2 = pj.transform_marked(compose_map(fi, fj), T)
     A = system.collection.factors[i]
     B2 = fa.transport(fi, system.collection.factors[j])
-    if not fa.meet_projection(A, B2):
+    b_in_a, a_in_b = pj.factor_shadow(A, B2), pj.factor_shadow(B2, A)
+    if b_in_a is None:
         return None
     d = pj.projection_distance
     out = {
         "d_A_T_T2": d(A, T, T2),
         "d_B_T_T2": d(B2, T, T2),
-        "d_A_T_B": d(A, T, B2),
-        "d_B_T_A": d(B2, T, A),
-        "d_B_T2_A": d(B2, T2, A),
-        "d_A_T2_B": d(A, T2, B2),
+        "d_A_T_B": d(A, T, b_in_a),
+        "d_B_T_A": d(B2, T, a_in_b),
+        "d_B_T2_A": d(B2, T2, a_in_b),
+        "d_A_T2_B": d(A, T2, b_in_a),
     }
     out["first_precedes_second"] = out["d_A_T_B"] >= M + 1
     return out

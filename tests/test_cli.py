@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -356,3 +358,48 @@ class TestSystemCommands:
         )
         assert r.exit_code == 0
         assert json.loads(r.output)["verdict"] == "pass"
+
+
+def _free_word(rng, length):
+    return " ".join(rng.choice("abc") + rng.choice(("", "^-1")) for _ in range(length))
+
+
+def _factor_gens(rng):
+    """Two images of a product of random transvections of <a, b, c>,
+    conjugated at random: generators of a rank-2 free factor."""
+    images = [["a"], ["b"], ["c"]]
+    for _ in range(rng.randint(1, 6)):
+        i, j = rng.sample(range(3), 2)
+        tail = images[j] if rng.random() < 0.5 else [x.swapcase() for x in reversed(images[j])]
+        word = []
+        for x in images[i] + tail:
+            if word and word[-1] == x.swapcase():
+                word.pop()
+            else:
+                word.append(x)
+        images[i] = word
+    if rng.random() < 0.3:
+        c = rng.choice("abcABC")
+        images = [[c] + im + [c.swapcase()] for im in images]
+    show = lambda im: " ".join(x if x.islower() else f"{x.lower()}^-1" for x in im)
+    return ", ".join(show(im) for im in rng.sample(images, 2))
+
+
+class TestFoldNumberingOutputs:
+    """``intersect``, ``meet`` and ``overlap`` print bases read at each
+    pullback component's least product state, so their stdout depends on
+    ``stallings.fold``'s vertex numbering; the digest pins it."""
+
+    DIGEST = "269c9954d8bce1b4486211074cd101108a27b507ab9858489c356f3c82485c18"
+
+    def test_outputs_pinned(self):
+        h = hashlib.sha256()
+        for k in range(300):
+            rng = random.Random(f"fold-numbering:{k}")
+            first, second = _factor_gens(rng), _factor_gens(rng)
+            if k % 3 == 0:  # subgroups that need not be free factors
+                second = ", ".join(_free_word(rng, rng.randint(1, 5)) for _ in range(2))
+            for cmd in ("intersect", "meet", "overlap"):
+                r = run(cmd, "--letters", "a,b,c", first, second)
+                h.update(f"{cmd} {first} | {second} -> {r.exit_code}\n{r.stdout}".encode())
+        assert h.hexdigest() == self.DIGEST

@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
-from freefactor import experiments as ex, factors as fc, projections as pj, serialize as se
+from freefactor import experiments as ex, factors as fc, farey, projections as pj, serialize as se
 from freefactor import systems as sy
 from freefactor.errors import NotPositive, UndefinedProjection, UnknownMode
 from freefactor.words import abc_alphabet, map_power, std_alphabet, transvection
@@ -75,12 +75,20 @@ class TestBehrstockMinima:
         pairs = ex._overlapping_pairs(system)
         rows = list(ex._behrstock_minima(system, random.Random(4), 6, ex.NIELSEN_TREE_LENGTH))
         assert len(rows) == 6
-        # the loop draws from its rng only through random_tree
+        # the loop draws from its rng only through random_tree; the shadows
+        # are projected afresh, not read off the collection
         rng = random.Random(4)
+        fresh = [
+            (coll.factors[i], pj.factor_shadow(coll.factors[i], coll.factors[j]),
+             coll.factors[j], pj.factor_shadow(coll.factors[j], coll.factors[i]))
+            for i, j in pairs
+        ]
         for mins in rows:
             T = ex.random_tree(rng, coll.factors[0].ambient, ex.NIELSEN_TREE_LENGTH)
             assert mins == [
-                pj.behrstock_min(coll.factors[i], coll.factors[j], T) for i, j in pairs
+                min(farey.diameter(b_in_a.vertices | pj.project_tree(A, T).vertices),
+                    farey.diameter(a_in_b.vertices | pj.project_tree(B, T).vertices))
+                for A, b_in_a, B, a_in_b in fresh
             ]
 
     def test_factor_shadows_projected_once(self, monkeypatch):
@@ -259,7 +267,8 @@ class TestOrderAuditFrame:
             T1 = pj.transform_marked(map_power(system.maps[i], -m), T)
             T2 = pj.transform_marked(map_power(system.maps[j], m), T)
             A, B = coll.factors[i], coll.factors[j]
-            assert asdict(pj.factor_order(A, B, T1, T2, M)) == want
+            fresh = (pj.factor_shadow(A, B), pj.factor_shadow(B, A))
+            assert asdict(pj.factor_order(A, B, T1, T2, M, fresh)) == want
             shadows = (coll.shadow(i, j), coll.shadow(j, i))
             assert asdict(pj.factor_order(A, B, T1, T2, M, shadows)) == want
             # the reversed pair reads the same four shadows in swapped roles

@@ -107,34 +107,41 @@ class TestMarkedGraph:
         with pytest.raises(InvalidMarking):
             pj.MarkedGraph(A3, 1, edges, 0)
 
-    def test_marking_hint_must_certify_labels(self):
-        from freefactor.errors import InvalidMarking
-
-        with pytest.raises(InvalidMarking):  # images differ from the labels
-            pj.MarkedGraph(A3, 1, ROSE.edges, 0, auto("a b", "b", "c"))
-        with pytest.raises(InvalidMarking):  # right images, but no inverse
-            pj.MarkedGraph(A3, 1, ROSE.edges, 0, GroupMap(A3, A3, (w("a"), w("b"), w("c"))))
+    def test_marking_hint_refused(self):
+        # the hint comes from the fold of the marking words; a caller's hint,
+        # here one whose inverse images do not invert its images, is refused
+        f = auto("a b a", "a b", "c")
+        bogus = GroupMap(A3, A3, f.images, (w("a"), w("b"), w("c")))
+        edges = tuple((0, 0, x) for x in f.images)
+        with pytest.raises(TypeError):
+            pj.MarkedGraph(A3, 1, edges, 0, bogus)
+        with pytest.raises(TypeError):
+            pj.MarkedGraph(A3, 1, edges, 0, marking_hint=bogus)
+        T = pj.MarkedGraph(A3, 1, edges, 0)
+        assert T.marking_hint.images == f.images
+        assert T.marking_hint.inverse_images == f.inverse_images
 
     def test_checked_refusals_survive_optimize(self, run_optimized):
         # the public constructor keeps every check: a wrong Betti number, a
         # valence-1 vertex, two components, labels that do not generate, and
-        # a marking that does not certify the labels
+        # labels over another alphabet
         out = run_optimized(
             "from freefactor import projections as pj\n"
             "from freefactor.errors import FreefactorError\n"
-            "from freefactor.words import abc_alphabet, identity_map, word_from_str\n"
+            "from freefactor.words import Alphabet, abc_alphabet, word_from_str\n"
             "A = abc_alphabet(2)\n"
-            "a, b, ab = (word_from_str(A, s) for s in ('a', 'b', 'a b'))\n"
+            "a, b = (word_from_str(A, s) for s in ('a', 'b'))\n"
+            "x, y = (word_from_str(Alphabet(('x', 'y')), s) for s in ('x', 'y'))\n"
             "cases = [\n"
-            "    (1, ((0, 0, a),), None),\n"
-            "    (2, ((0, 0, a), (0, 0, b), (0, 1, a)), None),\n"
-            "    (2, ((0, 0, a), (0, 0, b), (1, 1, a)), None),\n"
-            "    (1, ((0, 0, a), (0, 0, a)), None),\n"
-            "    (1, ((0, 0, a), (0, 0, ab)), identity_map(A)),\n"
+            "    (1, ((0, 0, a),)),\n"
+            "    (2, ((0, 0, a), (0, 0, b), (0, 1, a))),\n"
+            "    (2, ((0, 0, a), (0, 0, b), (1, 1, a))),\n"
+            "    (1, ((0, 0, a), (0, 0, a))),\n"
+            "    (1, ((0, 0, x), (0, 0, y))),\n"
             "]\n"
-            "for nv, edges, hint in cases:\n"
+            "for nv, edges in cases:\n"
             "    try:\n"
-            "        pj.MarkedGraph(A, nv, edges, 0, hint)\n"
+            "        pj.MarkedGraph(A, nv, edges, 0)\n"
             "    except FreefactorError as exc:\n"
             "        print(f'{type(exc).__name__}: {exc}')\n"
         )
@@ -143,7 +150,7 @@ class TestMarkedGraph:
             "InvalidMarking: every vertex must have valence at least 2\n"
             "InvalidMarking: marked graph must be connected\n"
             "InvalidMarking: edge labels do not generate the ambient group\n"
-            "InvalidMarking: marking hint is not a certified map onto the marking words\n"
+            "InvalidMarking: edge labels must be words over the ambient alphabet\n"
         )
 
     def test_theta_graph(self):
@@ -161,15 +168,15 @@ class TestMarkedGraph:
 
 
 class TestTrustedRose:
-    """``rose`` skips the checks of ``MarkedGraph``; the checked rose with
-    the identity marking is its oracle."""
+    """``rose`` skips the checks of ``MarkedGraph``; the checked rose, whose
+    marking the fold certifies afresh, is its oracle."""
 
     @pytest.mark.parametrize("alphabet_of", [abc_alphabet, std_alphabet])
     def test_matches_checked_rose(self, alphabet_of):
         for rank in range(1, 7):
             A = alphabet_of(rank)
             R = pj.rose(A)
-            want = pj.MarkedGraph(A, 1, R.edges, 0, identity_map(A))
+            want = pj.MarkedGraph(A, 1, R.edges, 0)
             assert R == want and hash(R) == hash(want)
             assert R._loops == want._loops and R.edge_alphabet == want.edge_alphabet
             assert R.marking_words() == want.marking_words()
@@ -245,6 +252,29 @@ class TestHash:
             assert len(sets) == 1
             assert after.misses - before.misses <= 1
             assert after.hits - before.hits >= len(group) - 1
+
+    @pytest.mark.parametrize("hand_built_first", [True, False])
+    def test_project_tree_cache_answers_for_equal_graphs(self, hand_built_first):
+        # a hand-built graph equal to the library's f(R) shares its cache
+        # entry, so whichever is projected first answers for both: each must
+        # read what a fresh projection reads.  A caller who tries to hand over
+        # a hint with the graph, here one whose inverse images are wrong,
+        # gets a graph marked by the fold or a TypeError, never that hint
+        f = auto("a b a", "a b", "c")
+        bogus = GroupMap(A3, A3, f.images, (w("a"), w("b"), w("c")))
+        edges = tuple((0, 0, x) for x in f.images)
+        try:
+            hand = pj.MarkedGraph(A3, 1, edges, 0, bogus)
+        except TypeError:
+            hand = pj.MarkedGraph(A3, 1, edges, 0)
+        library = pj.transform_marked(f, ROSE)
+        assert hand == library
+        pj.project_tree.cache_clear()
+        order = (hand, library) if hand_built_first else (library, hand)
+        want = frozenset({farey.farey_vertex(1, 1), farey.farey_vertex(2, 1)})
+        for T in order:
+            assert pj.project_tree(FACTOR_AB, T).vertices == want
+            assert pj.project_tree.__wrapped__(FACTOR_AB, T).vertices == want
 
 
 class TestProjectTree:
@@ -348,10 +378,9 @@ def shuffled(T, rng):
 
 def checked_transform(f, T):
     """f(T) through every check of ``MarkedGraph``: f applied to each label,
-    then the marking words evaluated afresh and compared with the composed
-    marking, which must carry its inverse."""
+    then the marking words evaluated afresh and certified by their own fold."""
     edges = tuple((u, v, f(label)) for u, v, label in T.edges)
-    return pj.MarkedGraph(f.codomain, T.num_vertices, edges, T.base, compose_map(f, T.marking_hint))
+    return pj.MarkedGraph(f.codomain, T.num_vertices, edges, T.base)
 
 
 class TestTransformedMarking:
@@ -368,8 +397,9 @@ class TestTransformedMarking:
             assert any(T.num_vertices > 1 for _g, T in steps)
             for g, T in steps:
                 got, want = pj.transform_marked(g, T), checked_transform(g, T)
-                assert got.edges == want.edges
-                assert got.marking_hint.images == tuple(want.marking_words())
+                assert got == want and got.edges == want.edges
+                assert got.marking_hint.images == want.marking_hint.images == tuple(want.marking_words())
+                assert got.marking_hint.inverse_images == want.marking_hint.inverse_images
 
 
 def assert_matches_oracle(A, T, loop_words=True):
@@ -539,7 +569,7 @@ class TestPreconditions:
         A = fa.free_factor_class(A4, [word_from_str(A4, x) for x in "abc"])
         B = fa.free_factor_class(A4, [word_from_str(A4, x) for x in "cd"])
         with pytest.raises(UndefinedProjection, match="not rank 3"):
-            pj.factor_projection_vertices(A, B)
+            pj.factor_shadow(A, B)
 
     def test_rank3_factor_shadow_refused_under_optimize(self, run_optimized):
         out = run_optimized(
@@ -550,7 +580,7 @@ class TestPreconditions:
             "A = fa.free_factor_class(A4, [word_from_str(A4, x) for x in 'abc'])\n"
             "B = fa.free_factor_class(A4, [word_from_str(A4, x) for x in 'cd'])\n"
             "try:\n"
-            "    pj.factor_projection_vertices(A, B)\n"
+            "    pj.factor_shadow(A, B)\n"
             "except UndefinedProjection as exc:\n"
             "    print(exc)\n"
         )
@@ -568,19 +598,30 @@ class TestDistances:
         assert dists[-1] - dists[0] >= 4
 
     def test_factor_projection(self):
-        verts = pj.factor_projection_vertices(FACTOR_AB, FACTOR_BC)
-        assert verts == frozenset({farey.farey_vertex(0, 1)})
+        shadow = pj.factor_shadow(FACTOR_AB, FACTOR_BC)
+        assert shadow == pj.ProjectionSet(FACTOR_AB, frozenset({farey.farey_vertex(0, 1)}))
+
+    def test_factor_refused(self):
+        # a factor's shadow comes from factor_shadow, never from a distance
+        with pytest.raises(UndefinedProjection, match="cannot project FreeFactorClass"):
+            pj.projection_distance(FACTOR_AB, FACTOR_BC, ROSE)
 
     def test_behrstock_inequality(self):
         # when T is far from B in A, it is close to A in B
-        rng = random.Random(67)
+        b_in_a = pj.factor_shadow(FACTOR_AB, FACTOR_BC)
+        a_in_b = pj.factor_shadow(FACTOR_BC, FACTOR_AB)
         for p in (4, 6, 8):
             T = pj.transform_marked(map_power(HYP, p), ROSE)
-            m = pj.behrstock_min(FACTOR_AB, FACTOR_BC, T)
-            dA = pj.projection_distance(FACTOR_AB, FACTOR_BC, T)
-            dB = pj.projection_distance(FACTOR_BC, FACTOR_AB, T)
-            assert m == min(dA, dB)
-            assert m <= 4  # one coordinate always stays bounded
+            dA = pj.projection_distance(FACTOR_AB, b_in_a, T)
+            dB = pj.projection_distance(FACTOR_BC, a_in_b, T)
+            assert dA == farey.diameter(b_in_a.vertices | pj.project_tree(FACTOR_AB, T).vertices)
+            assert dB == farey.diameter(a_in_b.vertices | pj.project_tree(FACTOR_BC, T).vertices)
+            assert min(dA, dB) <= 4  # one coordinate always stays bounded
+
+
+def shadows(A, B):
+    """(π_A(B), π_B(A)), projected afresh."""
+    return pj.factor_shadow(A, B), pj.factor_shadow(B, A)
 
 
 class TestFactorOrder:
@@ -590,11 +631,11 @@ class TestFactorOrder:
         B = fa.free_factor_class(A4, [word_from_str(A4, "c"), word_from_str(A4, "d")])
         R4 = pj.rose(A4)
         with pytest.raises(NotOverlapping):
-            pj.factor_order(A, B, R4, R4, M=1)
+            pj.factor_order(A, B, R4, R4, 1, shadows(A, B))
 
     def test_requires_far_endpoints(self):
         with pytest.raises(NotInOmega):
-            pj.factor_order(FACTOR_AB, FACTOR_BC, ROSE, ROSE, M=1)
+            pj.factor_order(FACTOR_AB, FACTOR_BC, ROSE, ROSE, 1, shadows(FACTOR_AB, FACTOR_BC))
 
     def test_ordered_by_staggered_displacement(self):
         # A-supported segment first, then a segment supported on the
@@ -606,7 +647,7 @@ class TestFactorOrder:
 
         T2 = pj.transform_marked(compose_map(fa_big, fb_big), ROSE)
         B2 = fa.transport(fa_big, FACTOR_BC)
-        verdict = pj.factor_order(FACTOR_AB, B2, ROSE, T2, M=2)
+        verdict = pj.factor_order(FACTOR_AB, B2, ROSE, T2, 2, shadows(FACTOR_AB, B2))
         assert verdict.d_A_T_T2 >= 5 and verdict.d_B_T_T2 >= 5
         assert verdict.first_precedes_second
         assert verdict.d_A_T_B >= 3  # B2's shadow in A sits at the far end
@@ -614,7 +655,7 @@ class TestFactorOrder:
         assert verdict.d_B_T2_A >= 3
         assert verdict.d_A_T2_B <= 2
         # the reversed pair is not ordered first
-        rev = pj.factor_order(B2, FACTOR_AB, ROSE, T2, M=2)
+        rev = pj.factor_order(B2, FACTOR_AB, ROSE, T2, 2, shadows(B2, FACTOR_AB))
         assert not rev.first_precedes_second
 
 

@@ -106,7 +106,7 @@ class TestDependenceOrder:
             norm = raag.normalize(g, w)
             assert norm.key() == raag_canonical(adj, word, g.vertices)
             order = raag.syllable_order(g, w)
-            assert order.sids == tuple(s.sid for s in norm.syllables)
+            assert order.word == norm and order.sids == tuple(range(len(norm)))
             precedes, adjacent = raag_syllable_order(adj, word, g.vertices)
             assert order.precedes == precedes
             assert order.precedes_adjacent == adjacent
@@ -170,7 +170,7 @@ class TestSyllableOrder:
         g = raag.simplicial_graph(["a", "b", "c"], [("a", "b")])
         word = raag.normalize(g, rw(g, "a c b"))
         order = raag.syllable_order(g, word)
-        by_gen = {s.gen: s.sid for s in word.syllables}
+        by_gen = {s.gen: k for k, s in enumerate(word.syllables)}
         a, b, c = by_gen["a"], by_gen["b"], by_gen["c"]
         assert order.precedes == frozenset({(a, c), (c, b), (a, b)})
         assert order.precedes_adjacent == frozenset({(a, c), (c, b)})
@@ -230,16 +230,25 @@ class TestSimplicialGraph:
 
 
 class TestSyllable:
+    def test_words_equal_by_their_syllables(self):
+        # a dropped zero exponent leaves no trace in the word
+        g = raag.simplicial_graph(["a", "b", "c"], [])
+        w1 = raag.raag_word(g, [("a", 1), ("b", 0), ("c", 1)])
+        w2 = raag.raag_word(g, [("a", 1), ("c", 1)])
+        assert str(w1) == str(w2) == "a c" and w1.key() == w2.key()
+        assert w1 == w2 and hash(w1) == hash(w2)
+        assert raag.normalize(g, w1) == w1
+
     def test_zero_exponent_refused(self):
         with pytest.raises(MalformedWord):
-            raag.Syllable("a", 0, 0)
+            raag.Syllable("a", 0)
 
     def test_zero_exponent_refusal_survives_optimize(self, run_optimized):
         out = run_optimized(
             "from freefactor import raag\n"
             "from freefactor.errors import FreefactorError\n"
             "try:\n"
-            "    raag.Syllable('a', 0, 0)\n"
+            "    raag.Syllable('a', 0)\n"
             "except FreefactorError as exc:\n"
             "    print(f'{type(exc).__name__}: {exc}')\n"
         )

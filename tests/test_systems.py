@@ -352,9 +352,10 @@ class TestShadows:
                 if meets:
                     want = frozenset(farey.farey_vertex(*mc.classes[0]) for mc in meets)
                     assert coll.shadows[(i, j)] == coll.shadow(i, j) == pj.ProjectionSet(A, want)
-                    assert pj.factor_projection_vertices(A, B) == want
+                    assert pj.factor_shadow(A, B) == coll.shadows[(i, j)]
                 else:
                     assert (i, j) not in coll.shadows
+                    assert pj.factor_shadow(A, B) is None
                     with pytest.raises(UndefinedProjection):
                         coll.shadow(i, j)
         assert coll.shadows and all(i != j for i, j in coll.shadows)
