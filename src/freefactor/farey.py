@@ -1,11 +1,11 @@
 """The rank-2 free factor complex as the Farey graph.
 
 Vertices are primitive integer pairs up to sign; two vertices are adjacent
-iff the corresponding pairs form a basis of Z^2 (determinant +-1).  Distance
-is computed by continued-fraction descent: after moving one endpoint to
-(1, 0) by an isometry, a vertex p/q with q >= 2 has exactly two neighbours of
-smaller denominator (its Stern-Brocot parents), and some geodesic to (1, 0)
-descends through one of them.
+iff the corresponding pairs form a basis of Z^2 (determinant +-1), and equal
+iff the determinant is 0.  Other distances are computed by continued-fraction
+descent: after moving one endpoint to (1, 0) by an isometry, a vertex p/q with
+q >= 2 has exactly two neighbours of smaller denominator (its Stern-Brocot
+parents), and some geodesic to (1, 0) descends through one of them.
 """
 
 from __future__ import annotations
@@ -68,10 +68,6 @@ def abelianize2(w: Word) -> Tuple[int, int]:
     return ls.count(1) - ls.count(-1), ls.count(2) - ls.count(-2)
 
 
-def adjacent(u: FareyVertex, v: FareyVertex) -> bool:
-    return abs(u.p * v.q - u.q * v.p) == 1
-
-
 @lru_cache(maxsize=1_000_000)
 def _dist_to_infinity(p: int, q: int) -> int:
     """Distance from p/q (q >= 0, primitive) to (1, 0).
@@ -111,15 +107,16 @@ def _norm(p: int, q: int) -> Tuple[int, int]:
 
 
 def farey_distance(u: FareyVertex, v: FareyVertex) -> int:
-    """Exact geodesic distance, by continued-fraction descent."""
-    if u == v:
-        return 0
-    # isometry sending u to (1, 0): rows (s, -r), (-q, p) with p s - q r = 1
+    """Exact geodesic distance: |p q' - q p'| when that determinant is 0
+    (equal) or 1 (adjacent), otherwise by continued-fraction descent."""
     p, q = u.p, u.q
+    b = p * v.q - q * v.p
+    if -1 <= b <= 1:
+        return abs(b)
+    # isometry sending u to (1, 0): rows (s, -r), (-q, p) with p s - q r = 1;
+    # it sends v to (a, b), whose second coordinate is the determinant
     r, s = _bezout(p, q)
-    a = s * v.p - r * v.q
-    b = -q * v.p + p * v.q
-    a, b = _norm(a, b)
+    a, b = _norm(s * v.p - r * v.q, b)
     return _dist_to_infinity(a, b)
 
 

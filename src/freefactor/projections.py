@@ -358,12 +358,14 @@ class TreePath:
     def length(self) -> int:
         return len(self.trees) - 1
 
+    def _projections(self, A: FreeFactorClass) -> List[FrozenSet[farey.FareyVertex]]:
+        """π_A of each tree on the path, each tree projected once."""
+        return [project_tree(A, t).vertices for t in self.trees]
+
     def step_bound(self, A: FreeFactorClass) -> int:
         """L_path for this factor: max per-step projection displacement."""
-        return max(
-            projection_distance(A, self.trees[k], self.trees[k + 1])
-            for k in range(self.length)
-        )
+        sets = self._projections(A)
+        return max(farey.diameter(s | t) for s, t in zip(sets, sets[1:]))
 
 
 @dataclass(frozen=True)
@@ -380,7 +382,7 @@ def interval_of(path: TreePath, A: FreeFactorClass, M: int, L: int) -> IntervalR
     """I_A = [a_A, b_A] with thresholds 2M + L, under the Ω precondition."""
     K = 5 * M + 3 * L
     thresh = 2 * M + L
-    sets = [project_tree(A, t).vertices for t in path.trees]
+    sets = path._projections(A)
     N = path.length
     d0N = farey.diameter(sets[0] | sets[N])
     if d0N < K:

@@ -111,6 +111,27 @@ def primitive_pairs(bound):
     return out
 
 
+# --- Farey distances by descent alone ---------------------------------------
+#
+# Not naive like the rest: it reuses the library's Bezout step and descent.
+# It is ``farey.farey_distance`` as it was before equal and adjacent pairs
+# were read off the determinant: every unequal pair descends.
+
+def farey_distance_by_descent(u, v):
+    """d(u, v) by moving u to (1, 0) and descending from the image of v."""
+    from freefactor import farey
+
+    if u == v:
+        return 0
+    # isometry sending u to (1, 0): rows (s, -r), (-q, p) with p s - q r = 1
+    p, q = u.p, u.q
+    r, s = farey._bezout(p, q)
+    a = s * v.p - r * v.q
+    b = -q * v.p + p * v.q
+    a, b = farey._norm(a, b)
+    return farey._dist_to_infinity(a, b)
+
+
 # --- RAAG rewriting ---------------------------------------------------------
 
 def raag_closure(adjacency, word):
@@ -806,6 +827,22 @@ def direct_order_distances(system, i, j, T, m, M):
     }
     out["first_precedes_second"] = out["d_A_T_B"] >= M + 1
     return out
+
+
+# --- step bounds one step at a time -----------------------------------------
+#
+# Not naive like the rest: it reuses the library's projections.  It is
+# ``TreePath.step_bound`` as it was before each tree was projected once: every
+# step looks both of its trees up again through ``projection_distance``.
+
+def step_bound_by_steps(path, A):
+    """max over k of d_A(T_k, T_{k+1}) along the path."""
+    from freefactor import projections as pj
+
+    return max(
+        pj.projection_distance(A, path.trees[k], path.trees[k + 1])
+        for k in range(path.length)
+    )
 
 
 # --- projections letter by letter on the whole cover ------------------------

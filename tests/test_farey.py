@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -10,7 +11,13 @@ from freefactor.errors import (
     RankMismatch,
 )
 from freefactor.words import GroupMap, abc_alphabet, identity_map, word_from_str
-from oracles import farey_bfs_distances, farey_norm, primitive_pairs
+from oracles import (
+    farey_bfs_distances,
+    farey_distance_by_descent,
+    farey_neighbors,
+    farey_norm,
+    primitive_pairs,
+)
 
 A2 = abc_alphabet(2)
 
@@ -103,6 +110,61 @@ class TestDistance:
         for _ in range(100):
             a, b = v(*rng.choice(pairs)), v(*rng.choice(pairs))
             assert farey.farey_distance(a, b) == farey.farey_distance(act(m, a), act(m, b))
+
+
+def parents(u):
+    """The two Stern-Brocot parents of u = p/q with q >= 2: the vertices
+    a/b and (p - a)/(q - b) with p b - q a = 1 and 0 < b < q."""
+    p, q = (u.p, u.q) if u.q > 0 else (-u.p, -u.q)
+    b = pow(p, -1, q)
+    a = (p * b - 1) // q
+    return v(a, b), v(p - a, q - b)
+
+
+def big_vertex(rng, bits):
+    while True:
+        p, q = (rng.choice((1, -1)) * rng.getrandbits(bits) for _ in range(2))
+        if gcd(p, q) == 1 and abs(q) >= 2:
+            return v(p, q)
+
+
+class TestDeterminantFirst:
+    """Equal and adjacent pairs are read off the determinant; the descent
+    that every unequal pair took before stays the oracle."""
+
+    def test_matches_descent_on_small_pairs(self):
+        # every pair with |p|, |q| <= 12, equal pairs and each vertex's
+        # Stern-Brocot parents among them
+        vs = [v(p, q) for p, q in sorted(primitive_pairs(12))]
+        for i, a in enumerate(vs):
+            for b in vs[i:]:
+                d = farey.farey_distance(a, b)
+                assert d == farey.farey_distance(b, a) == farey_distance_by_descent(a, b), (a, b)
+
+    def test_matches_descent_on_200_bit_pairs(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            a, b = big_vertex(rng, 200), big_vertex(rng, 200)
+            assert farey.farey_distance(a, a) == farey_distance_by_descent(a, a) == 0
+            assert farey.farey_distance(a, b) == farey_distance_by_descent(a, b)
+            for w in parents(a):
+                assert farey.farey_distance(a, w) == farey_distance_by_descent(a, w) == 1
+                assert farey.farey_distance(w, b) == farey_distance_by_descent(w, b)
+
+    def test_equal_and_adjacent_pairs_do_not_descend(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an equal or adjacent pair reached the descent")
+
+        monkeypatch.setattr(farey, "_bezout", refuse)
+        monkeypatch.setattr(farey, "_dist_to_infinity", refuse)
+        rng = random.Random(29)
+        pairs = [(v(p, q), [v(*w) for w in farey_neighbors((p, q), 12)]) for p, q in primitive_pairs(12)]
+        pairs += [(u, parents(u)) for u in (big_vertex(rng, 200) for _ in range(50))]
+        for u, neighbours in pairs:
+            assert farey.farey_distance(u, u) == 0
+            assert neighbours
+            for w in neighbours:
+                assert farey.farey_distance(u, w) == farey.farey_distance(w, u) == 1
 
 
 class TestMatrices:

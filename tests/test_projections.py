@@ -44,6 +44,7 @@ from oracles import (
     loop_word_projection,
     naive_reduce,
     plain_substitution,
+    step_bound_by_steps,
     tree_loops,
 )
 
@@ -671,6 +672,17 @@ class TestIntervals:
     def test_step_bound_small(self):
         path = self.path_through(HYP, 6)
         assert path.step_bound(FACTOR_AB) <= 3
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_step_bound_matches_per_step_lookups(self, fixture):
+        system = se.load_fixture(fixture)
+        for f in system.maps:
+            for g in (f, invert_automorphism(f)):
+                trees = ex._power_path(g, 4)
+                for steps in range(1, 5):
+                    path = pj.TreePath(tuple(trees[: steps + 1]))
+                    for A in system.collection.factors:
+                        assert path.step_bound(A) == step_bound_by_steps(path, A), (A.key, steps)
 
     def test_interval_brackets_motion(self):
         path = self.path_through(HYP, 14)

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-from freefactor import serialize, words
+from freefactor import experiments, projections, serialize, words
+from freefactor.errors import FreefactorError
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "freefactor"
 
@@ -66,3 +67,26 @@ def test_map_power_builds_one_map(monkeypatch):
     power = words.map_power(f, 12)
     assert len(built) == 1 and built[0] is power
     assert power.inverse_images is not None
+
+
+def test_path_projects_each_tree_once():
+    # one projection pass per tree and factor: a lookup at both ends of every
+    # step would show here as 2N calls for N + 1 trees
+    system = serialize.load_fixture("pentagon-f5")
+    trees = experiments._power_path(system.maps[0], 6)
+    assert len(set(trees)) == len(trees)
+    path = projections.TreePath(tuple(trees))
+
+    def lookups(run):
+        info = projections.project_tree.cache_info()
+        before = info.hits + info.misses
+        try:
+            run()
+        except FreefactorError:
+            pass  # a threshold refusal comes after the projections
+        info = projections.project_tree.cache_info()
+        return info.hits + info.misses - before
+
+    for A in system.collection.factors:
+        assert lookups(lambda: path.step_bound(A)) == len(trees)
+        assert lookups(lambda: projections.interval_of(path, A, 1, 1)) == len(trees)
