@@ -44,6 +44,7 @@ from freefactor.words import (
     GroupMap,
     _compose_letters,
     _letters,
+    _map,
     _words,
     identity_map,
     invert_automorphism,
@@ -109,7 +110,7 @@ def random_automorphism(rng: random.Random, alphabet: Alphabet, max_len: int) ->
     draws = [rng.choice(gens) for _ in range(rng.randint(0, max_len))]
     if not draws:
         return identity_map(alphabet)
-    return GroupMap(
+    return _map(
         alphabet, alphabet,
         _words(alphabet, _compose_letters([_letters(t.images) for t in reversed(draws)])),
         _words(alphabet, _compose_letters([_letters(t.inverse_images) for t in draws])),

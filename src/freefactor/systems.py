@@ -28,6 +28,7 @@ from freefactor.words import (
     Alphabet,
     GroupMap,
     Word,
+    _map,
     automorphism,
     compose_map,
     identity_map,
@@ -306,7 +307,7 @@ def _extend_seed(
         for g in (P, invert_automorphism(P))
     ]
     # rewrite the block through the basis: x_k -> C(block_k(C^{-1} coords))
-    S = GroupMap(ambient, ambient, block, inverse)
+    S = _map(ambient, ambient, block, inverse)
     return compose_map(compose_map(C, S), C.inverse_hint)
 
 

@@ -109,15 +109,20 @@ class TestMarkedGraph:
             pj.MarkedGraph(A3, 1, edges, 0)
 
     def test_marking_hint_refused(self):
-        # the hint comes from the fold of the marking words; a caller's hint,
-        # here one whose inverse images do not invert its images, is refused
+        # the hint comes from the fold of the marking words; a caller's hint
+        # is refused, even a certified one, and inverse images that do not
+        # invert the images cannot be handed to a map in the first place
         f = auto("a b a", "a b", "c")
-        bogus = GroupMap(A3, A3, f.images, (w("a"), w("b"), w("c")))
+        wrong = (w("a"), w("b"), w("c"))
+        with pytest.raises(TypeError):
+            GroupMap(A3, A3, f.images, wrong)
+        with pytest.raises(TypeError):
+            GroupMap(A3, A3, f.images, inverse_images=wrong)
         edges = tuple((0, 0, x) for x in f.images)
         with pytest.raises(TypeError):
-            pj.MarkedGraph(A3, 1, edges, 0, bogus)
+            pj.MarkedGraph(A3, 1, edges, 0, f)
         with pytest.raises(TypeError):
-            pj.MarkedGraph(A3, 1, edges, 0, marking_hint=bogus)
+            pj.MarkedGraph(A3, 1, edges, 0, marking_hint=f)
         T = pj.MarkedGraph(A3, 1, edges, 0)
         assert T.marking_hint.images == f.images
         assert T.marking_hint.inverse_images == f.inverse_images
@@ -258,16 +263,16 @@ class TestHash:
     def test_project_tree_cache_answers_for_equal_graphs(self, hand_built_first):
         # a hand-built graph equal to the library's f(R) shares its cache
         # entry, so whichever is projected first answers for both: each must
-        # read what a fresh projection reads.  A caller who tries to hand over
-        # a hint with the graph, here one whose inverse images are wrong,
-        # gets a graph marked by the fold or a TypeError, never that hint
+        # read what a fresh projection reads.  A caller cannot build a map
+        # whose inverse images are wrong, so neither a graph's hint nor a
+        # map handed to transform_marked can poison that entry
         f = auto("a b a", "a b", "c")
-        bogus = GroupMap(A3, A3, f.images, (w("a"), w("b"), w("c")))
-        edges = tuple((0, 0, x) for x in f.images)
-        try:
-            hand = pj.MarkedGraph(A3, 1, edges, 0, bogus)
-        except TypeError:
-            hand = pj.MarkedGraph(A3, 1, edges, 0)
+        wrong = (w("a"), w("b"), w("c"))
+        with pytest.raises(TypeError):
+            GroupMap(A3, A3, f.images, wrong)
+        with pytest.raises(TypeError):
+            GroupMap(A3, A3, f.images, inverse_images=wrong)
+        hand = pj.MarkedGraph(A3, 1, tuple((0, 0, x) for x in f.images), 0)
         library = pj.transform_marked(f, ROSE)
         assert hand == library
         pj.project_tree.cache_clear()

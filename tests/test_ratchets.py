@@ -10,7 +10,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "freefactor"
 
 # internal invariants only: a precondition on input raises a typed
 # FreefactorError, which unlike an assert survives ``python -O``
-MAX_ASSERTS = 12
+MAX_ASSERTS = 11
 
 
 def test_assert_count():
@@ -54,18 +54,20 @@ def test_frozen_fields_set_only_while_built():
 
 def test_map_power_builds_one_map(monkeypatch):
     # squaring on letter lists: a map built per squaring or multiply would
-    # show here as more constructions
+    # show here as more calls to the one builder of certified maps, or as
+    # calls to the public constructor
     f = serialize.load_fixture("pentagon-f5").maps[0]
-    built = []
-    post_init = words.GroupMap.__post_init__
+    built, public = [], []
+    build = words._map
 
-    def counting(g):
-        built.append(g)
-        post_init(g)
+    def counting(*args):
+        built.append(build(*args))
+        return built[-1]
 
-    monkeypatch.setattr(words.GroupMap, "__post_init__", counting)
+    monkeypatch.setattr(words, "_map", counting)
+    monkeypatch.setattr(words.GroupMap, "__post_init__", public.append)
     power = words.map_power(f, 12)
-    assert len(built) == 1 and built[0] is power
+    assert len(built) == 1 and built[0] is power and public == []
     assert power.inverse_images is not None
 
 

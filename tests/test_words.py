@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from freefactor.words import (
 from oracles import (
     compose_with_inverses,
     inner_witness_scan,
+    inverts,
     is_onto,
     map_power_by_composition,
     naive_reduce,
@@ -624,6 +626,74 @@ class TestInversesByConstruction:
                 assert is_onto(rank, [w.letters for w in T.marking_words()])
 
 
+@st.composite
+def image_tuples(draw):
+    """Images of a product of elementary Nielsen moves spelled on letter
+    tuples, so onto, or now and then short arbitrary images, mostly not."""
+    n = draw(st.integers(2, 4))
+    if not draw(st.integers(0, 4)):
+        raw = st.lists(st.integers(1, n).flatmap(lambda x: st.sampled_from([x, -x])), max_size=3)
+        return n, [naive_reduce(w) for w in draw(st.lists(raw, min_size=n, max_size=n))]
+    images = [(k + 1,) for k in range(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        kind = draw(st.sampled_from(["right", "left", "invert", "swap"]))
+        xj = images[j] if draw(st.booleans()) else tuple(-x for x in reversed(images[j]))
+        if kind == "right":
+            images[i] = naive_reduce(images[i] + xj)
+        elif kind == "left":
+            images[i] = naive_reduce(xj + images[i])
+        elif kind == "invert":
+            images[i] = tuple(-x for x in reversed(images[i]))
+        else:
+            images[i], images[j] = images[j], images[i]
+    return n, images
+
+
+class TestExactInverse:
+    """Every certified map's inverse images invert its images, checked by
+    plain substitution in the oracles, not by the kernel: the library checks
+    only its certificate, the fold that ends as one-letter loops."""
+
+    def test_fixture_map_powers(self):
+        for fixture in se.list_fixtures():
+            for f in se.load_fixture(fixture).maps:
+                for k in range(-6, 7):
+                    assert inverts(map_power(f, k)), (fixture, k)
+
+    def test_maps_certified_from_json(self):
+        for fixture in se.list_fixtures():
+            obj = json.loads(se.fixture_path(fixture).read_text())
+            for f in se.system_from_json(obj).maps:
+                assert inverts(f) and inverts(f.inverse_hint), fixture
+
+    def test_built_maps(self):
+        rng = random.Random(83)
+        for rank in range(2, 7):
+            alphabet = std_alphabet(rank)
+            for _ in range(20):
+                assert inverts(ex.random_automorphism(rng, alphabet, 12))
+                assert inverts(_linked_product(rng, alphabet))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(image_tuples())
+    def test_images_automorphism_accepts(self, case):
+        n, images = case
+        alphabet = std_alphabet(n)
+        try:
+            f = automorphism(alphabet, [reduce_raw(alphabet, w) for w in images])
+        except NotSurjective:
+            assert not is_onto(n, images)
+            return
+        assert inverts(f)
+
+    def test_oracle_refuses_wrong_inverses(self):
+        f = automorphism(A3, [word_from_str(A3, s) for s in PLATEAU_IMAGES])
+        assert inverts(f)
+        assert not inverts(GroupMap(A3, A3, f.images))
+        assert not inverts(words._map(A3, A3, f.images, identity_map(A3).images))
+
+
 class TestIsInner:
     def test_conjugation_detected(self):
         w = word_from_str(A3, "a b")
@@ -787,13 +857,14 @@ PRECONDITIONS = {
         "W.GroupMap(A, A, (W.letter(B, 0),) * 3)",
         "AlphabetMismatch: an image is not over the map's codomain",
     ),
-    "map-inverse-count": (
-        "W.GroupMap(A, A, W.identity_map(A).images, (W.letter(A, 0),))",
-        "ImageCountMismatch: 1 inverse images for a rank-3 codomain",
+    # inverse images are no argument: only the library's builders give them
+    "map-inverse-positional": (
+        "W.GroupMap(A, A, W.identity_map(A).images, W.identity_map(A).images)",
+        "TypeError: GroupMap.__init__() takes 4 positional arguments but 5 were given",
     ),
-    "map-inverse-alphabet": (
-        "W.GroupMap(A, A, W.identity_map(A).images, (W.letter(B, 0),) * 3)",
-        "AlphabetMismatch: an inverse image is not over the map's domain",
+    "map-inverse-keyword": (
+        "W.GroupMap(A, A, W.identity_map(A).images, inverse_images=W.identity_map(A).images)",
+        "TypeError: GroupMap.__init__() got an unexpected keyword argument 'inverse_images'",
     ),
     "map-power": ("W.map_power(P, 2)", "AlphabetMismatch: map_power needs an endomorphism"),
     "invert": ("W.invert_automorphism(P)", "AlphabetMismatch: inversion needs an endomorphism"),
@@ -826,7 +897,7 @@ class TestTypedPreconditions:
             "P = W.GroupMap(A, B, (W.letter(B, 0),) * 3)\n"
             "try:\n"
             f"    {statement}\n"
-            "except FreefactorError as exc:\n"
+            "except (FreefactorError, TypeError) as exc:\n"
             "    print(f'{type(exc).__name__}: {exc}')\n"
         )
         assert out == line + "\n"
