@@ -19,12 +19,8 @@ from freefactor import (
     stallings,
     systems as sy,
 )
-from freefactor.errors import FreefactorError, SchemaError, TooLarge, UndefinedProjection
-from freefactor.words import Alphabet, automorphism, parse_power, word_from_str, word_to_str
-
-# |e| of a word token x^e: the token is expanded into |e| letters before the
-# word is reduced and folded
-MAX_EXPONENT = 10_000
+from freefactor.errors import FreefactorError, SchemaError, UndefinedProjection
+from freefactor.words import Alphabet, automorphism, word_from_str, word_to_str
 
 
 def _alphabet(letters: str) -> Alphabet:
@@ -41,16 +37,8 @@ def _gamma(vertices: str, edges: str) -> raag.SimplicialGraph:
     return raag.simplicial_graph(vs, es)
 
 
-def _word(alphabet: Alphabet, text: str):
-    for tok in text.split():
-        e = parse_power(tok)[1]
-        if abs(e) > MAX_EXPONENT:
-            raise TooLarge(f"exponent {e} in {tok!r} is beyond the bound {MAX_EXPONENT}")
-    return word_from_str(alphabet, text)
-
-
 def _words(alphabet: Alphabet, text: str):
-    return [_word(alphabet, t.strip()) for t in text.split(",") if t.strip()]
+    return [word_from_str(alphabet, t.strip()) for t in text.split(",") if t.strip()]
 
 
 def _projection_factor(alphabet: Alphabet, text: str) -> fc.FreeFactorClass:

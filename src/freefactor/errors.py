@@ -82,7 +82,7 @@ class InvalidTransport(FreefactorError):
 
 class TooLarge(FreefactorError):
     """A graph has more vertices than ``raag.clique_number`` takes, or a
-    command line word has an exponent beyond ``cli.MAX_EXPONENT``."""
+    word has an exponent beyond ``words.MAX_EXPONENT``."""
 
 
 class NonPrimitiveImage(FreefactorError):

@@ -42,10 +42,7 @@ from freefactor.raag import RaagWord
 from freefactor.words import (
     Alphabet,
     GroupMap,
-    _compose_letters,
-    _letters,
-    _map,
-    _words,
+    compose_map,
     identity_map,
     invert_automorphism,
     map_power,
@@ -99,22 +96,14 @@ def nielsen_generators(alphabet: Alphabet) -> Tuple[GroupMap, ...]:
 
 def random_automorphism(rng: random.Random, alphabet: Alphabet, max_len: int) -> GroupMap:
     """f = t_m o ... o t_1 for up to ``max_len`` moves t drawn from the
-    Nielsen generators, t_1 first, carrying its inverse t_1^-1 o ... o t_m^-1.
-
-    Each chain is built by right multiplication, P <- P o g, so a step only
-    substitutes P's images into g's images of one or two letters: the long
-    images are copied whole, not rewritten letter by letter as multiplying
-    on the left would.
+    Nielsen generators, t_1 first: one ``compose_map`` of the certified
+    transvections, so f carries its inverse t_1^-1 o ... o t_m^-1.
     """
     gens = nielsen_generators(alphabet)
     draws = [rng.choice(gens) for _ in range(rng.randint(0, max_len))]
     if not draws:
         return identity_map(alphabet)
-    return _map(
-        alphabet, alphabet,
-        _words(alphabet, _compose_letters([_letters(t.images) for t in reversed(draws)])),
-        _words(alphabet, _compose_letters([_letters(t.inverse_images) for t in draws])),
-    )
+    return compose_map(*reversed(draws))
 
 
 def random_tree(rng: random.Random, alphabet: Alphabet, max_len: int) -> pj.MarkedGraph:

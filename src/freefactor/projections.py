@@ -29,10 +29,7 @@ from freefactor.words import (
     Alphabet,
     GroupMap,
     Word,
-    _compose_letters,
-    _letters,
     _word,
-    _words,
     automorphism,
     compose_map,
     fold_arcs,
@@ -187,8 +184,7 @@ def transform_marked(f: GroupMap, T: MarkedGraph) -> MarkedGraph:
     if T.num_vertices == 1:
         edges = tuple([(u, v, w) for (u, v, _), w in zip(T.edges, hint.images)])
     else:
-        labels = _compose_letters([_letters(f.images), [w.letters for *_, w in T.edges]])
-        edges = tuple([(u, v, w) for (u, v, _), w in zip(T.edges, _words(f.codomain, labels))])
+        edges = tuple([(u, v, f(w)) for u, v, w in T.edges])
     return _marked(f.codomain, T.num_vertices, edges, T.base, hint, T._loops, T.edge_alphabet)
 
 

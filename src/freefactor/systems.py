@@ -28,7 +28,6 @@ from freefactor.words import (
     Alphabet,
     GroupMap,
     Word,
-    _map,
     automorphism,
     compose_map,
     identity_map,
@@ -290,10 +289,10 @@ def _extend_seed(
     """Automorphism acting by seed^power on the pair, fixing the complement.
 
     The pair plus complement must form a basis; the action is conjugated back
-    to the standard letters through that basis change.  The block map S is
-    built with its inverse, the block of seed^-power, so the product is
-    certified by composition; seed^power is squared once and carries that
-    inverse when the seed is certified.
+    to the standard letters through that basis change, C o S o C^-1.  The
+    basis change C and the block map S, seed^power on the first two letters
+    and the identity on the rest, are each certified by ``automorphism``, so
+    the product is certified by ``compose_map``.
     """
     n = ambient.rank
     full = list(basis_pair) + list(complement)
@@ -301,14 +300,9 @@ def _extend_seed(
         raise LengthMismatch(f"a factor basis and complement of {len(full)} words in rank {n}")
     C = automorphism(ambient, full)
     fixed = [letter(ambient, k) for k in range(2, n)]
-    P = map_power(seed, power)
-    block, inverse = [
-        tuple([Word(ambient, w.letters) for w in g.images] + fixed)
-        for g in (P, invert_automorphism(P))
-    ]
-    # rewrite the block through the basis: x_k -> C(block_k(C^{-1} coords))
-    S = _map(ambient, ambient, block, inverse)
-    return compose_map(compose_map(C, S), C.inverse_hint)
+    block = [Word(ambient, w.letters) for w in map_power(seed, power).images]
+    S = automorphism(ambient, block + fixed)
+    return compose_map(C, S, C.inverse_hint)
 
 
 def build_generators(
@@ -389,10 +383,8 @@ def certify_support(collection: AdmissibleCollection, maps: Sequence[GroupMap]) 
 def apply_phi(system: AdmissibleSystem, syllables: Iterable[Tuple[str, int]]) -> GroupMap:
     """φ of a word given as (generator, exponent) pairs, such as
     ``RaagWord.key()``: the left-to-right product of the generator powers."""
-    out = identity_map(system.collection.factors[0].ambient)
-    for gen, exp in syllables:
-        out = compose_map(out, map_power(system.map_of(gen), exp))
-    return out
+    powers = [map_power(system.map_of(gen), exp) for gen, exp in syllables]
+    return compose_map(identity_map(system.collection.factors[0].ambient), *powers)
 
 
 def active_factor(system: AdmissibleSystem, g: RaagWord, k: int) -> FreeFactorClass:

@@ -23,8 +23,13 @@ from freefactor.errors import (
     InvalidAlphabet,
     MalformedWord,
     NotSurjective,
+    TooLarge,
     UnknownLetter,
 )
+
+# |e| of a word token x^e: the token is spelled out as |e| letters before the
+# word is reduced
+MAX_EXPONENT = 10_000
 
 
 def unreadable_name(names: Iterable[str]) -> Optional[str]:
@@ -202,9 +207,16 @@ def parse_power(tok: str) -> Tuple[str, int]:
 
 
 def word_from_str(alphabet: Alphabet, s: str) -> Word:
-    raw = []
+    """The word of tokens ``name`` or ``name^exp``.  Every token's exponent
+    is read and bounded before any name is resolved or letter spelled out."""
+    powers = []
     for tok in s.split():
         name, e = parse_power(tok)
+        if abs(e) > MAX_EXPONENT:
+            raise TooLarge(f"exponent {e} in {tok!r} is beyond the bound {MAX_EXPONENT}")
+        powers.append((name, e))
+    raw = []
+    for name, e in powers:
         idx = alphabet.index(name) + 1
         raw.extend([idx if e > 0 else -idx] * abs(e))
     return reduce_raw(alphabet, raw)
@@ -272,9 +284,14 @@ class GroupMap:
         return _word(self.codomain, tuple(substitute(w.letters, images)))
 
     def is_identity(self) -> bool:
-        return self.domain == self.codomain and all(
-            w.letters == (i + 1,) for i, w in enumerate(self.images)
-        )
+        # a plain loop: ``compose_map`` asks this of every certified factor,
+        # and a generator costs more than the few images a map is told by
+        if self.domain != self.codomain:
+            return False
+        for i, w in enumerate(self.images, 1):
+            if w.letters != (i,):
+                return False
+        return True
 
     def __repr__(self) -> str:
         ims = ", ".join(f"{self.domain.names[i]}->{w}" for i, w in enumerate(self.images))
@@ -324,25 +341,27 @@ def _letters(images: Sequence[Word]) -> List[Tuple[int, ...]]:
     return [w.letters for w in images]
 
 
-def compose_map(f: GroupMap, g: GroupMap) -> GroupMap:
-    """(f o g)(x) = f(g(x)).
+def compose_map(f: GroupMap, *rest: GroupMap) -> GroupMap:
+    """f_1 o f_2 o ... o f_k, so (f o g)(x) = f(g(x)): the one product of maps.
 
-    The product carries its inverse exactly when both factors do.  When one
-    factor is the identity and skipping it keeps that rule, the other factor
-    is returned as it is.
+    The images are multiplied on the right in one pass, and so are the
+    inverse images, f_k^-1 o ... o f_1^-1, when every factor is certified;
+    the product is certified exactly then.  Certified identities are
+    skipped, and a product left with one factor is that factor as it is.
     """
-    if g.codomain != f.domain:
-        raise AlphabetMismatch("the inner map's codomain is not the outer map's domain")
-    if f.is_identity() and (f.inverse_images is not None or g.inverse_images is None):
-        return g
-    if g.is_identity() and (g.inverse_images is not None or f.inverse_images is None):
-        return f
+    factors = (f,) + rest
+    for outer, inner in zip(factors, rest):
+        if inner.codomain != outer.domain:
+            raise AlphabetMismatch("the inner map's codomain is not the outer map's domain")
+    kept = [g for g in factors if g.inverse_images is None or not g.is_identity()] or [f]
+    if len(kept) == 1:
+        return kept[0]
+    domain = factors[-1].domain
     inverse = None
-    if f.inverse_images is not None and g.inverse_images is not None:
-        letters = _compose_letters([_letters(g.inverse_images), _letters(f.inverse_images)])
-        inverse = _words(g.domain, letters)
-    images = _compose_letters([_letters(f.images), _letters(g.images)])
-    return _map(g.domain, f.codomain, _words(f.codomain, images), inverse)
+    if all(g.inverse_images is not None for g in kept):
+        inverse = _words(domain, _compose_letters([_letters(g.inverse_images) for g in reversed(kept)]))
+    images = _compose_letters([_letters(g.images) for g in kept])
+    return _map(domain, f.codomain, _words(f.codomain, images), inverse)
 
 
 def _power_letters(images: Sequence[Sequence[int]], n: int) -> Sequence[Sequence[int]]:

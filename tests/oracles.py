@@ -890,7 +890,10 @@ def _natural_edges(adj):
     return arcs
 
 
-def _cover_core(A, T):
+def cover_core(A, T):
+    """The A-cover of T, its unbased core's adjacency and the index that
+    takes cover vertices to core vertices: what ``letter_projection`` and
+    ``cover_shape`` read."""
     from freefactor import stallings
 
     cover = stallings.from_generators(T.edge_alphabet, T.to_edge_paths(A.basis))
@@ -898,8 +901,9 @@ def _cover_core(A, T):
     return cover, core_adj, core_index
 
 
-def letter_projection(A, T):
-    """π_A(T) as Farey vertices, read letter by letter on the A-cover of T.
+def letter_projection(A, T, core=None):
+    """π_A(T) as Farey vertices, read letter by letter on the A-cover of T,
+    whose ``cover_core`` may be given.
 
     The cover's BFS tree gives H₁ coordinates; both basis paths are read
     through its H₁ index for the basis change, and for every natural edge of
@@ -908,7 +912,7 @@ def letter_projection(A, T):
     """
     from freefactor import farey, stallings
 
-    cover, core_adj, core_index = _cover_core(A, T)
+    cover, core_adj, core_index = core or cover_core(A, T)
     assert cover.rank == 2
     (m00, m10), (m01, m11) = (
         stallings._h1_read(cover, cover.base, path) for path in T.to_edge_paths(A.basis)
@@ -952,10 +956,11 @@ def letter_projection(A, T):
     return frozenset(vertices)
 
 
-def cover_shape(A, T):
+def cover_shape(A, T, core=None):
     """The shape of the A-cover's unbased core ("rose", "barbell" or
-    "theta") and the valence of the cover's base."""
-    cover, core_adj, _ = _cover_core(A, T)
+    "theta") and the valence of the cover's base; its ``cover_core`` may be
+    given."""
+    cover, core_adj, _ = core or cover_core(A, T)
     if sum(len(d) != 2 for d in core_adj) == 1:
         shape = "rose"
     elif any(arc[0][0] == arc[-1][2] for arc in _natural_edges(core_adj)):

@@ -5,7 +5,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from freefactor import experiments as ex, raag, serialize as se
+from freefactor import experiments as ex, raag, serialize as se, words
 from freefactor.cli import main
 
 
@@ -204,23 +204,23 @@ class TestRefusals:
 
     def test_fold_bad_exponent(self):
         assert "bad exponent" in self.refused("fold", "--letters", "a,b", "a^x b, b")
+        # every token's exponent is read before any letter name
+        assert "bad exponent" in self.refused("fold", "--letters", "a,b", "z a^x")
 
     def test_exponent_beyond_bound(self, monkeypatch):
         # refused before any word is spelled out: a^1000000 alone is a
         # million letters to reduce and fold
-        import freefactor.cli as cli
-
         def never(*args):
             raise AssertionError("a word was spelled out")
 
-        monkeypatch.setattr(cli, "word_from_str", never)
+        monkeypatch.setattr(words, "reduce_raw", never)
         err = self.refused("fold", "--letters", "a,b", "a^1000000 b")
-        assert err == f"error: exponent 1000000 in 'a^1000000' is beyond the bound {cli.MAX_EXPONENT}\n"
+        assert err == f"error: exponent 1000000 in 'a^1000000' is beyond the bound {words.MAX_EXPONENT}\n"
         monkeypatch.undo()
-        marking = f"a, b a^-{cli.MAX_EXPONENT + 1}"
+        marking = f"a, b a^-{words.MAX_EXPONENT + 1}"
         err = self.refused("project", "--letters", "a,b", "--factor", "a,b", "--marking", marking)
         assert "beyond the bound" in err
-        r = run("fold", "--letters", "a,b", f"a^-{cli.MAX_EXPONENT} b")
+        r = run("fold", "--letters", "a,b", f"a^-{words.MAX_EXPONENT} b")
         assert r.exit_code == 0 and r.stdout.startswith("vertices: ")
 
     def test_fold_repeated_letter(self):

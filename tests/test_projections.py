@@ -39,6 +39,7 @@ from freefactor.words import (
 )
 from oracles import (
     compose_with_inverses,
+    cover_core,
     cover_shape,
     letter_projection,
     loop_word_projection,
@@ -413,11 +414,12 @@ def assert_matches_oracle(A, T, loop_words=True):
     paths are too long for its naive fold, against loop words; returns the
     shape of the cover's core and the valence of its base."""
     got = pj.project_tree.__wrapped__(A, T).vertices
-    assert got == letter_projection(A, T), (A.key, T)
+    core = cover_core(A, T)
+    assert got == letter_projection(A, T, core), (A.key, T)
     if loop_words:
         paths = [p.letters for p in T.to_edge_paths(A.basis)]
         assert {(v.p, v.q) for v in got} == loop_word_projection(paths), (A.key, T)
-    return cover_shape(A, T)
+    return cover_shape(A, T, core)
 
 
 FIXTURES = ("overlap-chain-f3", "pentagon-f5", "pentagon-support-f6")

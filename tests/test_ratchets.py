@@ -52,6 +52,29 @@ def test_frozen_fields_set_only_while_built():
     assert found == [], f"object.__setattr__ outside __post_init__: {found}"
 
 
+# the builders that fill a word's or a map's fields unchecked, and the letter
+# lists they multiply: a module that imports them multiplies maps its own way
+WORDS_PRIVATE = {"_map", "_compose_letters", "_letters", "_words"}
+
+
+def _words_private_uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "freefactor.words":
+            yield from ((node.lineno, a.name) for a in node.names if a.name in WORDS_PRIVATE)
+        elif isinstance(node, ast.Attribute) and node.attr in WORDS_PRIVATE:
+            yield node.lineno, node.attr
+
+
+def test_maps_multiplied_only_in_words():
+    found = [
+        f"{path.name}:{lineno} {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "words.py"
+        for lineno, name in _words_private_uses(ast.parse(path.read_text()))
+    ]
+    assert found == [], f"words' private builders used outside words: {found}"
+
+
 def test_map_power_builds_one_map(monkeypatch):
     # squaring on letter lists: a map built per squaring or multiply would
     # show here as more calls to the one builder of certified maps, or as

@@ -3,12 +3,26 @@ import itertools
 import json
 import random
 import re
+import time
 
 import pytest
 
-from freefactor import experiments as ex, factors as fa, projections as pj, serialize as se, systems as sy
+from freefactor import experiments as ex, factors as fa, projections as pj, serialize as se, systems as sy, words
 from freefactor.errors import InvalidMarking, SchemaError
 from freefactor.words import abc_alphabet, compose_map, identity_map, invert_automorphism, word_from_str
+
+
+def _short_words_only(monkeypatch):
+    """Refuse, by an error that names it, any word spelled out to more than
+    a million letters before it is reduced."""
+    reduce_raw = words.reduce_raw
+
+    def guarded(alphabet, raw):
+        if len(raw) > 10 ** 6:
+            raise AssertionError(f"a word of {len(raw)} letters was spelled out")
+        return reduce_raw(alphabet, raw)
+
+    monkeypatch.setattr(words, "reduce_raw", guarded)
 
 
 class TestGraphRoundTrip:
@@ -48,6 +62,21 @@ class TestGraphRoundTrip:
         with pytest.raises(SchemaError) as e:
             se.graph_from_json(obj)
         assert "edges[0].label" in str(e.value)
+
+    def test_exponent_beyond_bound(self, monkeypatch):
+        # refused before the label is spelled out: a^10000000 is ten
+        # million letters to reduce
+        obj = se.graph_to_json(pj.rose(abc_alphabet(2)))
+        obj["edges"][1]["label"] = "a^10000000 b"
+        _short_words_only(monkeypatch)
+        start = time.perf_counter()
+        with pytest.raises(SchemaError) as e:
+            se.graph_from_json(obj)
+        assert time.perf_counter() - start < 0.1
+        assert str(e.value) == (
+            "graph.edges[1].label: bad word 'a^10000000 b' "
+            f"(exponent 10000000 in 'a^10000000' is beyond the bound {words.MAX_EXPONENT})"
+        )
 
     def test_inverse_token(self):
         T = pj.rose(abc_alphabet(2))
@@ -159,6 +188,19 @@ class TestFixtures:
         with pytest.raises(SchemaError) as e:
             se.system_from_json(obj)
         assert "generators[2].images" in str(e.value)
+
+    def test_exponent_beyond_bound(self, monkeypatch):
+        obj = json.loads(se.fixture_path("pentagon-f5").read_text())
+        obj["generators"][1]["images"][3] = "x3^-10000000"
+        _short_words_only(monkeypatch)
+        start = time.perf_counter()
+        with pytest.raises(SchemaError) as e:
+            se.system_from_json(obj)
+        assert time.perf_counter() - start < 0.1
+        assert str(e.value).startswith("system.generators[1].images[3]: bad word 'x3^-10000000' (exponent")
+        assert "beyond the bound" in str(e.value)
+        obj["generators"][1]["images"][3] = f"x3 x3^{words.MAX_EXPONENT} x3^-{words.MAX_EXPONENT}"
+        assert se.system_from_json(obj) == se.load_fixture("pentagon-f5")
 
     def test_non_automorphism_rejected(self):
         obj = json.loads(se.fixture_path("pentagon-f5").read_text())

@@ -284,7 +284,8 @@ class TestCompose:
     @pytest.mark.parametrize("other_certified", [True, False])
     def test_identity_operand_matches_full_composition(self, id_certified, other_certified):
         # an identity operand is skipped only where the full composition
-        # gives the same images and inverse images
+        # gives the same images and inverse images; a certified one always
+        # is, and the factor left is returned as it is
         rng = random.Random(29)
         for rank in (2, 3, 4):
             alphabet = std_alphabet(rank)
@@ -295,13 +296,94 @@ class TestCompose:
                 other = _linked_product(rng, alphabet)
                 if not other_certified:
                     other = GroupMap(alphabet, alphabet, other.images)
-                for f, g in ((ident, other), (other, ident)):
-                    got = compose_map(f, g)
-                    images, inverse = compose_with_inverses(
-                        _letters(f), _inverse_letters(f), _letters(g), _inverse_letters(g)
-                    )
-                    assert _letters(got) == images
-                    assert _inverse_letters(got) == inverse
+                for factors in ((ident, other), (other, ident), (ident, other, ident)):
+                    got = compose_map(*factors)
+                    assert (_letters(got), _inverse_letters(got)) == _oracle_product(factors)
+                    if not other.is_identity():
+                        assert (got is other) == id_certified
+
+    @pytest.mark.parametrize("source", ["fixture", "random", "uncertified"])
+    def test_product_matches_left_fold(self, source):
+        # one k-factor product against the left fold of binary products and
+        # against the oracles' plain substitution, on images and inverses
+        for factors in _product_inputs(source, random.Random(31)):
+            got = compose_map(*factors)
+            fold = factors[0]
+            for g in factors[1:]:
+                fold = compose_map(fold, g)
+            assert _letters(got) == _letters(fold)
+            assert _inverse_letters(got) == _inverse_letters(fold)
+            assert (_letters(got), _inverse_letters(got)) == _oracle_product(factors)
+            certified = all(g.inverse_images is not None for g in factors)
+            assert (got.inverse_images is not None) == certified
+
+    @pytest.mark.parametrize("source", ["fixture", "random", "uncertified"])
+    def test_one_factor_left_is_returned(self, source):
+        rng = random.Random(37)
+        for factors in _product_inputs(source, rng):
+            g = factors[0]
+            assert compose_map(g) is g
+            if g.is_identity() and g.inverse_images is not None:
+                continue
+            ident = identity_map(g.domain)
+            padded = [ident] * rng.randrange(0, 3) + [g] + [ident] * rng.randrange(1, 3)
+            assert compose_map(*padded) is g
+            # an uncertified identity is kept: skipping it would certify
+            # the product of a certified g
+            bare = GroupMap(ident.domain, ident.codomain, ident.images)
+            got = compose_map(g, bare)
+            assert got is not g and got.images == g.images and got.inverse_images is None
+        ident = identity_map(A3)
+        assert compose_map(ident, identity_map(A3)) is ident
+
+    @pytest.mark.parametrize("source", ["fixture", "random", "uncertified"])
+    def test_seam_mismatch_refused(self, source):
+        rng = random.Random(41)
+        for factors in _product_inputs(source, rng):
+            other = identity_map(std_alphabet(factors[0].domain.rank, prefix="y"))
+            for k in range(len(factors) + 1):
+                spliced = factors[:k] + [other] + factors[k:]
+                with pytest.raises(AlphabetMismatch, match="codomain is not the outer map's domain"):
+                    compose_map(*spliced)
+
+
+def _oracle_product(factors):
+    """Images and inverse images (None unless every factor is certified) of
+    f_1 o ... o f_k by the oracles' plain substitution."""
+    images, inverse = _letters(factors[0]), _inverse_letters(factors[0])
+    for g in factors[1:]:
+        images, inverse = compose_with_inverses(images, inverse, _letters(g), _inverse_letters(g))
+    return images, inverse
+
+
+def _product_inputs(source, rng):
+    """Lists of one to four factors over one alphabet: the shipped fixtures'
+    maps and their inverses, random products of certified maps, or random
+    products with uncertified factors, maps that are not onto among them;
+    certified identities are mixed in."""
+    lists = []
+    if source == "fixture":
+        for fixture in se.list_fixtures():
+            maps = se.load_fixture(fixture).maps
+            pool = list(maps) + [f.inverse_hint for f in maps] + [identity_map(maps[0].domain)]
+            lists += [[rng.choice(pool) for _ in range(rng.randrange(1, 5))] for _ in range(8)]
+        return lists
+    for rank in (2, 3, 4, 5):
+        alphabet = std_alphabet(rank)
+        pool = [identity_map(alphabet)] + [ex.random_automorphism(rng, alphabet, 8) for _ in range(3)]
+        pool += [_linked_product(rng, alphabet) for _ in range(3)]
+        if source == "uncertified":
+            squared = list(identity_map(alphabet).images)
+            i = rng.randrange(rank)
+            squared[i] = squared[i] ** 2
+            pool += [GroupMap(alphabet, alphabet, f.images) for f in pool[1:]]
+            pool += [GroupMap(alphabet, alphabet, tuple(squared)), GroupMap(alphabet, alphabet, pool[0].images)]
+        for _ in range(10):
+            factors = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
+            if source == "uncertified" and all(f.inverse_images is not None for f in factors):
+                factors[rng.randrange(len(factors))] = pool[-1]
+            lists.append(factors)
+    return lists
 
 
 class TestNoIdentityWork:
