@@ -253,7 +253,7 @@ def is_free_factor(H: SubgroupGraph) -> bool:
 
 def transport(f: GroupMap, A: FreeFactorClass) -> FreeFactorClass:
     """Image class f(A); canonical key recomputed."""
-    if f.inverse_images is None:
+    if not f.certified:
         raise InvalidTransport("transport requires a verified automorphism")
     if f.domain != A.ambient:
         raise InvalidTransport("the automorphism and the factor have different alphabets")

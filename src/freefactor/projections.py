@@ -178,7 +178,7 @@ def transform_marked(f: GroupMap, T: MarkedGraph) -> MarkedGraph:
     On a one-vertex graph the labels are the marking words, so they are read
     off the composed hint.
     """
-    if f.inverse_images is None:
+    if not f.certified:
         raise InvalidMarking("transform_marked needs a verified automorphism")
     hint = compose_map(f, T.marking_hint)
     if T.num_vertices == 1:

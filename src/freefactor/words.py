@@ -14,7 +14,7 @@ not check them again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from freefactor._kernel import concat, reduce_word, substitute
 from freefactor.errors import (
@@ -244,23 +244,34 @@ def conjugacy_witness(u: Word, v: Word) -> Optional[Word]:
     return None
 
 
+class _Power(NamedTuple):
+    """The inverse images of g^n, not built yet: the letters of g's inverse
+    images, already built, and n >= 2."""
+
+    base: Sequence[Sequence[int]]
+    n: int
+
+
 @dataclass(frozen=True)
 class GroupMap:
     """Endomorphism of a free group given by generator images.
 
-    ``GroupMap(domain, codomain, images)`` builds an uncertified map.  A
-    certified automorphism carries ``inverse_images``, the images of its
-    inverse, from the moment it is built, and only the library's builders
-    set them: ``automorphism`` certifies images from outside by a fold, and
+    ``GroupMap(domain, codomain, images)`` builds an uncertified map.  A map
+    is certified, an automorphism that carries the images of its inverse,
+    from the moment it is built or never, and only the library's builders
+    certify: ``automorphism`` certifies images from outside by a fold, and
     ``identity_map``, ``conjugation_by``, ``transvection``, ``compose_map``
-    and ``map_power`` build certified maps from certified ones.  No map
-    gains them later.
+    and ``map_power`` build certified maps from certified ones.
+    ``certified`` asks which without building any letters;
+    ``inverse_images`` is None exactly on an uncertified map.  A power keeps
+    only a recipe for its inverse images until they are first read.
     """
 
     domain: Alphabet
     codomain: Alphabet
     images: Tuple[Word, ...]
-    inverse_images: Optional[Tuple[Word, ...]] = field(init=False, default=None, compare=False, repr=False)
+    # the inverse images, or a _Power recipe for them; None when uncertified
+    _inverse: Union[None, Tuple[Word, ...], _Power] = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.images) != self.domain.rank:
@@ -270,9 +281,23 @@ class GroupMap:
                 raise AlphabetMismatch("an image is not over the map's codomain")
 
     @property
+    def certified(self) -> bool:
+        """Whether f carries its inverse, asked without building its letters."""
+        return self._inverse is not None
+
+    @property
+    def inverse_images(self) -> Optional[Tuple[Word, ...]]:
+        """The images of f^-1, or None when f is not certified.  A power's
+        are built on the first read, and replace its recipe."""
+        inverse = self._inverse
+        if isinstance(inverse, _Power):
+            inverse = self.__dict__["_inverse"] = _words(self.domain, _power_letters(*inverse))
+        return inverse
+
+    @property
     def inverse_hint(self) -> Optional["GroupMap"]:
         """The inverse automorphism, or None when f is not certified."""
-        if self.inverse_images is None:
+        if not self.certified:
             return None
         return _map(self.codomain, self.domain, self.inverse_images, self.images)
 
@@ -299,12 +324,13 @@ class GroupMap:
 
 
 def _map(domain: Alphabet, codomain: Alphabet, images: Tuple[Word, ...],
-         inverse_images: Optional[Tuple[Word, ...]]) -> GroupMap:
+         inverse: Union[None, Tuple[Word, ...], _Power]) -> GroupMap:
     """A GroupMap whose images, and inverse images unless None, the library
     built from checked words and certified maps: it fills the frozen fields
-    without the checks.  The one place a map gains its inverse images."""
+    without the checks.  The one place a map is certified: by its inverse
+    images, or by a ``_Power`` recipe that ``inverse_images`` builds."""
     f = object.__new__(GroupMap)
-    f.__dict__.update(domain=domain, codomain=codomain, images=images, inverse_images=inverse_images)
+    f.__dict__.update(domain=domain, codomain=codomain, images=images, _inverse=inverse)
     return f
 
 
@@ -348,17 +374,19 @@ def compose_map(f: GroupMap, *rest: GroupMap) -> GroupMap:
     inverse images, f_k^-1 o ... o f_1^-1, when every factor is certified;
     the product is certified exactly then.  Certified identities are
     skipped, and a product left with one factor is that factor as it is.
+    A product is built whole, a power's inverse images too, so that no
+    recipe refers to another.
     """
     factors = (f,) + rest
     for outer, inner in zip(factors, rest):
         if inner.codomain != outer.domain:
             raise AlphabetMismatch("the inner map's codomain is not the outer map's domain")
-    kept = [g for g in factors if g.inverse_images is None or not g.is_identity()] or [f]
+    kept = [g for g in factors if not g.certified or not g.is_identity()] or [f]
     if len(kept) == 1:
         return kept[0]
     domain = factors[-1].domain
     inverse = None
-    if all(g.inverse_images is not None for g in kept):
+    if all(g.certified for g in kept):
         inverse = _words(domain, _compose_letters([_letters(g.inverse_images) for g in reversed(kept)]))
     images = _compose_letters([_letters(g.images) for g in kept])
     return _map(domain, f.codomain, _words(f.codomain, images), inverse)
@@ -384,9 +412,10 @@ def map_power(f: GroupMap, n: int) -> GroupMap:
     n < 0 gives (f^-1)^-n, with f^-1 from ``invert_automorphism``; n = 0
     gives the certified identity, and n = 1 f itself.
     Otherwise f's images are squared and multiplied on plain letter lists,
-    and, when f is certified, so are its inverse images, since (f^-1)^n is
-    the inverse of f^n.  One map is built at the end, certified exactly
-    when f is.
+    and one map is built at the end, certified exactly when f is.  Its
+    inverse images, (f^-1)^n, are kept as a recipe, f's inverse letters
+    and n, and built on their first read: most powers are only applied.  A
+    power of such a power multiplies the exponents on the same letters.
     """
     if f.domain != f.codomain:
         raise AlphabetMismatch("map_power needs an endomorphism")
@@ -396,9 +425,11 @@ def map_power(f: GroupMap, n: int) -> GroupMap:
         return identity_map(f.domain)
     if n == 1:
         return f
-    inverse = None
-    if f.inverse_images is not None:
-        inverse = _words(f.domain, _power_letters(_letters(f.inverse_images), n))
+    inverse = f._inverse
+    if isinstance(inverse, _Power):
+        inverse = _Power(inverse.base, inverse.n * n)
+    elif inverse is not None:
+        inverse = _Power(_letters(inverse), n)
     images = _words(f.domain, _power_letters(_letters(f.images), n))
     return _map(f.domain, f.domain, images, inverse)
 

@@ -455,6 +455,88 @@ class TestMapPower:
                 map_power(f, n)
 
 
+class TestDeferredInverse:
+    """A certified power builds its inverse images on their first read; every
+    way of reading them agrees with one composed map per step."""
+
+    @staticmethod
+    def _fixture_maps():
+        return [f for fixture in se.list_fixtures() for f in se.load_fixture(fixture).maps]
+
+    @pytest.mark.parametrize("read_inner", [False, True])
+    def test_power_of_power(self, read_inner):
+        for f in self._fixture_maps():
+            want = {k: map_power_by_composition(f, k) for k in range(-9, 10)}
+            for a in range(-3, 4):
+                for b in range(-3, 4):
+                    inner = map_power(f, a)
+                    if read_inner:
+                        assert inner.inverse_images is not None
+                    got = map_power(inner, b)
+                    assert got.certified
+                    assert _letters(got) == _letters(want[a * b]), (a, b)
+                    assert _inverse_letters(got) == _inverse_letters(want[a * b]), (a, b)
+                    if abs(a * b) <= 4:
+                        assert inverts(got), (a, b)
+
+    def test_inverse_hint(self):
+        for f in self._fixture_maps():
+            for k in (2, 3, 5, -4):
+                h = map_power(f, k).inverse_hint
+                assert h.certified and _letters(h) == _letters(map_power_by_composition(f, -k)), k
+                assert _inverse_letters(h) == _letters(map_power(f, k)), k
+                assert inverts(h), k
+
+    def test_products_of_powers(self):
+        rng = random.Random(41)
+        maps = self._fixture_maps()
+        for _ in range(40):
+            f, g = rng.choice(maps), rng.choice(maps)
+            if f.domain != g.domain:
+                continue
+            a, b = rng.choice((-3, -2, 2, 3)), rng.choice((-3, -2, 2, 3))
+            got = compose_map(map_power(f, a), map_power(g, b))
+            fa, gb = map_power_by_composition(f, a), map_power_by_composition(g, b)
+            want = compose_with_inverses(_letters(fa), _inverse_letters(fa), _letters(gb), _inverse_letters(gb))
+            assert got.certified and (_letters(got), _inverse_letters(got)) == want, (a, b)
+
+    def test_either_read_first(self):
+        for f in self._fixture_maps():
+            for k in (-5, 2, 4):
+                want = map_power_by_composition(f, k)
+                inverse_first = map_power(f, k)
+                inverse = _inverse_letters(inverse_first)
+                assert (_letters(inverse_first), inverse) == (_letters(want), _inverse_letters(want)), k
+                images_first = map_power(f, k)
+                images = _letters(images_first)
+                assert (images, _inverse_letters(images_first)) == (_letters(want), _inverse_letters(want)), k
+                assert _inverse_letters(inverse_first) == inverse and images_first.certified
+
+    def test_long_product_loop(self):
+        # each factor a fresh power whose inverse is not yet built; a product
+        # that kept them as recipes would recurse 3,000 deep on its first read
+        t = transvection(std_alphabet(3), 0, 1, 1)
+        t_inv = invert_automorphism(t)
+        f = identity_map(t.domain)
+        for k in range(3001):
+            f = compose_map(map_power(t if k % 2 == 0 else t_inv, 2), f)
+        assert _letters(f) == _letters(map_power_by_composition(t, 2))
+        assert _inverse_letters(f) == _inverse_letters(map_power_by_composition(t, 2))
+
+    def test_nested_powers(self):
+        # a map of order 6, so 40 nested powers stay short: a -> b, b -> c,
+        # c -> a^-1
+        sigma = automorphism(A3, [word_from_str(A3, s) for s in ("b", "c", "a^-1")])
+        rng = random.Random(43)
+        g, exponent = sigma, 1
+        for _ in range(40):
+            n = rng.choice((-3, -2, 2, 2, 3))
+            g, exponent = map_power(g, n), exponent * n
+        want = map_power_by_composition(sigma, exponent % 6)
+        assert (_letters(g), _inverse_letters(g)) == (_letters(want), _inverse_letters(want))
+        assert inverts(g)
+
+
 class TestInvert:
     def test_nielsen_example(self):
         f = GroupMap(A3, A3, (word_from_str(A3, "a b"), word_from_str(A3, "b"), word_from_str(A3, "c")))
