@@ -137,7 +137,7 @@ class MarkedGraph:
         read along the basis loops, which on one vertex are the edges."""
         if any(w.alphabet != self.alphabet for w in words):
             raise AlphabetMismatch("a word is not over the marked graph's alphabet")
-        images = [w.letters for w in _marking_inverse(self).images]
+        images = [w.letters for w in self.marking_hint.inverse_images]
         if self.num_vertices > 1:
             images = [substitute(im, self._loops) for im in images]
         return [_word(self.edge_alphabet, tuple(substitute(w.letters, images))) for w in words]
@@ -190,7 +190,7 @@ def transform_marked(f: GroupMap, T: MarkedGraph) -> MarkedGraph:
 
 # --- the projection ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectionSet:
     """π_A(T): vertex-group classes of 1-edge collapses of the A-cover core."""
 
@@ -200,31 +200,6 @@ class ProjectionSet:
     def __post_init__(self):
         assert self.vertices, "projection set must be nonempty"
         assert farey.diameter(self.vertices) <= PROJECTION_DIAMETER_BOUND
-
-
-def _arcs(adj, branch: Sequence[bool]):
-    """Maximal chains of a folded graph through its non-``branch`` vertices,
-    each of which has valence 2, as ``(u, letters, v)`` with the letters
-    read from u to v."""
-    arcs = []
-    seen = set()  # the far ends of the chains listed so far
-    for b, d in enumerate(adj):
-        if not branch[b]:
-            continue
-        for s in d:
-            if (b, s) in seen:
-                continue
-            letters, u, back = [s], d[s], -s
-            while not branch[u]:
-                nxt = adj[u]
-                t, other = nxt
-                if t == back:
-                    t = other
-                letters.append(t)
-                u, back = nxt[t], -t
-            seen.add((u, back))
-            arcs.append((b, letters, u))
-    return arcs
 
 
 @lru_cache(maxsize=4096)
@@ -246,16 +221,37 @@ def project_tree(A: FreeFactorClass, T: MarkedGraph) -> ProjectionSet:
         [path.letters for path in T.to_edge_paths(A.basis)], ((1, 0), (0, 1)),
         lambda c, d: (c[0] + d[0], c[1] + d[1]), lambda c: (-c[0], -c[1]), (0, 0),
     )
-    adj: List[Dict[int, int]] = [{} for _ in range(num_vertices)]
-    h1 = {}
-    for k, (u, _letters, v, (p, q)) in enumerate(arcs, 1):
-        adj[u][k], adj[v][-k] = v, u
-        h1[k], h1[-k] = (p, q), (-p, -q)
-    # unbased core of the cover, chained through its valence-2 vertices
-    core, _ = stallings._trim(adj)
-    ends = [len(d) != 2 for d in core]
-    edges = [(x, y, tuple(map(sum, zip(*(h1[k] for k in word))))) for x, word, y in _arcs(core, ends)]
-    shape = (sum(ends), sum(x == y for x, y, _c in edges))
+    # the arc ends at each vertex, (far vertex, class read away from it, end);
+    # end 2k leaves arc k's start and 2k + 1 its far vertex
+    at: List[list] = [[] for _ in range(num_vertices)]
+    for k, (u, _letters, v, (p, q)) in enumerate(arcs):
+        at[u].append((v, (p, q), 2 * k))
+        at[v].append((u, (-p, -q), 2 * k + 1))
+    # unbased core of the cover: trim the hairs
+    hairs = [x for x, ends in enumerate(at) if len(ends) == 1]
+    while hairs:
+        x = hairs.pop()
+        ((y, _c, e),) = at[x]
+        at[x] = []
+        at[y] = [end for end in at[y] if end[2] != e ^ 1]
+        if len(at[y]) == 1:
+            hairs.append(y)
+    # its natural edges: chains through valence-2 vertices, adding up classes
+    edges = []
+    done = set()  # the ends that close the chains listed so far
+    for b, ends in enumerate(at):
+        if len(ends) < 3:
+            continue
+        for y, (p, q), e in ends:
+            if e in done:
+                continue
+            while len(at[y]) == 2:
+                first, second = at[y]
+                y, (dp, dq), e = second if first[2] == e ^ 1 else first
+                p, q = p + dp, q + dq
+            done.add(e ^ 1)
+            edges.append((b, y, (p, q)))
+    shape = (sum(len(ends) > 2 for ends in at), sum(x == y for x, y, _c in edges))
     assert shape in ((1, 2), (2, 2), (2, 0)), \
         "a rank-2 core is a rose, a barbell or a theta, so collapses leave rank-1 components"
 

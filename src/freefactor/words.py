@@ -352,10 +352,15 @@ def conjugation_by(w: Word) -> GroupMap:
 def _compose_letters(factors: Sequence[Sequence[Sequence[int]]]) -> Sequence[Sequence[int]]:
     """Letters of the images of g_1 o g_2 o ... for maps g_k given by the
     letters of their images, multiplied on the right: each step substitutes
-    the product so far, copied whole, into the next factor's images."""
+    the product so far, copied whole, into the next factor's images.  An
+    image that is one positive letter reads its piece as it is, so a factor
+    that fixes most generators, a transvection, substitutes only the rest."""
     letters = factors[0]
     for images in factors[1:]:
-        letters = [substitute(w, letters) for w in images]
+        letters = [
+            letters[w[0] - 1] if len(w) == 1 and w[0] > 0 else substitute(w, letters)
+            for w in images
+        ]
     return letters
 
 
@@ -409,8 +414,10 @@ def _power_letters(images: Sequence[Sequence[int]], n: int) -> Sequence[Sequence
 def map_power(f: GroupMap, n: int) -> GroupMap:
     """f^n for an endomorphism f.
 
-    n < 0 gives (f^-1)^-n, with f^-1 from ``invert_automorphism``; n = 0
-    gives the certified identity, and n = 1 f itself.
+    n < 0 gives (f^-1)^-n, with f^-1 from ``invert_automorphism``, unless
+    f = g^k still keeps its inverse as a recipe: then n < -1 squares g's
+    inverse letters to k|n| at once, with f^|n| as the recipe of the
+    inverse.  n = 0 gives the certified identity, and n = 1 f itself.
     Otherwise f's images are squared and multiplied on plain letter lists,
     and one map is built at the end, certified exactly when f is.  Its
     inverse images, (f^-1)^n, are kept as a recipe, f's inverse letters
@@ -419,13 +426,18 @@ def map_power(f: GroupMap, n: int) -> GroupMap:
     """
     if f.domain != f.codomain:
         raise AlphabetMismatch("map_power needs an endomorphism")
+    inverse = f._inverse
+    if n < -1 and isinstance(inverse, _Power):
+        # f = g^k with f^-1 still a recipe: f^n = (g^-1)^(k|n|) is one chain
+        # on g's inverse letters, and its inverse, f^|n|, a recipe on f's
+        images = _words(f.domain, _power_letters(inverse.base, inverse.n * -n))
+        return _map(f.domain, f.domain, images, _Power(_letters(f.images), -n))
     if n < 0:
         return map_power(invert_automorphism(f), -n)
     if n == 0:
         return identity_map(f.domain)
     if n == 1:
         return f
-    inverse = f._inverse
     if isinstance(inverse, _Power):
         inverse = _Power(inverse.base, inverse.n * n)
     elif inverse is not None:

@@ -970,6 +970,73 @@ def cover_shape(A, T, core=None):
     return shape, len(cover.adj[cover.base])
 
 
+# --- projections on a vertex-level core --------------------------------------
+#
+# Not naive like the rest: it reuses the library's arc fold and trim, and
+# reads that fold at the vertex level, where ``projections.project_tree``
+# trims and chains on the arc list itself: the arcs become a vertex
+# adjacency with H₁ classes on signed arc letters, ``stallings._trim`` copies
+# out the unbased core, and its chains through valence-2 vertices are listed
+# again, each class the sum of its arcs'.
+
+def _chains(adj, branch):
+    """Maximal chains of a folded graph through its non-``branch`` vertices,
+    each of which has valence 2, as ``(u, letters, v)`` with the letters
+    read from u to v."""
+    arcs = []
+    seen = set()  # the far ends of the chains listed so far
+    for b, d in enumerate(adj):
+        if not branch[b]:
+            continue
+        for s in d:
+            if (b, s) in seen:
+                continue
+            letters, u, back = [s], d[s], -s
+            while not branch[u]:
+                nxt = adj[u]
+                t, other = nxt
+                if t == back:
+                    t = other
+                letters.append(t)
+                u, back = nxt[t], -t
+            seen.add((u, back))
+            arcs.append((b, letters, u))
+    return arcs
+
+
+def vertex_projection(A, T):
+    """π_A(T) as Farey vertices, read off a vertex adjacency of the folded
+    A-cover of T: trimmed to its unbased core, chained into natural edges,
+    and each 1-edge collapse giving its loops' classes, or the difference of
+    two parallel edges'."""
+    from freefactor import farey, stallings
+    from freefactor.words import fold_arcs
+
+    num_vertices, arcs = fold_arcs(
+        [path.letters for path in T.to_edge_paths(A.basis)], ((1, 0), (0, 1)),
+        lambda c, d: (c[0] + d[0], c[1] + d[1]), lambda c: (-c[0], -c[1]), (0, 0),
+    )
+    adj = [{} for _ in range(num_vertices)]
+    h1 = {}
+    for k, (u, _letters, v, (p, q)) in enumerate(arcs, 1):
+        adj[u][k], adj[v][-k] = v, u
+        h1[k], h1[-k] = (p, q), (-p, -q)
+    core, _ = stallings._trim(adj)
+    ends = [len(d) != 2 for d in core]
+    edges = [(x, y, tuple(map(sum, zip(*(h1[k] for k in word))))) for x, word, y in _chains(core, ends)]
+    assert (sum(ends), sum(x == y for x, y, _c in edges)) in ((1, 2), (2, 2), (2, 0))
+    vertices = set()
+    for e in edges:
+        rest = [f for f in edges if f is not e]
+        cycles = [c for x, y, c in rest if x == y]
+        links = [(x, c) for x, y, c in rest if x != y]
+        if len(links) == 2:
+            (x1, (p1, q1)), (x2, (p2, q2)) = links
+            cycles.append((p1 - p2, q1 - q2) if x1 == x2 else (p1 + p2, q1 + q2))
+        vertices.update(farey.farey_vertex(p, q) for p, q in cycles)
+    return frozenset(vertices)
+
+
 # --- basis loops of a marked graph -----------------------------------------
 #
 # The derivation `projections.MarkedGraph` had before it took its loops from

@@ -71,6 +71,35 @@ class TestVertices:
         assert farey.vertex_from_str(str(u)) == u
 
 
+class TestVertexBuilder:
+    """``farey_vertex`` checks and normalizes once and builds unchecked; the
+    public constructor keeps its checks, and both build the same slotted
+    vertices."""
+
+    def test_refusals_keep_their_text(self):
+        cases = [
+            (lambda: farey.FareyVertex(2, 4), NonPrimitiveImage, "(2, 4) is not a primitive pair"),
+            (lambda: farey.FareyVertex(-1, 2), MalformedVertex, "-1/2 is not sign-normalized; farey_vertex normalizes"),
+            (lambda: farey.farey_vertex(0, 0), NonPrimitiveImage, "zero vector is not a vertex"),
+            (lambda: farey.farey_vertex(2, 4), NonPrimitiveImage, "(2, 4) is not primitive"),
+        ]
+        for build, error, text in cases:
+            with pytest.raises(error) as info:
+                build()
+            assert str(info.value) == text
+
+    def test_built_vertices_match_constructed(self):
+        for p, q in primitive_pairs(12):
+            for sp, sq in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                got = v(sp * p, sq * q)
+                want = farey.FareyVertex(*farey_norm(sp * p, sq * q))
+                assert type(got) is farey.FareyVertex and not hasattr(got, "__dict__")
+                assert got == want and hash(got) == hash(want) and (got.p, got.q) == (want.p, want.q)
+                assert {got: 1}[want] == 1
+        with pytest.raises(AttributeError):
+            v(1, 2).p = 3
+
+
 class TestVertexOf:
     def test_first_basis_letter(self):
         assert farey.farey_vertex(*farey.abelianize2(word_from_str(A2, "a"))) == v(1, 0)

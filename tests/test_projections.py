@@ -47,6 +47,7 @@ from oracles import (
     plain_substitution,
     step_bound_by_steps,
     tree_loops,
+    vertex_projection,
 )
 
 A3 = abc_alphabet(3)
@@ -316,6 +317,15 @@ class TestProjectTree:
         assert got == want
         assert called == []
 
+    def test_projection_sets_are_slotted(self):
+        # built by the projection from unchecked vertices, or by the public
+        # constructors: the same slotted sets either way
+        for p in (1, 3, 5):
+            got = pj.project_tree.__wrapped__(FACTOR_AB, pj.transform_marked(map_power(HYP, p), ROSE))
+            want = pj.ProjectionSet(FACTOR_AB, frozenset(farey.FareyVertex(u.p, u.q) for u in got.vertices))
+            assert not hasattr(got, "__dict__") and not any(hasattr(u, "__dict__") for u in got.vertices)
+            assert got == want and hash(got) == hash(want)
+
     def test_invariant_under_inner(self):
         inner = auto("c a c^-1", "c b c^-1", "c")
         T = pj.transform_marked(HYP, ROSE)
@@ -505,6 +515,58 @@ class TestLoopWordOracle:
             assert T == T0 and T.edge_alphabet.names[0] == "e0"
             for A in factors + [fa.transport(ex.random_automorphism(rng, X, 4), B) for B in factors]:
                 assert_matches_oracle(A, T)
+
+
+class TestVertexLevelOracle:
+    """``project_tree`` trims and chains on the fold's arc list; the same
+    fold read as a vertex adjacency, trimmed by ``stallings._trim`` and
+    chained again, is its oracle."""
+
+    @staticmethod
+    def assert_matches(A, T):
+        assert pj.project_tree.__wrapped__(A, T).vertices == vertex_projection(A, T), (A.key, T)
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_random_trees(self, fixture):
+        factors = se.load_fixture(fixture).collection.factors
+        rng = random.Random(97)
+        for _ in range(300):
+            T = ex.random_tree(rng, factors[0].ambient, ex.NIELSEN_TREE_LENGTH)
+            for A in factors:
+                self.assert_matches(A, T)
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_power_paths(self, fixture):
+        system = se.load_fixture(fixture)
+        R = pj.rose(system.collection.factors[0].ambient)
+        for f in system.maps:
+            for k in range(-6, 7):
+                T = pj.transform_marked(map_power(f, k), R)
+                for A in system.collection.factors:
+                    self.assert_matches(A, T)
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_subdivided_shuffled_graphs(self, fixture):
+        factors = se.load_fixture(fixture).collection.factors
+        rng = random.Random(101)
+        for _ in range(40):
+            T = ex.random_tree(rng, factors[0].ambient, 8)
+            for _ in range(rng.randint(1, 3)):
+                T = subdivide(T, rng)
+            T = shuffled(T, rng)
+            for A in factors:
+                self.assert_matches(A, T)
+
+    def test_json_graphs(self):
+        X = Alphabet(("x", "y", "z", "w"))
+        factors = [fa.free_factor_class(X, [word_from_str(X, g) for g in gens])
+                   for gens in (("x", "y z"), ("z w^-1", "y"))]
+        rng = random.Random(103)
+        for _ in range(15):
+            T0 = subdivide(ex.random_tree(rng, X, 8), rng)
+            T = se.graph_from_json(json.loads(json.dumps(se.graph_to_json(T0))))
+            for A in factors + [fa.transport(ex.random_automorphism(rng, X, 4), B) for B in factors]:
+                self.assert_matches(A, T)
 
 
 class TestBasisLoops:
