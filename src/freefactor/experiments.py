@@ -106,15 +106,10 @@ def random_automorphism(rng: random.Random, alphabet: Alphabet, max_len: int) ->
     return compose_map(*reversed(draws))
 
 
-@lru_cache(maxsize=None)
-def _rose(alphabet: Alphabet) -> pj.MarkedGraph:
-    """The rose that random trees start from, built once per alphabet and
-    process, like the generators that move it."""
-    return pj.rose(alphabet)
-
-
 def random_tree(rng: random.Random, alphabet: Alphabet, max_len: int) -> pj.MarkedGraph:
-    return pj.transform_marked(random_automorphism(rng, alphabet, max_len), _rose(alphabet))
+    return pj.transform_marked(
+        random_automorphism(rng, alphabet, max_len), pj.rose(alphabet)
+    )
 
 
 def random_raag_word(

@@ -40,18 +40,7 @@ class FareyVertex:
         return f"{self.p}/{self.q}"
 
 
-def _vertex(p: int, q: int) -> FareyVertex:
-    """A FareyVertex of a pair already checked primitive and normalized: it
-    fills the frozen fields without the checks."""
-    v = object.__new__(FareyVertex)
-    object.__setattr__(v, "p", p)
-    object.__setattr__(v, "q", q)
-    return v
-
-
 def farey_vertex(p: int, q: int) -> FareyVertex:
-    """The vertex of the primitive pair ±(p, q), checked and sign-normalized
-    once."""
     g = gcd(abs(p), abs(q))
     if g == 0:
         raise NonPrimitiveImage("zero vector is not a vertex")
@@ -60,7 +49,7 @@ def farey_vertex(p: int, q: int) -> FareyVertex:
     lead = p if p != 0 else q
     if lead < 0:
         p, q = -p, -q
-    return _vertex(p, q)
+    return FareyVertex(p, q)
 
 
 def vertex_from_str(s: str) -> FareyVertex:

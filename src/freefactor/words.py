@@ -414,10 +414,8 @@ def _power_letters(images: Sequence[Sequence[int]], n: int) -> Sequence[Sequence
 def map_power(f: GroupMap, n: int) -> GroupMap:
     """f^n for an endomorphism f.
 
-    n < 0 gives (f^-1)^-n, with f^-1 from ``invert_automorphism``, unless
-    f = g^k still keeps its inverse as a recipe: then n < -1 squares g's
-    inverse letters to k|n| at once, with f^|n| as the recipe of the
-    inverse.  n = 0 gives the certified identity, and n = 1 f itself.
+    n < 0 gives (f^-1)^-n, with f^-1 from ``invert_automorphism``; n = 0
+    gives the certified identity, and n = 1 f itself.
     Otherwise f's images are squared and multiplied on plain letter lists,
     and one map is built at the end, certified exactly when f is.  Its
     inverse images, (f^-1)^n, are kept as a recipe, f's inverse letters
@@ -426,18 +424,13 @@ def map_power(f: GroupMap, n: int) -> GroupMap:
     """
     if f.domain != f.codomain:
         raise AlphabetMismatch("map_power needs an endomorphism")
-    inverse = f._inverse
-    if n < -1 and isinstance(inverse, _Power):
-        # f = g^k with f^-1 still a recipe: f^n = (g^-1)^(k|n|) is one chain
-        # on g's inverse letters, and its inverse, f^|n|, a recipe on f's
-        images = _words(f.domain, _power_letters(inverse.base, inverse.n * -n))
-        return _map(f.domain, f.domain, images, _Power(_letters(f.images), -n))
     if n < 0:
         return map_power(invert_automorphism(f), -n)
     if n == 0:
         return identity_map(f.domain)
     if n == 1:
         return f
+    inverse = f._inverse
     if isinstance(inverse, _Power):
         inverse = _Power(inverse.base, inverse.n * n)
     elif inverse is not None:

@@ -72,9 +72,8 @@ class TestVertices:
 
 
 class TestVertexBuilder:
-    """``farey_vertex`` checks and normalizes once and builds unchecked; the
-    public constructor keeps its checks, and both build the same slotted
-    vertices."""
+    """``farey_vertex`` normalizes and the constructor checks, with their
+    refusal texts; both build the same slotted vertices."""
 
     def test_refusals_keep_their_text(self):
         cases = [

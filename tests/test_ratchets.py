@@ -7,7 +7,7 @@ from pathlib import Path
 from freefactor import experiments, projections, serialize, systems, words
 from freefactor.errors import FreefactorError
 from freefactor.factors import free_factor_class
-from oracles import inverts, map_power_by_composition
+from oracles import inverts
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "freefactor"
 
@@ -38,9 +38,6 @@ def _is_object_setattr(node) -> bool:
 # by file: the unchecked builders of words, maps and marked graphs, and the
 # one deferred fill, a power's inverse images built on their first read
 DICT_WRITERS = {"words.py": {"_word", "_map", "inverse_images"}, "projections.py": {"_marked"}}
-# the builders that fill a slotted frozen object, which has no ``__dict__``,
-# by ``object.__setattr__``: the unchecked builder of Farey vertices
-SETATTR_WRITERS = {"farey.py": {"_vertex"}}
 
 
 def _within(tree, names):
@@ -61,7 +58,7 @@ def test_frozen_fields_set_only_while_built():
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text())
-        building = _within(tree, {"__post_init__"} | SETATTR_WRITERS.get(path.name, set()))
+        building = _within(tree, {"__post_init__"})
         writers = _within(tree, DICT_WRITERS.get(path.name, set()))
         found += [
             f"{path.name}:{node.lineno} object.__setattr__"
@@ -150,18 +147,6 @@ def test_power_builds_its_inverse_on_first_read(monkeypatch):
     assert outer.inverse_images is not None and chains == [2, 3, 6]
 
 
-def test_negative_power_of_unread_power_is_one_chain(monkeypatch):
-    # g = f^2 still keeps its inverse as a recipe, so g^-3 squares f's
-    # inverse letters to 6 at once instead of building g^-1 first; its own
-    # inverse, g^3, is a recipe on g's images
-    f = serialize.load_fixture("pentagon-f5").maps[0]
-    chains = _count_power_letters(monkeypatch)
-    power = words.map_power(words.map_power(f, 2), -3)
-    assert chains == [2, 6] and power.certified
-    assert power.images == map_power_by_composition(f, -6).images
-    assert inverts(power) and chains == [2, 6, 3]
-
-
 def test_seed_powers_build_images_only(monkeypatch):
     # a fixture's maps are read as they are, with no power of their own; a
     # generator system built from certified seeds reads only the images of
@@ -199,18 +184,6 @@ def test_path_projects_each_tree_once():
     for A in system.collection.factors:
         assert lookups(lambda: path.step_bound(A)) == len(trees)
         assert lookups(lambda: projections.interval_of(path, A, 1, 1)) == len(trees)
-
-
-def test_scan_builds_one_rose(monkeypatch):
-    # every random tree starts from the same rose, built at most once, not
-    # once per sample
-    built = []
-    rose = projections.rose
-    monkeypatch.setattr(projections, "rose", lambda alphabet: built.append(alphabet) or rose(alphabet))
-    for seed in (3, 4):
-        report = experiments.run_experiment(experiments.ExperimentConfig("behrstock-scan", samples=20, seed=seed))
-        assert len(report["records"]) == 20
-    assert len(built) <= 1
 
 
 def test_projection_miss_builds_no_map(monkeypatch):
