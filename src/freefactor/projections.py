@@ -61,8 +61,13 @@ class MarkedGraph:
     def __post_init__(self):
         if self.betti != self.alphabet.rank:
             raise InvalidMarking("first Betti number must equal the ambient rank")
-        deg = [0] * self.num_vertices
+        nv = self.num_vertices
+        if not 0 <= self.base < nv:
+            raise InvalidMarking(f"base vertex {self.base} out of range 0..{nv - 1}")
+        deg = [0] * nv
         for u, v, w in self.edges:
+            if not (0 <= u < nv and 0 <= v < nv):
+                raise InvalidMarking(f"edge ({u}, {v}): a vertex out of range 0..{nv - 1}")
             if w.alphabet != self.alphabet:
                 raise InvalidMarking("edge labels must be words over the ambient alphabet")
             deg[u] += 1

@@ -237,7 +237,7 @@ def conjugacy_witness(u: Word, v: Word) -> Optional[Word]:
     n = len(cu)
     for k in range(n):
         if cu.letters[k:] + cu.letters[:k] == cv.letters:
-            p = Word(u.alphabet, cu.letters[:k])
+            p = _word(u.alphabet, cu.letters[:k])
             w = b * p.inverse() * a.inverse()
             assert u.conjugate_by(w) == v
             return w
@@ -420,12 +420,19 @@ def map_power(f: GroupMap, n: int) -> GroupMap:
     and one map is built at the end, certified exactly when f is.  Its
     inverse images, (f^-1)^n, are kept as a recipe, f's inverse letters
     and n, and built on their first read: most powers are only applied.  A
-    power of such a power multiplies the exponents on the same letters.
+    power of such a power multiplies the exponents on the same letters;
+    so does a negative power of it, whose images are squared from the
+    recipe and whose inverse images, f's images to the power -n, are again
+    a recipe unless n = -1.
     """
     if f.domain != f.codomain:
         raise AlphabetMismatch("map_power needs an endomorphism")
     if n < 0:
-        return map_power(invert_automorphism(f), -n)
+        recipe = f._inverse
+        if not isinstance(recipe, _Power):
+            return map_power(invert_automorphism(f), -n)
+        images = _words(f.domain, _power_letters(recipe.base, recipe.n * -n))
+        return _map(f.domain, f.domain, images, f.images if n == -1 else _Power(_letters(f.images), -n))
     if n == 0:
         return identity_map(f.domain)
     if n == 1:
@@ -480,22 +487,21 @@ def fold_arcs(loops: Sequence[Tuple[int, ...]], weights: Sequence, mul, inv, one
     ``(num_vertices, arcs)``, arc ``(u, letters, v, w)`` reading its letters
     with weight w from u to v.
 
-    Labels stay whole: two arc ends that leave a vertex with the same letter
-    are cut after their longest common prefix, and the prefixes identified,
-    so a loop P M P^-1 becomes a hair P and a loop M.  The result is the
-    Stallings graph whatever the order of the folds (Kapovich and Myasnikov
-    2002).  Merging v into c re-gauges v by a weight h on the union-find
-    link: arcs into v gain h on the right, arcs out of v h^-1 on the left,
-    and every path keeps its weight.  Vertex 0 is never re-gauged, so when
-    the loops are a free basis, a closed path at 0 carries the weight of the
-    element it reads.
+    Each arc keeps one label, whole; its backward end reads it inverted,
+    built only when that end is compared.  Two arc ends that leave a vertex
+    with the same letter are cut after their longest common prefix, and the
+    prefixes identified, so a loop P M P^-1 becomes a hair P and a loop M.
+    The result is the Stallings graph whatever the order of the folds
+    (Kapovich and Myasnikov 2002).  Merging v into c re-gauges v by a weight
+    h on the union-find link: arcs into v gain h on the right, arcs out of v
+    h^-1 on the left, and every path keeps its weight.  Vertex 0 is never
+    re-gauged, so when the loops are a free basis, a closed path at 0
+    carries the weight of the element it reads.
     """
     parent, gauge, adj = [0], [one], [{}]
-    # arc k is [u, letters u -> v, v, letters v -> u, weight u -> v]; its
-    # end 2k leaves u and its end 2k + 1 leaves v
-    arcs: List[Optional[list]] = [
-        [0, ls, 0, tuple(_inverse_letters(ls)), w] for ls, w in zip(loops, weights) if ls
-    ]
+    # arc k is [u, letters u -> v, v, weight u -> v]; its end 2k leaves u, and
+    # its end 2k + 1 leaves v reading the letters inverted
+    arcs: List[Optional[list]] = [[0, ls, 0, w] for ls, w in zip(loops, weights) if ls]
     stack = list(range(2 * len(arcs)))
 
     def root(v):
@@ -511,39 +517,42 @@ def fold_arcs(loops: Sequence[Tuple[int, ...]], weights: Sequence, mul, inv, one
         return v, h
 
     def view(e):
-        """(start, letters, far end) of arc end e, its ends made roots."""
+        """(start, first letter, far end) of arc end e, its ends made roots."""
         arc = arcs[e >> 1]
         u, v = arc[0], arc[2]
         if parent[u] != u or parent[v] != v:
             (u, hu), (v, hv) = root(u), root(v)
-            arc[0], arc[2], arc[4] = u, v, mul(mul(inv(hu), arc[4]), hv)
-        return (v, arc[3], u) if e & 1 else (u, arc[1], v)
+            arc[0], arc[2], arc[3] = u, v, mul(mul(inv(hu), arc[3]), hv)
+        return (v, -arc[1][-1], u) if e & 1 else (u, arc[1][0], v)
+
+    def letters(e):
+        ls = arcs[e >> 1][1]
+        return tuple(_inverse_letters(ls)) if e & 1 else ls
 
     def weight(e):
-        w = arcs[e >> 1][4]
+        w = arcs[e >> 1][3]
         return inv(w) if e & 1 else w
 
     def reroot(e, y, cut, h=one):
         """End e leaves y instead, without its first ``cut`` letters, which
         read weight h."""
         arc = arcs[e >> 1]
-        n = len(arc[1]) - cut
         if e & 1:
-            arc[1], arc[2], arc[3], arc[4] = arc[1][:n], y, arc[3][cut:], mul(arc[4], h)
+            arc[1], arc[2], arc[3] = arc[1][:-cut], y, mul(arc[3], h)
         else:
-            arc[0], arc[1], arc[3], arc[4] = y, arc[1][cut:], arc[3][:n], mul(inv(h), arc[4])
+            arc[0], arc[1], arc[3] = y, arc[1][cut:], mul(inv(h), arc[3])
 
     while stack:
         e = stack.pop()
         if arcs[e >> 1] is None:
             continue
-        x, la, fa = view(e)
-        s = la[0]
+        x, s, fa = view(e)
         e2 = adj[x].get(s)
         if e2 is None or arcs[e2 >> 1] is None:
             adj[x][s] = e
             continue
-        _, lb, fb = view(e2)
+        fb = view(e2)[2]
+        la, lb = letters(e), letters(e2)
         cut = _common_prefix(la, lb)
         if cut < len(la) and cut < len(lb):
             # a new arc with weight one reads the prefix to a new vertex m,
@@ -551,7 +560,7 @@ def fold_arcs(loops: Sequence[Tuple[int, ...]], weights: Sequence, mul, inv, one
             m, k = len(parent), len(arcs)
             parent.append(m)
             gauge.append(one)
-            arcs.append([x, lb[:cut], m, tuple(_inverse_letters(lb[:cut])), one])
+            arcs.append([x, lb[:cut], m, one])
             reroot(e2, m, cut)
             reroot(e, m, cut)
             adj.append({-lb[cut - 1]: 2 * k + 1, lb[cut]: e2, la[cut]: e})
@@ -577,8 +586,8 @@ def fold_arcs(loops: Sequence[Tuple[int, ...]], weights: Sequence, mul, inv, one
     out = []
     for k, arc in enumerate(arcs):
         if arc is not None:
-            u, ls, v = view(2 * k)
-            out.append((index.setdefault(u, len(index)), ls, index.setdefault(v, len(index)), arc[4]))
+            u, _s, v = view(2 * k)
+            out.append((index.setdefault(u, len(index)), arc[1], index.setdefault(v, len(index)), arc[3]))
     return len(index), out
 
 

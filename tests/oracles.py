@@ -1144,3 +1144,112 @@ def tree_basis(adj, base):
             edges.append((v, s, t) if s > 0 else (t, -s, v))
     words = [naive_reduce(path(u) + (s,) + tuple(-x for x in reversed(path(v)))) for u, s, v in edges]
     return {v: path(v) for v in order}, edges, words
+
+
+# --- the weighted arc fold with two labels per arc ---------------------------
+#
+# `words.fold_arcs` before a backward arc end read its letters inverted only
+# when it was compared.  Vertex numbering, arc order and every choice are the
+# same, so the two folds must return the same result.
+
+def two_label_fold(loops, weights, mul, inv, one):
+    """``words.fold_arcs`` as it was when every arc kept two labels, its
+    letters and their inverse, built for each loop and each new prefix arc
+    and cut again on every reroot.  Same input and output: the fold of
+    reduced ``loops`` at vertex 0, loop i weighted by ``weights[i]`` in the
+    group that ``mul``, ``inv`` and ``one`` give, as ``(num_vertices, arcs)``
+    with arc ``(u, letters, v, w)``."""
+    from typing import List, Optional
+
+    from freefactor.words import _common_prefix, _inverse_letters
+
+    parent, gauge, adj = [0], [one], [{}]
+    # arc k is [u, letters u -> v, v, letters v -> u, weight u -> v]; its
+    # end 2k leaves u and its end 2k + 1 leaves v
+    arcs: List[Optional[list]] = [
+        [0, ls, 0, tuple(_inverse_letters(ls)), w] for ls, w in zip(loops, weights) if ls
+    ]
+    stack = list(range(2 * len(arcs)))
+
+    def root(v):
+        """(r, h): an arc into v with weight w enters r with weight w h."""
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        h = one
+        for x in reversed(path):  # nearest the root first
+            h = mul(gauge[x], h)
+            parent[x], gauge[x] = v, h
+        return v, h
+
+    def view(e):
+        """(start, letters, far end) of arc end e, its ends made roots."""
+        arc = arcs[e >> 1]
+        u, v = arc[0], arc[2]
+        if parent[u] != u or parent[v] != v:
+            (u, hu), (v, hv) = root(u), root(v)
+            arc[0], arc[2], arc[4] = u, v, mul(mul(inv(hu), arc[4]), hv)
+        return (v, arc[3], u) if e & 1 else (u, arc[1], v)
+
+    def weight(e):
+        w = arcs[e >> 1][4]
+        return inv(w) if e & 1 else w
+
+    def reroot(e, y, cut, h=one):
+        """End e leaves y instead, without its first ``cut`` letters, which
+        read weight h."""
+        arc = arcs[e >> 1]
+        n = len(arc[1]) - cut
+        if e & 1:
+            arc[1], arc[2], arc[3], arc[4] = arc[1][:n], y, arc[3][cut:], mul(arc[4], h)
+        else:
+            arc[0], arc[1], arc[3], arc[4] = y, arc[1][cut:], arc[3][:n], mul(inv(h), arc[4])
+
+    while stack:
+        e = stack.pop()
+        if arcs[e >> 1] is None:
+            continue
+        x, la, fa = view(e)
+        s = la[0]
+        e2 = adj[x].get(s)
+        if e2 is None or arcs[e2 >> 1] is None:
+            adj[x][s] = e
+            continue
+        _, lb, fb = view(e2)
+        cut = _common_prefix(la, lb)
+        if cut < len(la) and cut < len(lb):
+            # a new arc with weight one reads the prefix to a new vertex m,
+            # where both ends go on; so do the two ends of a loop P M P^-1
+            m, k = len(parent), len(arcs)
+            parent.append(m)
+            gauge.append(one)
+            arcs.append([x, lb[:cut], m, tuple(_inverse_letters(lb[:cut])), one])
+            reroot(e2, m, cut)
+            reroot(e, m, cut)
+            adj.append({-lb[cut - 1]: 2 * k + 1, lb[cut]: e2, la[cut]: e})
+            adj[x][s] = 2 * k
+        elif cut < len(la):  # b is a prefix of a
+            reroot(e, fb, cut, weight(e2))
+            stack.append(e)
+        elif cut < len(lb):  # a is a prefix of b
+            reroot(e2, fa, cut, weight(e))
+            adj[x][s] = e
+            stack.append(e2)
+        else:  # a and b read the same letters: drop a, and merge their ends
+            wa, wb = weight(e), weight(e2)
+            arcs[e >> 1] = None
+            if fa == fb:
+                continue  # the weights agree unless the loops are not a free basis
+            if fa == 0:
+                fa, fb, wa, wb = fb, fa, wb, wa
+            parent[fa], gauge[fa] = fb, mul(inv(wa), wb)
+            stack.extend(adj[fa].values())
+            adj[fa] = {}
+    index = {0: 0}
+    out = []
+    for k, arc in enumerate(arcs):
+        if arc is not None:
+            u, ls, v = view(2 * k)
+            out.append((index.setdefault(u, len(index)), ls, index.setdefault(v, len(index)), arc[4]))
+    return len(index), out

@@ -131,8 +131,9 @@ class TestMarkedGraph:
 
     def test_checked_refusals_survive_optimize(self, run_optimized):
         # the public constructor keeps every check: a wrong Betti number, a
-        # valence-1 vertex, two components, labels that do not generate, and
-        # labels over another alphabet
+        # valence-1 vertex, two components, labels that do not generate,
+        # labels over another alphabet, a base that is not a vertex, and an
+        # edge end that is not a vertex
         out = run_optimized(
             "from freefactor import projections as pj\n"
             "from freefactor.errors import FreefactorError\n"
@@ -141,15 +142,19 @@ class TestMarkedGraph:
             "a, b = (word_from_str(A, s) for s in ('a', 'b'))\n"
             "x, y = (word_from_str(Alphabet(('x', 'y')), s) for s in ('x', 'y'))\n"
             "cases = [\n"
-            "    (1, ((0, 0, a),)),\n"
-            "    (2, ((0, 0, a), (0, 0, b), (0, 1, a))),\n"
-            "    (2, ((0, 0, a), (0, 0, b), (1, 1, a))),\n"
-            "    (1, ((0, 0, a), (0, 0, a))),\n"
-            "    (1, ((0, 0, x), (0, 0, y))),\n"
+            "    (1, ((0, 0, a),), 0),\n"
+            "    (2, ((0, 0, a), (0, 0, b), (0, 1, a)), 0),\n"
+            "    (2, ((0, 0, a), (0, 0, b), (1, 1, a)), 0),\n"
+            "    (1, ((0, 0, a), (0, 0, a)), 0),\n"
+            "    (1, ((0, 0, x), (0, 0, y)), 0),\n"
+            "    (1, ((0, 0, a), (0, 0, b)), 5),\n"
+            "    (1, ((0, 0, a), (0, 0, b)), -1),\n"
+            "    (1, ((0, 0, a), (0, 3, b)), 0),\n"
+            "    (1, ((0, 0, a), (-1, 0, b)), 0),\n"
             "]\n"
-            "for nv, edges in cases:\n"
+            "for nv, edges, base in cases:\n"
             "    try:\n"
-            "        pj.MarkedGraph(A, nv, edges, 0)\n"
+            "        pj.MarkedGraph(A, nv, edges, base)\n"
             "    except FreefactorError as exc:\n"
             "        print(f'{type(exc).__name__}: {exc}')\n"
         )
@@ -159,6 +164,10 @@ class TestMarkedGraph:
             "InvalidMarking: marked graph must be connected\n"
             "InvalidMarking: edge labels do not generate the ambient group\n"
             "InvalidMarking: edge labels must be words over the ambient alphabet\n"
+            "InvalidMarking: base vertex 5 out of range 0..0\n"
+            "InvalidMarking: base vertex -1 out of range 0..0\n"
+            "InvalidMarking: edge (0, 3): a vertex out of range 0..0\n"
+            "InvalidMarking: edge (-1, 0): a vertex out of range 0..0\n"
         )
 
     def test_theta_graph(self):

@@ -145,6 +145,26 @@ def test_power_builds_its_inverse_on_first_read(monkeypatch):
     outer = words.map_power(words.map_power(f, 2), 3)
     assert chains == [2, 3] and outer.certified
     assert outer.inverse_images is not None and chains == [2, 3, 6]
+    # so does a negative power of an unread power, whose inverse images are
+    # the unread power's images to the power it is taken to
+    chains.clear()
+    outer = words.map_power(words.map_power(f, 2), -3)
+    assert chains == [2, 6] and outer.certified
+    assert outer.inverse_images is not None and chains == [2, 6, 3]
+
+
+def test_fold_inverts_only_compared_ends(monkeypatch):
+    # each arc keeps one label: a backward end is read inverted only when it
+    # meets another end with its first letter, and one-letter loops meet none
+    calls = []
+    invert = words._inverse_letters
+    monkeypatch.setattr(words, "_inverse_letters", lambda w: calls.append(w) or invert(w))
+    num_vertices, arcs = words.fold_arcs(
+        [(1,), (2,), (3,)], ((1, 0), (0, 1), (1, 1)),
+        lambda c, d: (c[0] + d[0], c[1] + d[1]), lambda c: (-c[0], -c[1]), (0, 0),
+    )
+    assert (num_vertices, len(arcs)) == (1, 3)
+    assert calls == []
 
 
 def test_seed_powers_build_images_only(monkeypatch):

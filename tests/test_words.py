@@ -44,6 +44,7 @@ from oracles import (
     nielsen_inverse,
     peeled_cyclic_reduce,
     plain_substitution,
+    two_label_fold,
 )
 
 A3 = abc_alphabet(3)
@@ -734,6 +735,81 @@ class TestFoldArcs:
                 images[i] = rng.choice((images[j], images[j].inverse()))
             with pytest.raises(NotSurjective):
                 invert_automorphism(GroupMap(alphabet, alphabet, tuple(images)))
+
+
+def _h1_sum(c, d):
+    return c[0] + d[0], c[1] + d[1]
+
+
+def _h1_neg(c):
+    return -c[0], -c[1]
+
+
+@st.composite
+def fold_loops(draw):
+    """Up to six reduced loops over a rank-1 to rank-4 alphabet: plain words,
+    P M P^-1 words, proper powers and repeats or inverses of earlier loops,
+    so they are often not a free basis."""
+    rank = draw(st.integers(1, 4))
+    signed = st.integers(1, rank).flatmap(lambda i: st.sampled_from([i, -i]))
+    word = st.lists(signed, max_size=10).map(naive_reduce)
+    loops = []
+    for _ in range(draw(st.integers(0, 6))):
+        w = draw(word)
+        kind = draw(st.sampled_from(("plain", "conjugated", "power", "again")))
+        if kind == "conjugated":
+            p = draw(word)
+            w = naive_reduce(p + w + tuple(-x for x in reversed(p)))
+        elif kind == "power":
+            w = naive_reduce(w * draw(st.integers(2, 4)))
+        elif kind == "again" and loops:
+            w = draw(st.sampled_from(loops))
+            if draw(st.booleans()):
+                w = tuple(-x for x in reversed(w))
+        loops.append(w)
+    return loops
+
+
+class TestOneLabelFold:
+    """``fold_arcs`` keeps one label per arc and inverts a backward end only
+    when it is compared; the fold that kept every label and its inverse is
+    the oracle, and both must return the same vertices, arcs and weights."""
+
+    @staticmethod
+    def _agree(loops, weights, mul, inv, one):
+        got = words.fold_arcs(loops, weights, mul, inv, one)
+        assert got == two_label_fold(loops, weights, mul, inv, one), loops
+
+    @classmethod
+    def _agree_as_automorphism(cls, loops):
+        cls._agree(loops, [(i,) for i in range(1, len(loops) + 1)], concat, words._inverse_letters, ())
+
+    def test_projection_folds(self):
+        # the basis paths project_tree folds, with weights in H_1 of the factor
+        for fixture in se.list_fixtures():
+            system = se.load_fixture(fixture)
+            for f in system.maps:
+                for g in (f, invert_automorphism(f)):
+                    for T in ex._power_path(g, 6):
+                        for A in system.collection.factors:
+                            loops = [path.letters for path in T.to_edge_paths(A.basis)]
+                            self._agree(loops, ((1, 0), (0, 1)), _h1_sum, _h1_neg, (0, 0))
+
+    def test_automorphism_folds(self):
+        # the images automorphism folds, with weights in the domain
+        for fixture in se.list_fixtures():
+            for f in se.load_fixture(fixture).maps:
+                self._agree_as_automorphism([w.letters for w in f.images])
+        rng = random.Random(59)
+        for _ in range(100):
+            f = ex.random_automorphism(rng, std_alphabet(rng.randrange(2, 7)), 12)
+            self._agree_as_automorphism([w.letters for w in f.images])
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(fold_loops())
+    def test_drawn_loops(self, loops):
+        self._agree_as_automorphism(loops)
+        self._agree(loops, [(1, i) for i in range(len(loops))], _h1_sum, _h1_neg, (0, 0))
 
 
 def _linked_product(rng, alphabet):
