@@ -59,9 +59,9 @@ class TrivialSubgroup(FreefactorError):
 
 
 class InvalidMarking(FreefactorError):
-    """A marked graph names a base or an edge end that is not one of its
-    vertices, is disconnected, has a vertex of valence < 2, or does not mark
-    its group."""
+    """A marked graph has a vertex count that is not an integer, names a base
+    or an edge end that is not one of its vertices (an integer in range), is
+    disconnected, has a vertex of valence < 2, or does not mark its group."""
 
 
 class RankTooSmall(FreefactorError):

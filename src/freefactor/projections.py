@@ -40,6 +40,11 @@ from freefactor.words import (
 PROJECTION_DIAMETER_BOUND = 4
 
 
+def _is_int(x) -> bool:
+    # Python counts bool as an int, but True is no vertex number
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class MarkedGraph:
     """Finite graph with reduced-word edge labels identifying π₁ with F_n.
@@ -59,15 +64,17 @@ class MarkedGraph:
     marking_hint: GroupMap = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        nv = self.num_vertices
+        if not _is_int(nv):
+            raise InvalidMarking(f"vertex count {nv!r} is not an integer")
         if self.betti != self.alphabet.rank:
             raise InvalidMarking("first Betti number must equal the ambient rank")
-        nv = self.num_vertices
-        if not 0 <= self.base < nv:
-            raise InvalidMarking(f"base vertex {self.base} out of range 0..{nv - 1}")
+        if not (_is_int(self.base) and 0 <= self.base < nv):
+            raise InvalidMarking(f"base vertex {self.base!r} is not an integer in 0..{nv - 1}")
         deg = [0] * nv
         for u, v, w in self.edges:
-            if not (0 <= u < nv and 0 <= v < nv):
-                raise InvalidMarking(f"edge ({u}, {v}): a vertex out of range 0..{nv - 1}")
+            if not all(_is_int(x) and 0 <= x < nv for x in (u, v)):
+                raise InvalidMarking(f"edge ({u!r}, {v!r}): a vertex is not an integer in 0..{nv - 1}")
             if w.alphabet != self.alphabet:
                 raise InvalidMarking("edge labels must be words over the ambient alphabet")
             deg[u] += 1

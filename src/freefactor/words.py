@@ -420,19 +420,12 @@ def map_power(f: GroupMap, n: int) -> GroupMap:
     and one map is built at the end, certified exactly when f is.  Its
     inverse images, (f^-1)^n, are kept as a recipe, f's inverse letters
     and n, and built on their first read: most powers are only applied.  A
-    power of such a power multiplies the exponents on the same letters;
-    so does a negative power of it, whose images are squared from the
-    recipe and whose inverse images, f's images to the power -n, are again
-    a recipe unless n = -1.
+    power of such a power multiplies the exponents on the same letters.
     """
     if f.domain != f.codomain:
         raise AlphabetMismatch("map_power needs an endomorphism")
     if n < 0:
-        recipe = f._inverse
-        if not isinstance(recipe, _Power):
-            return map_power(invert_automorphism(f), -n)
-        images = _words(f.domain, _power_letters(recipe.base, recipe.n * -n))
-        return _map(f.domain, f.domain, images, f.images if n == -1 else _Power(_letters(f.images), -n))
+        return map_power(invert_automorphism(f), -n)
     if n == 0:
         return identity_map(f.domain)
     if n == 1:

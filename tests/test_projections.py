@@ -132,8 +132,8 @@ class TestMarkedGraph:
     def test_checked_refusals_survive_optimize(self, run_optimized):
         # the public constructor keeps every check: a wrong Betti number, a
         # valence-1 vertex, two components, labels that do not generate,
-        # labels over another alphabet, a base that is not a vertex, and an
-        # edge end that is not a vertex
+        # labels over another alphabet, and a vertex count, base or edge end
+        # that is not an integer, or not in range
         out = run_optimized(
             "from freefactor import projections as pj\n"
             "from freefactor.errors import FreefactorError\n"
@@ -151,6 +151,10 @@ class TestMarkedGraph:
             "    (1, ((0, 0, a), (0, 0, b)), -1),\n"
             "    (1, ((0, 0, a), (0, 3, b)), 0),\n"
             "    (1, ((0, 0, a), (-1, 0, b)), 0),\n"
+            "    (1, ((0, 0, a), (0, 0, b)), 0.5),\n"
+            "    (1, ((0, 0, a), (0, 0, b)), False),\n"
+            "    (1, ((0, 0, a), (0.0, 0, b)), 0),\n"
+            "    (1.0, ((0, 0, a), (0, 0, b)), 0),\n"
             "]\n"
             "for nv, edges, base in cases:\n"
             "    try:\n"
@@ -164,10 +168,14 @@ class TestMarkedGraph:
             "InvalidMarking: marked graph must be connected\n"
             "InvalidMarking: edge labels do not generate the ambient group\n"
             "InvalidMarking: edge labels must be words over the ambient alphabet\n"
-            "InvalidMarking: base vertex 5 out of range 0..0\n"
-            "InvalidMarking: base vertex -1 out of range 0..0\n"
-            "InvalidMarking: edge (0, 3): a vertex out of range 0..0\n"
-            "InvalidMarking: edge (-1, 0): a vertex out of range 0..0\n"
+            "InvalidMarking: base vertex 5 is not an integer in 0..0\n"
+            "InvalidMarking: base vertex -1 is not an integer in 0..0\n"
+            "InvalidMarking: edge (0, 3): a vertex is not an integer in 0..0\n"
+            "InvalidMarking: edge (-1, 0): a vertex is not an integer in 0..0\n"
+            "InvalidMarking: base vertex 0.5 is not an integer in 0..0\n"
+            "InvalidMarking: base vertex False is not an integer in 0..0\n"
+            "InvalidMarking: edge (0.0, 0): a vertex is not an integer in 0..0\n"
+            "InvalidMarking: vertex count 1.0 is not an integer\n"
         )
 
     def test_theta_graph(self):
