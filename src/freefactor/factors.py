@@ -4,14 +4,12 @@ Whitehead free-factor testing, and transport under automorphisms."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from freefactor import stallings
 from freefactor.errors import InvalidTransport, RankTooSmall
 from freefactor.stallings import SubgroupGraph, from_generators, pullback_components
-from freefactor.words import Alphabet, GroupMap, Word, identity, reduce_raw
-
-DOUBLE_COSET_SEARCH_LENGTH = 3
+from freefactor.words import Alphabet, GroupMap, Word, reduce_raw
 
 
 @dataclass(frozen=True)
@@ -108,38 +106,6 @@ def _overlap_certificate(A: FreeFactorClass, B: FreeFactorClass, candidates: Lis
     return None
 
 
-def _short_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
-    """Reduced words of length <= max_len, shortest first, made as needed."""
-    yield identity(alphabet)
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for t in frontier:
-            for s in range(1, alphabet.rank + 1):
-                for sg in (s, -s):
-                    if t and t[-1] == -sg:
-                        continue
-                    u = t + (sg,)
-                    nxt.append(u)
-                    yield Word(alphabet, u)
-        frontier = nxt
-
-
-def _common_splitting(A: FreeFactorClass, B: FreeFactorClass) -> bool:
-    """The disjoint branch of ``classify_pair``, for an empty pullback: true
-    iff some short coset representative g makes A and gBg⁻¹ vertex groups of
-    a common splitting, certified by rank additivity of the join plus the
-    join being a free factor."""
-    for g in _short_words(A.ambient, DOUBLE_COSET_SEARCH_LENGTH):
-        # the pullback is empty, so A ∩ gBg⁻¹ = 1 for every g
-        H = from_generators(A.ambient, A.basis + tuple(w.conjugate_by(g) for w in B.basis))
-        if H.rank != A.rank + B.rank:
-            continue
-        if is_free_factor(H):
-            return True
-    return False
-
-
 def _bit(s: int) -> int:
     """Position of a signed letter in a Whitehead set mask: a, a^-1, b, b^-1, ..."""
     return 2 * abs(s) - 2 + (s < 0)
@@ -226,29 +192,37 @@ def _whitehead_map(alphabet: Alphabet, v: int, Y: int) -> GroupMap:
     return GroupMap(alphabet, alphabet, tuple(images))
 
 
-def is_free_factor(H: SubgroupGraph) -> bool:
-    """Greedy Whitehead descent on the cyclic core's edge count.
+def _descend(alphabet: Alphabet, graphs: Sequence[SubgroupGraph]) -> bool:
+    """Greedy Whitehead descent on the summed edge count of the graphs'
+    cyclic cores, each move applied to all of them.
 
     Each step applies the least-cut move of the first letter v whose least
-    cut shrinks the core, so only accepted moves are folded.  Any shrinking
-    move leads to a minimal core (Whitehead; Gersten 1984), and a folded
-    one-vertex core is a subrose, so H is a free factor iff the descent
-    reaches one vertex.
+    cut shrinks the cores, so only accepted moves are folded; cut counts add
+    over vertices, so ``_best_moves`` reads the cores' rows side by side.
+    Any shrinking move leads to a minimal sum, for a finite set of subgroups
+    too (Whitehead; Gersten 1984), and a folded one-vertex core is a
+    subrose, so some automorphism makes every graph a subrose iff the
+    descent brings every core to one vertex.
     """
-    alphabet = H.alphabet
-    core = stallings._unbased_core(H)
-    gens = None  # H's basis, built only once a move is applied
-    while len(core) > 1:
-        move = next((m for m in _best_moves(alphabet, core) if m[2] < 0), None)
+    cores = [stallings._unbased_core(H) for H in graphs]
+    bases = None  # the graphs' bases, built only once a move is applied
+    while any(len(core) > 1 for core in cores):
+        rows = [d for core in cores for d in core]
+        move = next((m for m in _best_moves(alphabet, rows) if m[2] < 0), None)
         if move is None:
             return False
         v, Y, change = move
         f = _whitehead_map(alphabet, v, Y)
-        gens = [f(w) for w in (H.basis if gens is None else gens)]
-        expected = sum(map(len, core)) + 2 * change  # directed edges
-        core = stallings._unbased_core(from_generators(alphabet, gens))
-        assert sum(map(len, core)) == expected, "the cut count must match the fold"
+        bases = [[f(w) for w in basis] for basis in bases or [H.basis for H in graphs]]
+        expected = sum(map(len, rows)) + 2 * change  # directed edges
+        cores = [stallings._unbased_core(from_generators(alphabet, basis)) for basis in bases]
+        assert sum(len(d) for core in cores for d in core) == expected, "the cut count must match the fold"
     return True
+
+
+def is_free_factor(H: SubgroupGraph) -> bool:
+    """H is a free factor iff the descent brings its cyclic core to one vertex."""
+    return _descend(H.alphabet, [H])
 
 
 def transport(f: GroupMap, A: FreeFactorClass) -> FreeFactorClass:
@@ -264,7 +238,12 @@ def classify_pair(A: FreeFactorClass, B: FreeFactorClass):
     """Trichotomy verdict: ("disjoint" | "overlap", witness) or ("none", detail).
 
     One pullback serves both checks: its components are the overlap
-    candidates, and when there are none the coset search runs.
+    candidates.  When there are none, every A ∩ gBg⁻¹ is trivial, so the
+    classes are disjoint (conjugate to vertex groups of one free splitting)
+    iff one automorphism makes both subroses, which then share no letter.
+    The join ⟨A, B⟩ certifies that when it has rank rA + rB and is a free
+    factor; otherwise the Whitehead descent on both cores at once decides.
+    The verdict depends only on the classes, not on their stored bases.
     """
     _require_rank2(A, B)
     candidates = _meet_candidates(A, B)
@@ -273,6 +252,7 @@ def classify_pair(A: FreeFactorClass, B: FreeFactorClass):
         if cert is not None:
             return "overlap", cert
         return "none", "nontrivial intersections but no amalgam rank certificate"
-    if _common_splitting(A, B):
+    join = from_generators(A.ambient, A.basis + B.basis)
+    if (join.rank == A.rank + B.rank and is_free_factor(join)) or _descend(A.ambient, [A.graph, B.graph]):
         return "disjoint", None
-    return "none", "trivial intersections but no common-splitting certificate"
+    return "none", "trivial intersections but not disjoint: no free splitting has both as vertex groups"

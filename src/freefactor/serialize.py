@@ -9,7 +9,7 @@ from importlib import resources
 from typing import Any, Dict, List, Sequence
 
 from freefactor import projections as pj, systems as sy
-from freefactor.errors import InvalidAlphabet, InvalidGraph, SchemaError
+from freefactor.errors import FreefactorError, InvalidAlphabet, InvalidGraph, SchemaError
 from freefactor.factors import free_factor_class
 from freefactor.raag import SimplicialGraph, simplicial_graph
 from freefactor.words import (
@@ -51,7 +51,7 @@ def _parse_word(alphabet: Alphabet, s: Any, path: str) -> Word:
     _expect(s, str, path)
     try:
         return word_from_str(alphabet, s)
-    except Exception as exc:
+    except FreefactorError as exc:
         raise SchemaError(f"{path}: bad word {s!r} ({exc})")
 
 
@@ -89,7 +89,7 @@ def graph_from_json(obj: Any, path: str = "graph") -> pj.MarkedGraph:
         edges.append((u, v, label))
     try:
         return pj.MarkedGraph(alphabet, nv, tuple(edges), base)
-    except Exception as exc:
+    except FreefactorError as exc:
         raise SchemaError(f"{path}: invalid marked graph ({exc})")
 
 
@@ -179,7 +179,7 @@ def system_from_json(obj: Any, verify: bool = False, path: str = "system") -> sy
         ws = [_parse_word(ambient, im, f"{gp}.images[{i}]") for i, im in enumerate(images)]
         try:
             maps.append(automorphism(ambient, ws))
-        except Exception as exc:
+        except FreefactorError as exc:
             raise SchemaError(f"{gp}: images are not an automorphism ({exc})")
     if gen_names != names:
         raise SchemaError(f"{path}.generators: names must match factors in order")

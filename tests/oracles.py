@@ -774,6 +774,28 @@ def short_words(n, max_len):
     return out
 
 
+
+def coset_search_disjoint(A, B, max_len=3):
+    """The disjoint branch ``factors.classify_pair`` had before its exact
+    descent, for an empty pullback: true iff some coset representative g of
+    length <= max_len makes A and gBg⁻¹ vertex groups of a common splitting,
+    certified by rank additivity of the join plus the join being a free
+    factor.  Sound, but bounded: it misses a disjoint pair whose stored
+    bases differ by a longer conjugate."""
+    from freefactor.factors import is_free_factor
+    from freefactor.stallings import from_generators
+    from freefactor.words import Word
+
+    for letters in short_words(A.ambient.rank, max_len):
+        g = Word(A.ambient, letters)
+        # the pullback is empty, so A ∩ gBg⁻¹ = 1 for every g
+        H = from_generators(A.ambient, A.basis + tuple(w.conjugate_by(g) for w in B.basis))
+        if H.rank != A.rank + B.rank:
+            continue
+        if is_free_factor(H):
+            return True
+    return False
+
 # --- powers of maps, one composed map per step ------------------------------
 #
 # Not naive like the rest: it reuses the library's maps and their

@@ -5,22 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freefactor import factors as fa, stallings
+from freefactor import experiments as ex, factors as fa, serialize as se, stallings, systems as sy
 from freefactor.errors import InvalidTransport, RankTooSmall
 from freefactor.words import (
     GroupMap,
+    Word,
     abc_alphabet,
     automorphism,
     reduce_raw,
-    std_alphabet,
     word_from_str,
 )
 from oracles import (
+    coset_search_disjoint,
     mask_descent_is_free_factor,
     mask_letters,
     naive_core,
     naive_reduce,
-    short_words,
     trial_fold_is_free_factor,
     whitehead_cuts,
     whitehead_image,
@@ -371,8 +371,91 @@ class TestWhiteheadOracle:
         assert fa.is_free_factor(H) == trial_fold_is_free_factor(4, [w.letters for w in H.basis])
 
 
-class TestShortWords:
-    def test_lazy_words_keep_the_eager_order(self):
-        words = list(fa._short_words(std_alphabet(5), fa.DOUBLE_COSET_SEARCH_LENGTH))
-        assert len(words) == 911 and words[0].is_identity()
-        assert [w.letters for w in words] == short_words(5, 3)
+def random_reduced(rng, alphabet, length):
+    letters = []
+    while len(letters) < length:
+        s = rng.choice([1, -1]) * rng.randint(1, alphabet.rank)
+        if not letters or letters[-1] != -s:
+            letters.append(s)
+    return Word(alphabet, tuple(letters))
+
+
+def conjugated(A, g):
+    return fa.free_factor_class(A.ambient, [w.conjugate_by(g) for w in A.basis])
+
+
+def fixture_pairs():
+    """(name, A, B, verdict) for every pair of every shipped fixture."""
+    for name in se.list_fixtures():
+        c = se.load_fixture(name).collection
+        for i, j, verdict in c.classifications:
+            yield name, c.factors[i], c.factors[j], verdict
+
+
+class TestDisjointExact:
+    """The disjoint verdict is read off the classes, not their stored bases."""
+
+    def test_conjugated_complement(self, monkeypatch):
+        # F_4 = <a, b> * <c, d>; B is a conjugate of <c, d> that the bounded
+        # coset search misses, so verify_admissible used to refuse the pair
+        w = w4("b c a c a")
+        A = fa.free_factor_class(A4, [w4("a"), w4("b")])
+        B = fa.free_factor_class(A4, [w4("c").conjugate_by(w), w4("d").conjugate_by(w)])
+        assert not coset_search_disjoint(A, B)
+        folds = []
+        fold = fa.from_generators
+        monkeypatch.setattr(fa, "from_generators", lambda *args: folds.append(1) or fold(*args))
+        assert fa.classify_pair(A, B) == ("disjoint", None)
+        assert len(folds) <= 4
+        assert sy.verify_admissible([A, B], ["A", "B"]).gamma.adjacent("A", "B")
+
+    @pytest.mark.parametrize("length", [6, 10, 16])
+    def test_verdict_ignores_conjugated_bases(self, length):
+        rng = random.Random(length)
+        A = fa.free_factor_class(A4, [w4("a"), w4("b")])
+        pairs = [
+            (A, fa.free_factor_class(A4, [w4("c"), w4("d")]), "disjoint"),
+            (A, fa.free_factor_class(A4, [w4("b"), w4("c")]), "overlap"),
+            (A, fa.free_factor_class(A4, [w4("c c"), w4("d d")]), "none"),
+        ]
+        for k in range(20):
+            for X, Y, verdict in pairs:
+                g = random_reduced(rng, A4, length)
+                X, Y = (conjugated(X, g), Y) if k % 2 else (X, conjugated(Y, g))
+                assert fa.classify_pair(X, Y)[0] == verdict
+        for name, X, Y, verdict in fixture_pairs():
+            g = random_reduced(rng, X.ambient, length)
+            assert fa.classify_pair(X, conjugated(Y, g))[0] == verdict, name
+            assert fa.classify_pair(conjugated(X, g), Y)[0] == verdict, name
+
+    def test_sound_against_the_coset_search(self):
+        # wherever the bounded search finds a common splitting, so does the
+        # descent; pairs with a nonempty pullback never reach either
+        rng = random.Random(36)
+        pairs = []
+        for name, X, Y, _ in fixture_pairs():
+            pairs.append((X, Y))
+            for _ in range(6):
+                f = ex.random_automorphism(rng, X.ambient, 8)
+                pairs.append((fa.transport(f, X), fa.transport(f, Y)))
+        for _ in range(40):
+            n = rng.randint(3, 5)
+            al = abc_alphabet(n)
+            x = [Word(al, (i,)) for i in range(1, n + 1)]
+            f = ex.random_automorphism(rng, al, 6)
+            # a disjoint pair carried by f, or its second factor carried by
+            # an automorphism of its own; then conjugated by a short word
+            h = f if rng.random() < 0.5 else ex.random_automorphism(rng, al, 3)
+            g = random_reduced(rng, al, rng.randint(0, 3))
+            X = fa.free_factor_class(al, [f(x[0]), f(x[1])])
+            Y = fa.free_factor_class(al, [h(x[2]).conjugate_by(g), h(x[-1] * x[1]).conjugate_by(g)])
+            pairs.append((X, Y))
+        searched = found = 0
+        for X, Y in pairs:
+            if stallings.pullback_components(X.graph, Y.graph):
+                continue
+            searched += 1
+            if coset_search_disjoint(X, Y):
+                found += 1
+                assert fa.classify_pair(X, Y)[0] == "disjoint"
+        assert searched > found >= 80

@@ -167,6 +167,32 @@ class TestBooleansAreNotIntegers:
             se.system_from_json(obj, verify=True)
 
 
+class LibraryBug(Exception):
+    """Not a FreefactorError: a fault inside the library, not in the input."""
+
+
+class TestLibraryBugsPropagate:
+    """Only the library's typed refusals become a SchemaError about the
+    input; any other exception reaches the caller as it was raised."""
+
+    @pytest.mark.parametrize("site", ["word_from_str", "MarkedGraph", "automorphism"])
+    def test_unchanged(self, monkeypatch, site):
+        bug = LibraryBug(site)
+        graph = se.graph_to_json(pj.rose(abc_alphabet(2)))
+        system = json.loads(se.fixture_path("pentagon-f5").read_text())
+
+        def broken(*args, **kwargs):
+            raise bug
+
+        monkeypatch.setattr(pj if site == "MarkedGraph" else se, site, broken)
+        with pytest.raises(LibraryBug) as e:
+            if site == "automorphism":
+                se.system_from_json(system)
+            else:
+                se.graph_from_json(graph)
+        assert e.value is bug
+
+
 class TestFixtures:
     def test_shipped_list(self):
         names = se.list_fixtures()
