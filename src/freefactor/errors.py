@@ -40,10 +40,6 @@ class MalformedVertex(FreefactorError):
     first nonzero coordinate is negative."""
 
 
-class NotUnimodular(FreefactorError):
-    """A 2x2 integer matrix has determinant other than ±1."""
-
-
 class InvalidGraph(FreefactorError):
     """A defining graph repeats a vertex, has a loop, or an edge off its
     vertices, or has a vertex name that a word cannot spell or that prints as
@@ -66,16 +62,6 @@ class InvalidMarking(FreefactorError):
 
 class RankTooSmall(FreefactorError):
     """A factor's rank is below what the operation needs."""
-
-
-class RankMismatch(FreefactorError):
-    """A word or map is over an alphabet of another rank than the operation
-    needs, or a factor has another rank."""
-
-
-class LengthMismatch(FreefactorError):
-    """Sequences that must match in length do not: a system's factors, seeds
-    and complements, or a factor basis and its complement against the rank."""
 
 
 class InvalidTransport(FreefactorError):
@@ -123,14 +109,6 @@ class SupportViolation(FreefactorError):
 
 class CommutationViolation(FreefactorError):
     """The commutator of two linked generators is not inner."""
-
-
-class NotHyperbolicSeed(FreefactorError):
-    """A seed's abelianization on its factor is not hyperbolic: |trace| <= 2."""
-
-
-class NoSuchSyllable(FreefactorError):
-    """A syllable index lies outside the word."""
 
 
 class SchemaError(FreefactorError):

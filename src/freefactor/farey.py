@@ -15,13 +15,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Tuple
 
-from freefactor.errors import (
-    MalformedVertex,
-    NonPrimitiveImage,
-    NotUnimodular,
-    RankMismatch,
-)
-from freefactor.words import GroupMap, Word
+from freefactor.errors import MalformedVertex, NonPrimitiveImage
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,14 +52,6 @@ def vertex_from_str(s: str) -> FareyVertex:
         return farey_vertex(int(p), int(q))
     except ValueError:
         raise MalformedVertex(f"{s!r} is not a vertex p/q") from None
-
-
-def abelianize2(w: Word) -> Tuple[int, int]:
-    """Image in Z^2 of a word over a rank-2 basis (exponent sums of x_1, x_2)."""
-    if w.alphabet.rank != 2:
-        raise RankMismatch(f"abelianize2 needs a rank-2 word, not rank {w.alphabet.rank}")
-    ls = w.letters
-    return ls.count(1) - ls.count(-1), ls.count(2) - ls.count(-2)
 
 
 @lru_cache(maxsize=1_000_000)
@@ -143,36 +129,3 @@ def diameter(vertices: Iterable[FareyVertex]) -> int:
         for v in vs[i + 1 :]:
             best = max(best, farey_distance(u, v))
     return best
-
-
-@dataclass(frozen=True)
-class Matrix2Z:
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if abs(self.det) != 1:
-            raise NotUnimodular(f"determinant {self.det}: the matrix is not in GL(2, Z)")
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    @property
-    def trace(self) -> int:
-        return self.a + self.d
-
-
-def matrix_of_out(f: GroupMap) -> Matrix2Z:
-    """Abelianization matrix of a rank-2 automorphism (columns = images)."""
-    if f.domain.rank != 2 or f.codomain.rank != 2:
-        raise RankMismatch(f"matrix_of_out needs rank 2, not {f.domain.rank} -> {f.codomain.rank}")
-    (a, c), (b, d) = (abelianize2(w) for w in f.images)
-    return Matrix2Z(a, b, c, d)
-
-
-def is_fully_irreducible(m: Matrix2Z) -> bool:
-    """Hyperbolic matrices have no primitive eigenvector: |trace| > 2."""
-    return abs(m.trace) > 2

@@ -22,7 +22,6 @@ from freefactor.errors import (
     PathTooShort,
     ThresholdViolated,
     UndefinedProjection,
-    UnknownLetter,
 )
 from freefactor.factors import FreeFactorClass
 from freefactor.words import (
@@ -122,18 +121,6 @@ class MarkedGraph:
         H = stallings.SubgroupGraph(self.edge_alphabet, tuple(adj), self.base)
         by_letter = sorted(zip(H.basis_edges, H.basis), key=lambda p: p[0][1])
         return tuple(w.letters for _e, w in by_letter)
-
-    def basis_loops(self) -> List[List[int]]:
-        """Edge-paths (signed 1-based edge indices) of the non-tree basis loops."""
-        return [list(loop) for loop in self._loops]
-
-    def eval_edge_word(self, edge_word: Sequence[int]) -> Word:
-        """Label-word of an edge path (signed 1-based edge indices)."""
-        m = self.num_edges
-        for x in edge_word:
-            if x == 0 or abs(x) > m:
-                raise UnknownLetter(f"edge letter {x} invalid for a graph of {m} edges")
-        return _word(self.alphabet, tuple(substitute(edge_word, self._labels())))
 
     def _labels(self) -> List[Tuple[int, ...]]:
         return [w.letters for _u, _v, w in self.edges]

@@ -16,7 +16,7 @@ syllable order are both read off one order, and Min(g) is never listed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from freefactor.errors import InvalidGraph, MalformedWord, TooLarge, UnknownLetter
 from freefactor.words import parse_power, unreadable_name
@@ -154,35 +154,18 @@ class SyllableOrder:
     ``precedes`` holds (i, j) iff syllable i comes before j in every member of
     Min(g); ``precedes_adjacent`` additionally requires adjacency in some
     member, so it holds the covering pairs.  The transitive closure of the
-    latter equals the former.  ``word`` is the normal form of g, and ``sids``
-    are the positions of its syllables.
+    latter equals the former.  ``word`` is the normal form of g, and a
+    syllable is named by its position in it.
     """
 
     word: RaagWord
-    sids: Tuple[int, ...]
     precedes: FrozenSet[Tuple[int, int]]
     precedes_adjacent: FrozenSet[Tuple[int, int]]
-
-    def closure_of_adjacent(self) -> FrozenSet[Tuple[int, int]]:
-        reach: Dict[int, Set[int]] = {i: set() for i in self.sids}
-        for i, j in self.precedes_adjacent:
-            reach[i].add(j)
-        changed = True
-        while changed:
-            changed = False
-            for i in self.sids:
-                new = set()
-                for j in reach[i]:
-                    new |= reach[j]
-                if not new <= reach[i]:
-                    reach[i] |= new
-                    changed = True
-        return frozenset((i, j) for i in self.sids for j in reach[i])
 
 
 def syllable_order(graph: SimplicialGraph, g: RaagWord) -> SyllableOrder:
     """The transitive closure of the dependence order of the normalized form
-    and its covering pairs; sids are positions in the normalized form."""
+    and its covering pairs; syllables are positions in the normalized form."""
     word = normalize(graph, g)
     _, deps = _dependence(graph, word.key())
     below: List[int] = []  # below[j]: bitmask of the syllables before j in every member
@@ -195,7 +178,7 @@ def syllable_order(graph: SimplicialGraph, g: RaagWord) -> SyllableOrder:
         below.append(d | between)
         precedes.update((i, j) for i in range(j) if below[j] >> i & 1)
         covers.update((i, j) for i in range(j) if (d & ~between) >> i & 1)
-    return SyllableOrder(word, tuple(range(len(deps))), frozenset(precedes), frozenset(covers))
+    return SyllableOrder(word, frozenset(precedes), frozenset(covers))
 
 
 def clique_number(graph: SimplicialGraph) -> int:

@@ -151,6 +151,8 @@ def system_from_json(obj: Any, verify: bool = False, path: str = "system") -> sy
         _expect_key(obj, "ambient_alphabet", path), f"{path}.ambient_alphabet"
     )
     raw_factors = _expect(_expect_key(obj, "factors", path), list, f"{path}.factors")
+    if not raw_factors:
+        raise SchemaError(f"{path}.factors: a system needs at least one factor")
     names: List[str] = []
     factors = []
     for k, fobj in enumerate(raw_factors):

@@ -8,27 +8,22 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from freefactor import factors as fa, farey, stallings
+from freefactor import factors as fa, stallings
 from freefactor.errors import (
     CommutationViolation,
     InvalidGraph,
-    LengthMismatch,
-    NoSuchSyllable,
     NotAdmissible,
-    NotHyperbolicSeed,
-    RankMismatch,
     RankTooSmall,
     SupportViolation,
     UndefinedProjection,
 )
 from freefactor.factors import FreeFactorClass, free_factor_class
 from freefactor.projections import ProjectionSet, factor_shadow
-from freefactor.raag import RaagWord, SimplicialGraph, simplicial_graph
+from freefactor.raag import SimplicialGraph, simplicial_graph
 from freefactor.words import (
     Alphabet,
     GroupMap,
     Word,
-    automorphism,
     compose_map,
     identity_map,
     invert_automorphism,
@@ -279,66 +274,6 @@ class AdmissibleSystem:
         return self.maps[self.collection.index(name)]
 
 
-def _extend_seed(
-    ambient: Alphabet,
-    basis_pair: Sequence[Word],
-    complement: Sequence[Word],
-    seed: GroupMap,
-    power: int,
-) -> GroupMap:
-    """Automorphism acting by seed^power on the pair, fixing the complement.
-
-    The pair plus complement must form a basis; the action is conjugated back
-    to the standard letters through that basis change, C o S o C^-1.  The
-    basis change C and the block map S, seed^power on the first two letters
-    and the identity on the rest, are each certified by ``automorphism``, so
-    the product is certified by ``compose_map``.
-    """
-    n = ambient.rank
-    full = list(basis_pair) + list(complement)
-    if len(full) != n:
-        raise LengthMismatch(f"a factor basis and complement of {len(full)} words in rank {n}")
-    C = automorphism(ambient, full)
-    fixed = [letter(ambient, k) for k in range(2, n)]
-    block = [Word(ambient, w.letters) for w in map_power(seed, power).images]
-    S = automorphism(ambient, block + fixed)
-    return compose_map(C, S, C.inverse_hint)
-
-
-def build_generators(
-    collection: AdmissibleCollection,
-    seeds: Sequence[GroupMap],
-    power: int,
-    complements: Sequence[Sequence[Word]],
-) -> AdmissibleSystem:
-    """Assemble and certify the generator system {f_i}.
-
-    Each f_i is the i-th seed raised to ``power`` on A_i's basis, extended by
-    the identity on the designated complement basis.  Certificates: every
-    seed's abelianization is hyperbolic; f_i stabilizes each linked A_j with
-    inner-trivial restriction; linked pairs commute up to inner.
-    """
-    factors = collection.factors
-    if not len(seeds) == len(factors) == len(complements):
-        raise LengthMismatch(
-            f"{len(factors)} factors, {len(seeds)} seeds and {len(complements)} complements"
-        )
-    maps: List[GroupMap] = []
-    hyp: List[bool] = []
-    for A, seed, comp in zip(factors, seeds, complements):
-        if A.rank != 2:
-            raise RankMismatch(f"seed extension needs rank-2 factors, not rank {A.rank}")
-        m = farey.matrix_of_out(seed)
-        if not farey.is_fully_irreducible(m):
-            raise NotHyperbolicSeed(f"seed abelianization has trace {m.trace}")
-        f = _extend_seed(A.ambient, A.basis, comp, seed, power)
-        maps.append(f)
-        hyp.append(power != 0)
-
-    certify_support(collection, maps)
-    return AdmissibleSystem(collection, tuple(maps), power, tuple(hyp))
-
-
 def _commutator(f: GroupMap, g: GroupMap) -> GroupMap:
     """[f, g] = f o g o f^-1 o g^-1, as its images only: ``is_inner`` reads
     nothing else."""
@@ -378,19 +313,10 @@ def certify_support(collection: AdmissibleCollection, maps: Sequence[GroupMap]) 
                 )
 
 
-# --- the homomorphism and active factors -----------------------------------
+# --- the homomorphism ------------------------------------------------------
 
 def apply_phi(system: AdmissibleSystem, syllables: Iterable[Tuple[str, int]]) -> GroupMap:
     """φ of a word given as (generator, exponent) pairs, such as
     ``RaagWord.key()``: the left-to-right product of the generator powers."""
     powers = [map_power(system.map_of(gen), exp) for gen, exp in syllables]
     return compose_map(identity_map(system.collection.factors[0].ambient), *powers)
-
-
-def active_factor(system: AdmissibleSystem, g: RaagWord, k: int) -> FreeFactorClass:
-    """A^g(k): the k-th syllable's factor transported by the prefix map."""
-    syls = g.key()
-    if not 0 <= k < len(syls):
-        raise NoSuchSyllable(f"no syllable {k} in a word of syllable length {len(syls)}")
-    A = system.collection.factors[system.collection.index(syls[k][0])]
-    return fa.transport(apply_phi(system, syls[:k]), A)

@@ -217,6 +217,24 @@ def raag_syllable_order(adjacency, word, vertex_order):
     return before, before & adjacent
 
 
+def order_closure(order):
+    """The transitive closure of a ``raag.SyllableOrder``'s covering pairs,
+    grown to a fixed point: it must equal ``precedes``."""
+    sids = range(len(order.word))
+    reach = {i: set() for i in sids}
+    for i, j in order.precedes_adjacent:
+        reach[i].add(j)
+    changed = True
+    while changed:
+        changed = False
+        for i in sids:
+            new = set().union(*(reach[j] for j in reach[i]))
+            if not new <= reach[i]:
+                reach[i] |= new
+                changed = True
+    return frozenset((i, j) for i in sids for j in reach[i])
+
+
 # --- Whitehead descent by trial folds ---------------------------------------
 
 def naive_core(gens, keep_base=True):

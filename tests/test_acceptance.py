@@ -165,7 +165,7 @@ class TestCriterion4:
                 if w.key() not in seen_normals and len(w) <= 8:
                     seen_normals.add(w.key())
                     order = raag.syllable_order(g, w)
-                    if order.precedes != order.closure_of_adjacent():
+                    if order.precedes != oracles.order_closure(order):
                         ok = False
         dt = time.monotonic() - t0
         _verdict(

@@ -135,6 +135,13 @@ class TestRefusals:
         bad.write_text(json.dumps(obj))
         assert self.failed_verify(bad) == "FAIL: system.power: expected int, got bool\n"
 
+    def test_verify_system_without_factors(self, tmp_path):
+        empty = {"gamma": {"vertices": [], "edges": []}, "ambient_alphabet": ["a", "b"],
+                 "factors": [], "generators": [], "power": 1}
+        bad = tmp_path / "empty.json"
+        bad.write_text(json.dumps(empty))
+        assert self.failed_verify(bad) == "FAIL: system.factors: a system needs at least one factor\n"
+
     def test_run_out_unwritable(self, tmp_path):
         out = tmp_path / "missing" / "r.json"
         err = self.refused("run", "--mode", "qie-sandwich", "--samples", "1", "--out", str(out))

@@ -4,13 +4,7 @@ from math import gcd
 import pytest
 
 from freefactor import farey
-from freefactor.errors import (
-    MalformedVertex,
-    NonPrimitiveImage,
-    NotUnimodular,
-    RankMismatch,
-)
-from freefactor.words import GroupMap, abc_alphabet, identity_map, word_from_str
+from freefactor.errors import MalformedVertex, NonPrimitiveImage
 from oracles import (
     farey_bfs_distances,
     farey_distance_by_descent,
@@ -18,8 +12,6 @@ from oracles import (
     farey_norm,
     primitive_pairs,
 )
-
-A2 = abc_alphabet(2)
 
 
 def v(p, q):
@@ -97,17 +89,6 @@ class TestVertexBuilder:
                 assert {got: 1}[want] == 1
         with pytest.raises(AttributeError):
             v(1, 2).p = 3
-
-
-class TestVertexOf:
-    def test_first_basis_letter(self):
-        assert farey.farey_vertex(*farey.abelianize2(word_from_str(A2, "a"))) == v(1, 0)
-
-    def test_product(self):
-        assert farey.farey_vertex(*farey.abelianize2(word_from_str(A2, "a b"))) == v(1, 1)
-
-    def test_conjugation_invisible(self):
-        assert farey.farey_vertex(*farey.abelianize2(word_from_str(A2, "b a b^-1"))) == v(1, 0)
 
 
 class TestDistance:
@@ -196,58 +177,6 @@ class TestDeterminantFirst:
 
 
 class TestMatrices:
-    def test_parabolic(self):
-        f = GroupMap(A2, A2, (word_from_str(A2, "a b"), word_from_str(A2, "b")))
-        m = farey.matrix_of_out(f)
-        assert (m.a, m.b, m.c, m.d) == (1, 0, 1, 1)
-        assert not farey.is_fully_irreducible(m)
-
-    def test_hyperbolic(self):
-        f = GroupMap(A2, A2, (word_from_str(A2, "a b"), word_from_str(A2, "b a b")))
-        m = farey.matrix_of_out(f)
-        assert (m.a, m.b, m.c, m.d) == (1, 1, 1, 2)
-        assert farey.is_fully_irreducible(m)
-
-    def test_singular_refused(self):
-        with pytest.raises(NotUnimodular):
-            farey.Matrix2Z(2, 0, 0, 2)
-
-    def test_singular_refusal_survives_optimize(self, run_optimized):
-        out = run_optimized(
-            "from freefactor import farey\n"
-            "from freefactor.errors import NotUnimodular\n"
-            "try:\n"
-            "    farey.Matrix2Z(2, 0, 0, 2)\n"
-            "except NotUnimodular as exc:\n"
-            "    print(exc)\n"
-        )
-        assert out == "determinant 4: the matrix is not in GL(2, Z)\n"
-
-    def test_rank_refused(self):
-        with pytest.raises(RankMismatch):
-            farey.abelianize2(word_from_str(abc_alphabet(3), "c"))
-        with pytest.raises(RankMismatch):
-            farey.matrix_of_out(identity_map(abc_alphabet(3)))
-
-    def test_rank_refusals_survive_optimize(self, run_optimized):
-        out = run_optimized(
-            "from freefactor import farey, words as W\n"
-            "from freefactor.errors import FreefactorError\n"
-            "A = W.abc_alphabet(3)\n"
-            "for call in (\n"
-            "    lambda: farey.abelianize2(W.letter(A, 2)),\n"
-            "    lambda: farey.matrix_of_out(W.identity_map(A)),\n"
-            "):\n"
-            "    try:\n"
-            "        call()\n"
-            "    except FreefactorError as exc:\n"
-            "        print(f'{type(exc).__name__}: {exc}')\n"
-        )
-        assert out == (
-            "RankMismatch: abelianize2 needs a rank-2 word, not rank 3\n"
-            "RankMismatch: matrix_of_out needs rank 2, not 3 -> 3\n"
-        )
-
     def test_matches_bfs_small_powers(self):
         m = (2, 1, 1, 1)
         dist = farey_bfs_distances((1, 0), 120)

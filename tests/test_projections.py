@@ -21,7 +21,6 @@ from freefactor.errors import (
     PathTooShort,
     ThresholdViolated,
     UndefinedProjection,
-    UnknownLetter,
 )
 from freefactor.words import (
     Alphabet,
@@ -207,40 +206,6 @@ class TestTrustedRose:
             assert R.marking_words() == want.marking_words()
             assert R.marking_hint.images == want.marking_hint.images
             assert R.marking_hint.inverse_images == want.marking_hint.inverse_images
-
-
-class TestEdgeWords:
-    def test_eval_edge_word(self):
-        assert ROSE.eval_edge_word([1, -3]) == w("a c^-1")
-        assert ROSE.eval_edge_word([]) == Word(A3, ())
-
-    def test_edge_letter_out_of_range_refused(self):
-        for bad in ([0], [4], [-4], [1, 0, 2]):
-            with pytest.raises(UnknownLetter):
-                ROSE.eval_edge_word(bad)
-
-    def test_refusal_survives_optimize(self, run_optimized):
-        out = run_optimized(
-            "from freefactor import projections as pj\n"
-            "from freefactor.errors import FreefactorError\n"
-            "from freefactor.words import abc_alphabet\n"
-            "R = pj.rose(abc_alphabet(3))\n"
-            "for bad in ([0], [4]):\n"
-            "    try:\n"
-            "        R.eval_edge_word(bad)\n"
-            "    except FreefactorError as exc:\n"
-            "        print(f'{type(exc).__name__}: {exc}')\n"
-        )
-        assert out == (
-            "UnknownLetter: edge letter 0 invalid for a graph of 3 edges\n"
-            "UnknownLetter: edge letter 4 invalid for a graph of 3 edges\n"
-        )
-
-    def test_basis_loops_keep_their_type(self):
-        T = subdivide(ex.random_tree(random.Random(5), A3, 6), random.Random(6))
-        loops = T.basis_loops()
-        assert isinstance(loops, list) and all(isinstance(loop, list) for loop in loops)
-        assert [T.eval_edge_word(loop) for loop in loops] == T.marking_words()
 
 
 class TestHash:
@@ -593,7 +558,7 @@ class TestBasisLoops:
     @staticmethod
     def assert_matches_tree_loops(T):
         loops = tree_loops(T)
-        assert T.basis_loops() == [list(loop) for loop in loops]
+        assert T._loops == tuple(loops)
         labels = [label.letters for _u, _v, label in T.edges]
         words = tuple(naive_reduce(plain_substitution(loop, labels)) for loop in loops)
         assert tuple(m.letters for m in T.marking_words()) == words

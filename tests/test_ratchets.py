@@ -2,14 +2,15 @@
 
 import ast
 import random
+import re
 from pathlib import Path
 
-from freefactor import experiments, projections, serialize, systems, words
+from freefactor import experiments, projections, serialize, words
 from freefactor.errors import FreefactorError
-from freefactor.factors import free_factor_class
 from oracles import inverts
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "freefactor"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "freefactor"
 
 # internal invariants only: a precondition on input raises a typed
 # FreefactorError, which unlike an assert survives ``python -O``
@@ -162,19 +163,10 @@ def test_fold_inverts_only_compared_ends(monkeypatch):
 
 
 def test_seed_powers_build_images_only(monkeypatch):
-    # a fixture's maps are read as they are, with no power of their own; a
-    # generator system built from certified seeds reads only the images of
-    # seed^power, one chain per generator
+    # a fixture's maps are read as they are, with no power of their own
     chains = _count_power_letters(monkeypatch)
-    system = serialize.load_fixture.__wrapped__("pentagon-f5")
+    serialize.load_fixture.__wrapped__("pentagon-f5")
     assert chains == []
-    F5 = system.maps[0].domain
-    factors = [free_factor_class(F5, [words.letter(F5, i), words.letter(F5, (i + 1) % 5)]) for i in range(5)]
-    complements = [[words.letter(F5, (i + k) % 5) for k in (2, 3, 4)] for i in range(5)]
-    A2 = words.std_alphabet(2)
-    seed = words.automorphism(A2, [words.word_from_str(A2, "x0 x0 x1"), words.word_from_str(A2, "x0 x1")])
-    systems.build_generators(systems.verify_admissible(factors), [seed] * 5, 3, complements)
-    assert chains == [3] * 5
 
 
 def test_path_projects_each_tree_once():
@@ -227,3 +219,38 @@ def test_random_automorphism_substitutes_moved_images_only(monkeypatch):
         f = experiments.random_automorphism(random.Random(seed), F5, 12)
         assert len(calls) <= 2 * m, (seed, m, len(calls))
         assert inverts(f)
+
+
+# the public graph JSON schema and the alphabet helper, which the library
+# offers but does not call itself
+UNCALLED = {"graph_to_json", "graph_from_json", "abc_alphabet"}
+
+
+def _is_command(node) -> bool:
+    # ``@main.command(...)`` hands the function to click, which calls it
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "command"
+        and isinstance(d.func.value, ast.Name) and d.func.value.id == "main"
+        for d in node.decorator_list
+    )
+
+
+def test_src_definitions_have_a_library_caller():
+    # a function, class or method that only tests call is code the program
+    # never runs: each name must appear in the library or the benchmark
+    # somewhere other than the line that defines it
+    seen = {}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            for name in re.findall(r"\w+", line):
+                seen.setdefault(name, set()).add((path, lineno))
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in UNCALLED and not _is_command(node)
+        and not seen[node.name] - {(path, node.lineno)}
+    ]
+    assert found == [], f"definitions with no caller in src/freefactor or perfbench: {found}"

@@ -6,17 +6,12 @@ import pytest
 from freefactor import factors as fc, farey, projections as pj, raag, serialize as se, stallings, systems as sy
 from freefactor.errors import (
     CommutationViolation,
-    LengthMismatch,
     NotAdmissible,
-    NotHyperbolicSeed,
-    NotSurjective,
-    RankMismatch,
     RankTooSmall,
     SupportViolation,
     UndefinedProjection,
 )
 from freefactor.words import (
-    GroupMap,
     abc_alphabet,
     automorphism,
     compose_map,
@@ -24,6 +19,7 @@ from freefactor.words import (
     invert_automorphism,
     is_inner,
     letter,
+    map_power,
     std_alphabet,
     transvection,
     word_from_str,
@@ -32,8 +28,7 @@ from oracles import is_onto, raag_min_forms
 
 PENT = raag.pentagon()
 F5 = std_alphabet(5)
-A2 = std_alphabet(2)
-SEED = GroupMap(A2, A2, (word_from_str(A2, "x0 x0 x1"), word_from_str(A2, "x0 x1")))
+SEED = ("x0 x0 x1", "x0 x1")  # the images of x0 and x1 on a factor's basis
 
 
 def pentagon_factors():
@@ -50,9 +45,27 @@ def pentagon_complements():
     ]
 
 
-def pentagon_system(power=1):
-    coll = sy.verify_admissible(pentagon_factors())
-    return sy.build_generators(coll, [SEED] * 5, power, pentagon_complements())
+def support_complements():
+    return sy.build_support_graph(PENT).complement_words
+
+
+COMPLEMENTS = {"pentagon-f5": pentagon_complements, "pentagon-support-f6": support_complements}
+
+
+def conjugated_seed(A, complement, power=1):
+    """C o S^power o C^-1: the seed S on A's basis and the identity on its
+    complement, carried to the standard letters by the basis change C."""
+    F = A.ambient
+    C = automorphism(F, list(A.basis) + list(complement))
+    S = automorphism(F, [word_from_str(F, s) for s in SEED] + [letter(F, k) for k in range(2, F.rank)])
+    return compose_map(C, map_power(S, power), C.inverse_hint)
+
+
+def active(system, g, k):
+    """A^g(k): the k-th syllable's factor, carried by φ of the syllables before it."""
+    syllables = g.key()
+    A = system.collection.factors[system.collection.index(syllables[k][0])]
+    return fc.transport(sy.apply_phi(system, syllables[:k]), A)
 
 
 class TestComplexity:
@@ -170,34 +183,45 @@ class TestVerifyAdmissible:
 
 
 class TestBuildGenerators:
+    """The pentagon fixtures' generators against how they were built: f_i is
+    the seed on A_i's basis, fixing the complement that completes it to a
+    basis of the ambient group."""
+
+    @pytest.mark.parametrize("fixture", sorted(COMPLEMENTS))
+    def test_fixture_maps_conjugate_the_seed(self, fixture):
+        system = se.load_fixture(fixture)
+        complements = COMPLEMENTS[fixture]()
+        for A, complement, f in zip(system.collection.factors, complements, system.maps):
+            built = conjugated_seed(A, complement)
+            assert built.images == f.images and built.inverse_images == f.inverse_images
+
     def test_certificates_pass(self):
-        system = pentagon_system(power=2)
+        system = se.load_fixture("pentagon-f5")
         assert all(system.restriction_hyperbolic)
         f0 = system.maps[0]
         # acts only on the first two letters
         for k in range(2, 5):
             assert f0(letter(F5, k)) == letter(F5, k)
+        for fixture in COMPLEMENTS:
+            system = se.load_fixture(fixture)
+            sy.certify_support(system.collection, [map_power(f, 2) for f in system.maps])
 
     @pytest.mark.parametrize("power", [1, 2])
     def test_inverses_match_the_fold(self, power):
-        # each map is certified by composition; folding its images is the
-        # oracle for the inverse it was built with
-        for f in pentagon_system(power).maps:
-            assert f.inverse_images == automorphism(F5, f.images).inverse_images
+        # the seed's power is certified by composition; folding its images
+        # is the oracle for the inverse it was built with
+        system = se.load_fixture("pentagon-f5")
+        for A, complement, f in zip(system.collection.factors, pentagon_complements(), system.maps):
+            built = conjugated_seed(A, complement, power)
+            assert built.images == map_power(f, power).images
+            assert built.inverse_images == automorphism(F5, built.images).inverse_images
 
     def test_power_zero_identity(self):
-        system = pentagon_system(power=0)
-        assert not any(system.restriction_hyperbolic)
-        assert all(f.is_identity() for f in system.maps)
-
-    def test_parabolic_seed_rejected(self):
-        coll = sy.verify_admissible(pentagon_factors())
-        parab = GroupMap(A2, A2, (word_from_str(A2, "x0 x1"), word_from_str(A2, "x1")))
-        with pytest.raises(NotHyperbolicSeed):
-            sy.build_generators(coll, [parab] * 5, 1, pentagon_complements())
+        for A, complement in zip(pentagon_factors(), pentagon_complements()):
+            assert conjugated_seed(A, complement, 0).is_identity()
 
     def test_nonlinked_commutator_not_inner(self):
-        system = pentagon_system(power=1)
+        system = se.load_fixture("pentagon-f5")
         f0, f1 = system.maps[0], system.maps[1]  # overlapping factors
         comm = compose_map(
             compose_map(f0, f1),
@@ -206,7 +230,7 @@ class TestBuildGenerators:
         assert is_inner(comm) is None
 
     def test_linked_commutator_inner(self):
-        system = pentagon_system(power=1)
+        system = se.load_fixture("pentagon-f5")
         f0, f2 = system.maps[0], system.maps[2]  # disjoint factors
         comm = compose_map(
             compose_map(f0, f2),
@@ -216,68 +240,10 @@ class TestBuildGenerators:
 
     def test_support_graph_system(self):
         G = sy.build_support_graph(PENT)
-        coll = sy.verify_admissible(
-            [G.factor(i) for i in range(5)], names=list(PENT.vertices)
-        )
-        system = sy.build_generators(
-            coll, [SEED] * 5, 1, [list(c) for c in G.complement_words]
-        )
+        system = se.load_fixture("pentagon-support-f6")
+        assert system.collection.names == PENT.vertices
+        assert system.collection.factors == tuple(G.factor(i) for i in range(5))
         assert all(system.restriction_hyperbolic)
-
-    def test_mismatched_lengths_refused(self):
-        coll = sy.verify_admissible(pentagon_factors())
-        with pytest.raises(LengthMismatch):
-            sy.build_generators(coll, [SEED] * 4, 1, pentagon_complements())
-        with pytest.raises(LengthMismatch):
-            sy.build_generators(coll, [SEED] * 5, 1, pentagon_complements()[:4])
-        short = pentagon_complements()
-        short[2] = short[2][:2]
-        with pytest.raises(LengthMismatch):
-            sy.build_generators(coll, [SEED] * 5, 1, short)
-
-    def test_rank3_factor_refused(self):
-        A = fc.free_factor_class(F5, [letter(F5, 0), letter(F5, 1), letter(F5, 2)])
-        coll = sy.AdmissibleCollection(("v0",), (A,), raag.simplicial_graph(["v0"], []), ())
-        with pytest.raises(RankMismatch):
-            sy.build_generators(coll, [SEED], 1, [[letter(F5, 3), letter(F5, 4)]])
-
-    def test_preconditions_survive_optimize(self, run_optimized):
-        out = run_optimized(
-            "from freefactor import factors as fc, raag, systems as sy\n"
-            "from freefactor.errors import FreefactorError\n"
-            "from freefactor.words import GroupMap, letter, std_alphabet, word_from_str\n"
-            "F5, A2 = std_alphabet(5), std_alphabet(2)\n"
-            "seed = GroupMap(A2, A2, (word_from_str(A2, 'x0 x0 x1'), word_from_str(A2, 'x0 x1')))\n"
-            "A = fc.free_factor_class(F5, [letter(F5, 0), letter(F5, 1)])\n"
-            "B = fc.free_factor_class(F5, [letter(F5, 0), letter(F5, 1), letter(F5, 2)])\n"
-            "one = lambda X: sy.AdmissibleCollection(('v0',), (X,), raag.simplicial_graph(['v0'], []), ())\n"
-            "rest = [letter(F5, k) for k in (2, 3, 4)]\n"
-            "calls = [lambda: sy.build_generators(one(A), [seed, seed], 1, [rest]),\n"
-            "         lambda: sy.build_generators(one(B), [seed], 1, [rest[1:]]),\n"
-            "         lambda: sy.build_generators(one(A), [seed], 1, [rest[:2]])]\n"
-            "for call in calls:\n"
-            "    try:\n"
-            "        call()\n"
-            "    except FreefactorError as exc:\n"
-            "        print(type(exc).__name__)\n"
-        )
-        assert out.split() == ["LengthMismatch", "RankMismatch", "LengthMismatch"]
-
-    def test_bad_complement_raises(self):
-        coll = sy.verify_admissible(pentagon_factors())
-        bad = pentagon_complements()
-        bad[0] = [letter(F5, 0), letter(F5, 3), letter(F5, 4)]  # not a basis
-        with pytest.raises(NotSurjective):
-            sy.build_generators(coll, [SEED] * 5, 1, bad)
-
-    def test_seed_not_onto_raises(self):
-        # trace 3 passes the seed check, but the images generate a proper subgroup
-        images = ("x0 x1 x0 x1 x0^-1 x1^-1 x0", "x1 x0")
-        seed = GroupMap(A2, A2, tuple([word_from_str(A2, s) for s in images]))
-        assert farey.is_fully_irreducible(farey.matrix_of_out(seed))
-        coll = sy.verify_admissible(pentagon_factors())
-        with pytest.raises(NotSurjective):
-            sy.build_generators(coll, [seed] * 5, 1, pentagon_complements())
 
 
 class TestCertifySupport:
@@ -382,7 +348,7 @@ class TestRestrictsInnerTrivially:
         assert sy.restricts_inner_trivially(conjugation_by(word_from_str(F5, "x2 x0")), A)
 
     def test_genuine_action(self):
-        system = pentagon_system(power=1)
+        system = se.load_fixture("pentagon-f5")
         facs = pentagon_factors()
         assert not sy.restricts_inner_trivially(system.maps[0], facs[0])
         assert not sy.restricts_inner_trivially(system.maps[0], facs[1])
@@ -391,58 +357,41 @@ class TestRestrictsInnerTrivially:
 
 class TestPhi:
     def test_single_syllable_active(self):
-        system = pentagon_system(power=1)
+        system = se.load_fixture("pentagon-f5")
         facs = pentagon_factors()
         gamma = system.collection.gamma
         g = raag.normalize(gamma, raag.raag_word_from_str(gamma, "v3^2"))
-        assert sy.active_factor(system, g, 0) == facs[3]
+        assert active(system, g, 0) == facs[3]
 
     def test_linked_prefix_acts_trivially(self):
-        system = pentagon_system(power=1)
+        system = se.load_fixture("pentagon-f5")
         facs = pentagon_factors()
         gamma = system.collection.gamma
         g = raag.normalize(gamma, raag.raag_word_from_str(gamma, "v0 v2"))
-        assert sy.active_factor(system, g, 1) == facs[2]
+        assert active(system, g, 1) == facs[2]
 
     def test_well_defined_across_min_set(self):
-        system = pentagon_system(power=1)
+        system = se.load_fixture("pentagon-f5")
         gamma = system.collection.gamma
         g = raag.normalize(gamma, raag.raag_word_from_str(gamma, "v0 v2 v4^-1 v1"))
         adj = {frozenset(e) for e in gamma.edges}
         members = [raag.raag_word(gamma, m) for m in raag_min_forms(adj, g.key())]
         assert len(members) > 1
         reference = {
-            (s.gen, s.exp): sy.active_factor(system, g, k).key
+            (s.gen, s.exp): active(system, g, k).key
             for k, s in enumerate(g.syllables)
         }
         for m in members:
             got = {
-                (s.gen, s.exp): sy.active_factor(system, m, k).key
+                (s.gen, s.exp): active(system, m, k).key
                 for k, s in enumerate(m.syllables)
             }
             assert got == reference
 
     def test_phi_homomorphism_on_commuting_pair(self):
-        system = pentagon_system(power=1)
+        system = se.load_fixture("pentagon-f5")
         gamma = system.collection.gamma
         g1 = raag.normalize(gamma, raag.raag_word_from_str(gamma, "v0 v2"))
         g2 = raag.normalize(gamma, raag.raag_word_from_str(gamma, "v2 v0"))
         p1, p2 = sy.apply_phi(system, g1.key()), sy.apply_phi(system, g2.key())
         assert p1.images == p2.images  # disjoint supports commute exactly
-
-    def test_syllable_index_refusal_survives_optimize(self, run_optimized):
-        out = run_optimized(
-            "from freefactor import raag, serialize as se, systems as sy\n"
-            "from freefactor.errors import FreefactorError\n"
-            "system = se.load_fixture('pentagon-f5')\n"
-            "g = raag.raag_word(system.collection.gamma, [(system.collection.names[0], 2)])\n"
-            "for k in (-1, 1):\n"
-            "    try:\n"
-            "        sy.active_factor(system, g, k)\n"
-            "    except FreefactorError as exc:\n"
-            "        print(f'{type(exc).__name__}: {exc}')\n"
-        )
-        assert out == (
-            "NoSuchSyllable: no syllable -1 in a word of syllable length 1\n"
-            "NoSuchSyllable: no syllable 1 in a word of syllable length 1\n"
-        )
